@@ -74,7 +74,6 @@ _SCHEMA: list[tuple[str, object, bool]] = [
     ("optimizer.max_iterations", 100, False),
     ("optimizer.convergence_tol_s", 1e-6, False),
     ("optimizer.fd_step", 1e-6, False),
-    ("optimizer.bisection_tol", 1e-10, False),
     ("optimizer.initial_policy", "mpcp", True),
     ("sweep.variable", "", False),
     ("sweep.start", "", False),
@@ -183,10 +182,9 @@ def _build(raw: dict) -> ExperimentConfig:
         raise ConfigError("content.file_count must be >= 2")
     if l_count < 2:
         raise ConfigError("content.layer_count must be >= 2")
-    if raw["content.skewness"] < 0:
-        raise ConfigError("content.skewness must be >= 0")
-    if raw["content.plateau"] < 0:
-        raise ConfigError("content.plateau must be >= 0")
+    for key in ("content.skewness", "content.plateau"):
+        if not 0 <= raw[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {raw[key]!r}")
     library = ContentLibrary.uniform(
         f_count, l_count,
         layer_size_bits=_positive(raw, "content.layer_size_bits"),
@@ -224,18 +222,22 @@ def _build(raw: dict) -> ExperimentConfig:
     mbs_radius = float(mbs_radius) if str(mbs_radius).strip() else None
     if raw["sim.trials"] < 1:
         raise ConfigError("sim.trials must be >= 1")
-    if raw["sim.window_multiplier"] < 5:
-        raise ConfigError("sim.window_multiplier must be >= 5")
+    if not 5 <= raw["sim.window_multiplier"] < math.inf:
+        raise ConfigError("sim.window_multiplier must be finite and >= 5")
+    if raw["sim.master_seed"] < 0:
+        raise ConfigError("sim.master_seed must be >= 0")
     sim = SimConfig(trials=raw["sim.trials"],
                     window_multiplier=raw["sim.window_multiplier"],
                     master_seed=raw["sim.master_seed"],
                     mbs_region_radius=mbs_radius)
 
+    if raw["optimizer.initial_policy"] not in ("mpcp", "epcp"):
+        raise ConfigError("optimizer.initial_policy must be 'mpcp' or 'epcp', "
+                          f"got {raw['optimizer.initial_policy']!r}")
     opt = OptimizerConfig(
         max_iterations=raw["optimizer.max_iterations"],
         convergence_tol=_positive(raw, "optimizer.convergence_tol_s"),
         fd_step=_positive(raw, "optimizer.fd_step"),
-        bisection_tol=_positive(raw, "optimizer.bisection_tol"),
         initial_policy=raw["optimizer.initial_policy"],
     )
 

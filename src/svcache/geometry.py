@@ -171,7 +171,7 @@ def g_integral(a: float, b: float) -> float:
 
 def _as_prob(p):
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("caching probability must lie in [0, 1]")
     return p
 

@@ -3,12 +3,13 @@
 The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
 set.  The projection subtracts one uniform shift u from every entry,
-clips to [0, 1], and picks u by bisection so the expected cache usage
-equals the budget; full utilization is optimal because the delay is
-non-increasing in every caching probability.  Note this uniform shift is
-the operator used throughout here and in the baselines; it is not the
-Euclidean projection onto the size-weighted budget polytope (that one
-would shift each entry proportionally to its size).
+clips to [0, 1], and solves for u exactly from the breakpoints of the
+piecewise-linear usage so the expected cache usage equals the budget;
+full utilization is optimal because the delay is non-increasing in every
+caching probability.  Note this uniform shift is the operator used
+throughout here and in the baselines; it is not the Euclidean projection
+onto the size-weighted budget polytope (that one would shift each entry
+proportionally to its size).
 
 A brute-force ``grid_oracle`` provides ground truth on small instances
 by minimizing over all pairs of per-tier grid matrices projected to
@@ -51,13 +52,12 @@ class OptimizerConfig:
     max_iterations: int = 100
     convergence_tol: float = 1e-6
     fd_step: float = 1e-6
-    bisection_tol: float = 1e-10
     initial_policy: CachingPolicy | str = "mpcp"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("convergence_tol", "fd_step", "bisection_tol"):
+        for name in ("convergence_tol", "fd_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -81,50 +81,51 @@ class OptimizerResult:
     budget_residual_s: list[float] = field(default_factory=list)
 
 
-def project_budget(p_hat, sizes, budget, tol=1e-10) -> np.ndarray:
-    """Project a raw matrix onto {q in [0,1]^(FxL) : sum(sizes * q) = budget}.
+def project_budget(p_hat, sizes, budget) -> np.ndarray:
+    """Project raw matrices onto {q in [0,1]^n : sum(sizes * q) = budget}.
 
-    Returns min{[p_hat - u]+, 1} with the uniform shift u found by
-    bisection; the shifted-clipped usage is continuous and non-increasing
-    in u, so the bracket [min(p_hat) - 1 - budget/min(sizes), max(p_hat)]
-    always contains a root.  When the budget is at least the whole
-    catalog the equality is unattainable and the all-ones matrix is
-    returned (budget non-binding).
-
-    ``tol`` is the accepted relative budget residual; the bisection runs
-    the shift down to machine precision regardless (it is cheap), so the
-    realized residual sits far below the bound and re-projecting an
-    already projected matrix reproduces it to round-off.
+    ``p_hat.shape`` is any leading batch shape followed by ``sizes.shape``;
+    each trailing block is projected on its own.  Returns
+    min{[p_hat - u]+, 1} with the uniform shift u found exactly: the
+    shifted-clipped usage is continuous, non-increasing and linear between
+    the breakpoints p_i - 1 (entry i leaves the cap) and p_i (entry i hits
+    zero), so sorting the 2n breakpoints, accumulating the usage across
+    them and interpolating on the segment that crosses the budget gives
+    the root (the breakpoint method of Duchi et al., 2008, and Condat,
+    2016).  When the budget is at least the whole catalog the equality is
+    unattainable and the all-ones matrix is returned (budget non-binding).
     """
     if not budget > 0:
         raise ValueError("budget must be strictly positive")
-    if not tol > 0:
-        raise ValueError("tol must be strictly positive")
     p_hat = np.asarray(p_hat, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
+    if p_hat.shape[p_hat.ndim - sizes.ndim:] != sizes.shape:
+        raise ValueError("p_hat must end with the shape of sizes")
+    if not (np.all(np.isfinite(p_hat)) and np.all(np.isfinite(sizes))):
+        raise ValueError("p_hat and sizes must be finite")
     if np.any(sizes <= 0):
         raise ValueError("sizes must be strictly positive")
     capacity = sizes.sum()
     if budget >= capacity:
         return np.ones_like(p_hat)
 
-    def usage(u):
-        return float((sizes * np.clip(p_hat - u, 0.0, 1.0)).sum())
-
-    lo = float(p_hat.min()) - 1.0 - budget / float(sizes.min())
-    hi = float(p_hat.max())
-    # invariant: usage(lo) >= budget >= usage(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if usage(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi), abs(lo)):
-            break
-    # the bracket is one float apart; keep the endpoint closest to budget
-    u = min((lo, hi), key=lambda v: abs(usage(v) - budget))
-    return np.clip(p_hat - u, 0.0, 1.0)
+    rows = p_hat.reshape(-1, sizes.size)
+    points = np.concatenate((rows - 1.0, rows), axis=1)
+    order = np.argsort(points, axis=1, kind="stable")
+    points = np.take_along_axis(points, order, axis=1)
+    # usage slope after each breakpoint: -s_i once entry i leaves the cap,
+    # back up by s_i once it reaches zero
+    slope = np.cumsum(np.concatenate((-sizes.ravel(), sizes.ravel()))[order], axis=1)
+    usage = np.empty_like(points)
+    usage[:, 0] = capacity
+    usage[:, 1:] = capacity + np.cumsum(slope[:, :-1] * np.diff(points, axis=1), axis=1)
+    usage[:, -1] = 0.0  # exact at max(p_hat); pinned so rounding cannot skip it
+    # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
+    k = np.argmax(usage[:, 1:] <= budget, axis=1)[:, None]
+    lo, hi = (np.take_along_axis(points, j, axis=1) for j in (k, k + 1))
+    above, below = (np.take_along_axis(usage, j, axis=1) for j in (k, k + 1))
+    u = lo + (above - budget) / (above - below) * (hi - lo)
+    return np.clip(rows - u, 0.0, 1.0).reshape(p_hat.shape)
 
 
 def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
@@ -192,9 +193,9 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
 
     policy = CachingPolicy(
         p_d=start.p_d if at_equality(start.p_d, budgets.m_d)
-        else project_budget(start.p_d, sizes, budgets.m_d, cfg.bisection_tol),
+        else project_budget(start.p_d, sizes, budgets.m_d),
         p_s=start.p_s if at_equality(start.p_s, budgets.m_s)
-        else project_budget(start.p_s, sizes, budgets.m_s, cfg.bisection_tol),
+        else project_budget(start.p_s, sizes, budgets.m_s),
     )
     current = overall_delay(policy, lib, geoms, radio).total
     result = OptimizerResult(
@@ -204,10 +205,8 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     for t in range(1, cfg.max_iterations + 1):
         eps = 1.0 / t
         grad_d, grad_s = objective_gradient(policy, lib, geoms, radio, cfg.fd_step)
-        p_d = project_budget(policy.p_d - eps * grad_d, sizes, budgets.m_d,
-                             cfg.bisection_tol)
-        p_s = project_budget(policy.p_s - eps * grad_s, sizes, budgets.m_s,
-                             cfg.bisection_tol)
+        p_d = project_budget(policy.p_d - eps * grad_d, sizes, budgets.m_d)
+        p_s = project_budget(policy.p_s - eps * grad_s, sizes, budgets.m_s)
         policy = CachingPolicy(p_d=p_d, p_s=p_s)
         new = overall_delay(policy, lib, geoms, radio).total
         usage_d, usage_s = policy.budget_usage(sizes)
@@ -235,7 +234,7 @@ _GRID_STEPS = (0.05, 0.02)
 _PAIR_FLOP_GUARD = 4e10
 
 
-def _grid_chunks(n_cells, n_values, chunk=1_000_000):
+def _grid_chunks(n_cells, n_values, chunk=65_536):
     """Yield the grid {0, ..., 1}^n_cells as (m, n_cells) blocks without
     materializing the full n_values^n_cells enumeration."""
     values = np.linspace(0.0, 1.0, n_values)
@@ -245,24 +244,6 @@ def _grid_chunks(n_cells, n_values, chunk=1_000_000):
         idx = np.arange(start, min(start + chunk, total))
         coords = np.unravel_index(idx, shape)
         yield np.column_stack([values[c] for c in coords])
-
-
-def _project_rows(rows, sizes, budget, iters=80):
-    """Row-wise uniform-shift projection to budget equality (vectorized
-    bisection; same operator as :func:`project_budget`)."""
-    capacity = sizes.sum()
-    if budget >= capacity:
-        return np.ones_like(rows)
-    lo = rows.min(axis=1) - 1.0 - budget / sizes.min()
-    hi = rows.max(axis=1)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        total = np.clip(rows - mid[:, None], 0.0, 1.0) @ sizes
-        above = total > budget
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    u = 0.5 * (lo + hi)
-    return np.clip(rows - u[:, None], 0.0, 1.0)
 
 
 _CANDIDATE_GUARD = 3_000_000
@@ -281,7 +262,7 @@ def _tier_candidates(lib, geom, theta, sizes_flat, budget, n_values, useful):
     n_cells = sizes_flat.size
     reps = None
     for raw in _grid_chunks(n_cells, n_values):
-        block = _project_rows(raw, sizes_flat, budget)
+        block = project_budget(raw, sizes_flat, budget)
         key = np.round(block[:, useful], 9)
         _, keep = np.unique(key, axis=0, return_index=True)
         block = block[keep]

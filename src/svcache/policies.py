@@ -46,8 +46,8 @@ class CachingPolicy:
     """Pair of caching-probability matrices, entries clamped to [0, 1].
 
     Clamping absorbs the sub-ulp drift that finite-difference steps and
-    budget projections produce; grossly out-of-range input is a caller
-    bug and still rejected.
+    budget projections produce; NaN or grossly out-of-range input is a
+    caller bug and still rejected.
     """
 
     p_d: np.ndarray
@@ -59,8 +59,8 @@ class CachingPolicy:
         if p_d.ndim != 2 or p_d.shape != p_s.shape:
             raise ValueError("policy matrices must be 2-D with equal shapes")
         for name, mat in (("p_d", p_d), ("p_s", p_s)):
-            if np.any(mat < -1e-6) or np.any(mat > 1 + 1e-6):
-                raise ValueError(f"{name} entries far outside [0, 1]")
+            if not np.all((mat >= -1e-6) & (mat <= 1 + 1e-6)):
+                raise ValueError(f"{name} entries NaN or far outside [0, 1]")
         object.__setattr__(self, "p_d", np.clip(p_d, 0.0, 1.0))
         object.__setattr__(self, "p_s", np.clip(p_s, 0.0, 1.0))
 

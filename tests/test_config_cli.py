@@ -68,6 +68,11 @@ def test_config_file_loading(tmp_path):
     ("nonsense.key = 1", "nonsense.key"),
     ("sweep.variable = radio.nope", "sweep.variable"),
     ("content.file_count = abc", "file_count"),
+    ("content.skewness = nan", "skewness"),
+    ("content.plateau = inf", "plateau"),
+    ("sim.window_multiplier = nan", "window_multiplier"),
+    ("sim.master_seed = -1", "master_seed"),
+    ("optimizer.initial_policy = greedy", "initial_policy"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
@@ -211,6 +216,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert cli.main(["validate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    capsys.readouterr()
+    assert cli.main(["validate", "--seed", "-1"]) == 2
+    assert "master_seed" in capsys.readouterr().err
 
 
 def test_cli_optimize_with_sweep(tmp_path):

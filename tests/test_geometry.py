@@ -266,3 +266,7 @@ def test_probability_domain_checked(geom_d, theta):
         stp_cache_tier(1.2, geom_d, theta)
     with pytest.raises(ValueError):
         hit_term(-0.1, geom_d, theta)
+    with pytest.raises(ValueError):
+        hit_term(math.nan, geom_d, theta)
+    with pytest.raises(ValueError):
+        hit_term(np.array([0.5, math.nan]), geom_d, theta)

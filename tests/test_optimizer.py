@@ -66,6 +66,13 @@ def test_project_domain_error():
         project_budget(np.array([0.5]), np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         project_budget(np.array([0.5]), np.array([0.0]), 1.0)
+    with pytest.raises(ValueError):  # trailing shape must match sizes
+        project_budget(np.zeros((4, 2)), np.ones((2, 4)), 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            project_budget(np.array([0.5, bad, 0.2]), np.ones(3), 1.0)
+        with pytest.raises(ValueError):
+            project_budget(np.array([0.5, 0.4, 0.2]), np.array([1.0, bad, 1.0]), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,6 +95,14 @@ def test_project_properties(data, n):
         assert np.all(out == 1.0)
     again = project_budget(out, sizes, budget)
     assert np.max(np.abs(again - out)) <= 1e-9  # idempotent
+    # a stack of rows in one call equals the rows one at a time
+    stack = rng.uniform(-1.0, 2.0, (int(rng.integers(1, 40)), n))
+    batched = project_budget(stack, sizes, budget)
+    single = np.array([project_budget(row, sizes, budget) for row in stack])
+    assert batched.shape == stack.shape
+    assert np.max(np.abs(batched - single)) <= 1e-15
+    if budget < sizes.sum():
+        assert np.all(np.abs(batched @ sizes - budget) <= 1e-12 * budget)
 
 
 # ---------------------------------------------------------------------------

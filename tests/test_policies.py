@@ -32,6 +32,10 @@ def test_policy_rejects_gross_violations():
         CachingPolicy(np.array([[1.5, 0.0]]), np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         CachingPolicy(np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        CachingPolicy(np.full((2, 2), np.nan), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        CachingPolicy(np.zeros((2, 2)), np.array([[0.5, np.nan], [0.0, 0.0]]))
 
 
 def test_budget_usage(lib):
