@@ -101,6 +101,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "delay-surface":
+            if args.grid_points < 1:
+                raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
             rows = experiments.run_delay_surface(cfg, args.grid_points)
             _emit(experiments.render_csv(experiments.SURFACE_FIELDS, rows, cfg),
                   args.out)

@@ -73,7 +73,6 @@ _SCHEMA: list[tuple[str, object, bool]] = [
     ("sim.mbs_region_radius_m", "", True),
     ("optimizer.max_iterations", 100, False),
     ("optimizer.convergence_tol_s", 1e-6, False),
-    ("optimizer.fd_step", 1e-6, False),
     ("optimizer.initial_policy", "mpcp", True),
     ("sweep.variable", "", False),
     ("sweep.start", "", False),
@@ -193,8 +192,8 @@ def _build(raw: dict) -> ExperimentConfig:
     )
 
     for key in ("tiers.d2d.pathloss", "tiers.sbs.pathloss", "tiers.mbs.pathloss"):
-        if raw[key] <= 2:
-            raise ConfigError(f"{key} must be > 2")
+        if not 2 < raw[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 2, got {raw[key]!r}")
     if raw["tiers.sbs.radius_m"] < raw["tiers.d2d.radius_m"]:
         raise ConfigError("tiers.sbs.radius_m must be >= tiers.d2d.radius_m")
     geometry = NetworkGeometry(
@@ -208,6 +207,8 @@ def _build(raw: dict) -> ExperimentConfig:
                          raw["tiers.mbs.pathloss"]),
     )
 
+    if not math.isfinite(raw["radio.sir_threshold_db"]):
+        raise ConfigError("radio.sir_threshold_db must be finite")
     radio = RadioConfig.from_db(
         sir_threshold_db=raw["radio.sir_threshold_db"],
         bandwidth_d2d=_positive(raw, "radio.bandwidth_d2d_hz"),
@@ -237,7 +238,6 @@ def _build(raw: dict) -> ExperimentConfig:
     opt = OptimizerConfig(
         max_iterations=raw["optimizer.max_iterations"],
         convergence_tol=_positive(raw, "optimizer.convergence_tol_s"),
-        fd_step=_positive(raw, "optimizer.fd_step"),
         initial_policy=raw["optimizer.initial_policy"],
     )
 

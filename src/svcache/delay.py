@@ -25,6 +25,7 @@ __all__ = [
     "CacheBudgets",
     "DelayBreakdown",
     "all_miss_delay",
+    "branch_costs",
     "branch_delays",
     "cell_delay_matrix",
     "hit_rate",
@@ -67,6 +68,22 @@ def _log_rate(bandwidth, theta):
     return bandwidth * np.log2(1.0 + theta)
 
 
+def branch_costs(sizes, mbs_success, radio: RadioConfig):
+    """Seconds each branch costs an item of ``sizes`` bits, elementwise:
+
+    a   = c / (W_d * log2(1 + theta))                      d2d
+    b   = c / (W_s * log2(1 + theta))                      sbs
+    c_m = c * (1/backhaul + P_m / (W_m * log2(1 + theta)))  macro
+
+    The delay of an item is hit_d*a + (1 - hit_d)*(hit_s*b + (1 - hit_s)*c_m).
+    """
+    theta = radio.sir_threshold
+    return (sizes / _log_rate(radio.bandwidth_d2d, theta),
+            sizes / _log_rate(radio.bandwidth_sbs, theta),
+            sizes * (1.0 / radio.backhaul_rate
+                     + mbs_success / _log_rate(radio.bandwidth_mbs, theta)))
+
+
 def branch_delays(hit_d, hit_s, mbs_success, sizes, radio: RadioConfig):
     """The three branch delays for given hit terms, elementwise.
 
@@ -74,49 +91,42 @@ def branch_delays(hit_d, hit_s, mbs_success, sizes, radio: RadioConfig):
     values; the public functions feed it hit terms derived from the
     caching probabilities.
     """
+    a, b, c_m = branch_costs(sizes, mbs_success, radio)
+    return (hit_d * a, (1.0 - hit_d) * hit_s * b,
+            (1.0 - hit_d) * (1.0 - hit_s) * c_m)
+
+
+def _hits(p_d, p_s, geom_d, geom_s, radio):
     theta = radio.sir_threshold
-    d2d = hit_d * sizes / _log_rate(radio.bandwidth_d2d, theta)
-    sbs = (1.0 - hit_d) * hit_s * sizes / _log_rate(radio.bandwidth_sbs, theta)
-    mbs = (1.0 - hit_d) * (1.0 - hit_s) * sizes * (
-        1.0 / radio.backhaul_rate
-        + mbs_success / _log_rate(radio.bandwidth_mbs, theta)
-    )
-    return d2d, sbs, mbs
+    return hit_term(p_d, geom_d, theta), hit_term(p_s, geom_s, theta)
+
+
+def _branches(p_d, p_s, sizes, geoms: NetworkGeometry, radio):
+    hd, hs = _hits(p_d, p_s, geoms.d2d, geoms.sbs, radio)
+    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
+    return branch_delays(hd, hs, pm, sizes, radio)
 
 
 def partial_delay_d2d(f, l, p_d, lib: ContentLibrary, geom_d, radio: RadioConfig):
     """Expected d2d branch delay for item (f, l) cached with probability p_d."""
-    h = hit_term(p_d, geom_d, radio.sir_threshold)
-    return float(h * super_layer_size(lib, f, l)
-                 / _log_rate(radio.bandwidth_d2d, radio.sir_threshold))
+    a, _, _ = branch_costs(super_layer_size(lib, f, l), 0.0, radio)
+    return float(hit_term(p_d, geom_d, radio.sir_threshold) * a)
 
 
 def partial_delay_sbs(f, l, p_d, p_s, lib: ContentLibrary, geom_d, geom_s,
                       radio: RadioConfig):
     """Expected small-cell branch delay for item (f, l): reached only when
     the d2d branch misses."""
-    hd = hit_term(p_d, geom_d, radio.sir_threshold)
-    hs = hit_term(p_s, geom_s, radio.sir_threshold)
-    return float((1.0 - hd) * hs * super_layer_size(lib, f, l)
-                 / _log_rate(radio.bandwidth_sbs, radio.sir_threshold))
+    hd, hs = _hits(p_d, p_s, geom_d, geom_s, radio)
+    _, sbs, _ = branch_delays(hd, hs, 0.0, super_layer_size(lib, f, l), radio)
+    return float(sbs)
 
 
 def partial_delay_mbs(f, l, p_d, p_s, lib: ContentLibrary,
                       geoms: NetworkGeometry, radio: RadioConfig):
     """Expected macro branch delay for item (f, l): backhaul retrieval plus
     downlink transmission, reached when both cached tiers miss."""
-    hd = hit_term(p_d, geoms.d2d, radio.sir_threshold)
-    hs = hit_term(p_s, geoms.sbs, radio.sir_threshold)
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    c = super_layer_size(lib, f, l)
-    return float((1.0 - hd) * (1.0 - hs) * c * (
-        1.0 / radio.backhaul_rate
-        + pm / _log_rate(radio.bandwidth_mbs, radio.sir_threshold)))
-
-
-def _hit_matrices(p_d, p_s, geoms, radio):
-    theta = radio.sir_threshold
-    return (hit_term(p_d, geoms.d2d, theta), hit_term(p_s, geoms.sbs, theta))
+    return float(_branches(p_d, p_s, super_layer_size(lib, f, l), geoms, radio)[2])
 
 
 def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
@@ -139,11 +149,9 @@ def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
     if policy.p_d.shape != lib.shape or policy.p_s.shape != lib.shape:
         raise ValueError(
             f"policy shape {policy.p_d.shape} does not match catalog {lib.shape}")
-    hd, hs = _hit_matrices(policy.p_d, policy.p_s, geoms, radio)
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    d2d, sbs, mbs = branch_delays(hd, hs, pm, lib.super_layer_sizes, radio)
-    weights = preference_matrix(lib)
-    total = float((weights * (d2d + sbs + mbs)).sum())
+    d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, lib.super_layer_sizes,
+                              geoms, radio)
+    total = float((preference_matrix(lib) * (d2d + sbs + mbs)).sum())
     return DelayBreakdown(d2d=d2d, sbs=sbs, mbs=mbs, total=total)
 
 
@@ -152,13 +160,9 @@ def cell_delay_matrix(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     """Popularity-weighted per-cell delay contributions, shape (F, L).
 
     The overall delay is the plain sum of this matrix, and each cell
-    depends only on its own pair of caching probabilities; the optimizer
-    exploits that separability for linear-cost gradients.
+    depends only on its own pair of caching probabilities.
     """
-    hd, hs = _hit_matrices(np.asarray(p_d, float), np.asarray(p_s, float),
-                           geoms, radio)
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    d2d, sbs, mbs = branch_delays(hd, hs, pm, lib.super_layer_sizes, radio)
+    d2d, sbs, mbs = _branches(p_d, p_s, lib.super_layer_sizes, geoms, radio)
     return preference_matrix(lib) * (d2d + sbs + mbs)
 
 
@@ -167,8 +171,7 @@ def hit_rate(f, l, p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     """Probability that item (f, l) is served from a local cache (either
     cached tier): 1 - (1 - hit_d) * (1 - hit_s).  Non-decreasing in both
     caching probabilities."""
-    hd = hit_term(p_d, geoms.d2d, radio.sir_threshold)
-    hs = hit_term(p_s, geoms.sbs, radio.sir_threshold)
+    hd, hs = _hits(p_d, p_s, geoms.d2d, geoms.sbs, radio)
     return float(1.0 - (1.0 - hd) * (1.0 - hs))
 
 
@@ -177,7 +180,5 @@ def all_miss_delay(lib: ContentLibrary, geoms: NetworkGeometry,
     """Closed form of the overall delay when nothing is cached anywhere:
     every request pays backhaul retrieval plus macro downlink."""
     pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    per_bit = (1.0 / radio.backhaul_rate
-               + pm / _log_rate(radio.bandwidth_mbs, radio.sir_threshold))
-    weights = preference_matrix(lib)
-    return float((weights * lib.super_layer_sizes).sum() * per_bit)
+    _, _, c_m = branch_costs(lib.super_layer_sizes, pm, radio)
+    return float((preference_matrix(lib) * c_m).sum())

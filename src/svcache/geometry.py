@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
@@ -34,6 +35,7 @@ __all__ = [
     "TierGeometry",
     "association_probability",
     "g_integral",
+    "hit_and_slope",
     "hit_term",
     "q_factor",
     "stp_cache_tier",
@@ -169,15 +171,46 @@ def g_integral(a: float, b: float) -> float:
     return _g_quadrature(a, b)
 
 
-def _as_prob(p):
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0) & (p <= 1)):
+def _q(p, geom: TierGeometry, theta: float, x: float):
+    """:func:`q_factor` and its slope in p, (A*exp(-A*(p + c)) - q) / (p + c),
+    with A the mean node count in the serving disk."""
+    a = geom.pathloss
+    area = geom.mean_nodes_in_radius
+    den = p + theta ** (2.0 / a) * g_integral(a, x)
+    z = -area * den
+    q = -np.expm1(z) / den
+    return q, (area * np.exp(z) - q) / den
+
+
+def _tier(p, geom: TierGeometry, theta: float, read):
+    """Evaluate one bounded tier at caching probabilities p and return
+    ``read(t)`` of its terms: ``t.p``; the association probability
+    ``t.assoc``; q at x = theta^(-2/a), where the nearest node serves, and
+    at x = 0, under interference from the whole field, as ``t.q_x`` and
+    ``t.q_0``; the hit term ``t.hit`` = p*(p*(q_x - q_0) + q_0) and its
+    slope ``t.slope`` = 2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'.
+    The check of p, and floats back for a scalar p, happen only here."""
+    if not geom.bounded:
+        raise ValueError("the tier formula needs a finite serving radius")
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("caching probability must lie in [0, 1]")
-    return p
+    q_x, dq_x = _q(arr, geom, theta, theta ** (-2.0 / geom.pathloss))
+    q_0, dq_0 = _q(arr, geom, theta, 0.0)
+    gap = q_x - q_0
+    out = read(SimpleNamespace(
+        p=arr, assoc=-np.expm1(-geom.density * arr * math.pi * geom.serving_radius**2),
+        q_x=q_x, q_0=q_0, hit=arr * (arr * gap + q_0),
+        slope=2.0 * arr * gap + arr * arr * (dq_x - dq_0) + q_0 + arr * dq_0))
+    if np.ndim(p) > 0:
+        return out
+    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
-def _maybe_scalar(arr, scalar_input):
-    return float(arr) if scalar_input else arr
+def _per_association(t, joint):
+    """joint / association probability, taken as 0 at p = 0 (no server)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t.p > 0, joint / np.where(t.assoc > 0, t.assoc, 1.0), 0.0)
 
 
 def association_probability(p, geom: TierGeometry):
@@ -187,12 +220,7 @@ def association_probability(p, geom: TierGeometry):
     Only defined for the bounded tiers; the macro tier always has a
     nearest node, so an unbounded radius raises.
     """
-    if not geom.bounded:
-        raise ValueError("association probability needs a finite serving radius")
-    scalar = np.isscalar(p) or getattr(p, "ndim", 0) == 0
-    p = _as_prob(p)
-    out = -np.expm1(-geom.density * p * math.pi * geom.serving_radius**2 * np.ones_like(p))
-    return _maybe_scalar(out, scalar)
+    return _tier(p, geom, 1.0, lambda t: t.assoc)  # theta does not enter
 
 
 def q_factor(p, geom: TierGeometry, theta: float, x: float):
@@ -203,15 +231,7 @@ def q_factor(p, geom: TierGeometry, theta: float, x: float):
     with G = g_integral(a, x).  Strictly positive even at p = 0 because
     G > 0 for every finite x.
     """
-    if not geom.bounded:
-        raise ValueError("q_factor needs a finite serving radius")
-    scalar = np.isscalar(p) or getattr(p, "ndim", 0) == 0
-    p = _as_prob(p)
-    a = geom.pathloss
-    den = p + theta ** (2.0 / a) * g_integral(a, x)
-    area = geom.density * math.pi * geom.serving_radius**2
-    out = -np.expm1(-area * den) / den
-    return _maybe_scalar(out, scalar)
+    return _tier(p, geom, theta, lambda t: _q(t.p, geom, theta, x)[0])
 
 
 def stp_nearest_cached(p, geom: TierGeometry, theta: float):
@@ -219,7 +239,7 @@ def stp_nearest_cached(p, geom: TierGeometry, theta: float):
     (interference only from nodes beyond the server).  Zero at p = 0 by
     stipulation: with nothing cached there is no server to succeed.
     """
-    return _stp_conditional(p, geom, theta, theta ** (-2.0 / geom.pathloss))
+    return _tier(p, geom, theta, lambda t: _per_association(t, t.p * t.q_x))
 
 
 def stp_nearest_uncached(p, geom: TierGeometry, theta: float):
@@ -227,34 +247,13 @@ def stp_nearest_uncached(p, geom: TierGeometry, theta: float):
     a farther potential server transmits (interference from the whole
     field, including nodes closer than the server).  Zero at p = 0.
     """
-    return _stp_conditional(p, geom, theta, 0.0)
-
-
-def _stp_conditional(p, geom, theta, x):
-    scalar = np.isscalar(p) or getattr(p, "ndim", 0) == 0
-    p = _as_prob(p)
-    q = q_factor(p, geom, theta, x)
-    assoc = -np.expm1(-geom.density * p * math.pi * geom.serving_radius**2
-                      * np.ones_like(p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(p > 0, p * q / np.where(assoc > 0, assoc, 1.0), 0.0)
-    return _maybe_scalar(out, scalar)
+    return _tier(p, geom, theta, lambda t: _per_association(t, t.p * t.q_0))
 
 
 def stp_cache_tier(p, geom: TierGeometry, theta: float):
     """Tier success probability, mixing the nearest-cached case (weight p)
     with the nearest-uncached case (weight 1 - p).  Zero at p = 0."""
-    scalar = np.isscalar(p) or getattr(p, "ndim", 0) == 0
-    p = _as_prob(p)
-    a = geom.pathloss
-    qx = q_factor(p, geom, theta, theta ** (-2.0 / a))
-    q0 = q_factor(p, geom, theta, 0.0)
-    assoc = -np.expm1(-geom.density * p * math.pi * geom.serving_radius**2
-                      * np.ones_like(p))
-    mix = p * (qx - q0) + q0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(p > 0, p * mix / np.where(assoc > 0, assoc, 1.0), 0.0)
-    return _maybe_scalar(out, scalar)
+    return _tier(p, geom, theta, lambda t: _per_association(t, t.hit))
 
 
 def stp_mbs(pathloss: float, theta: float) -> float:
@@ -279,10 +278,9 @@ def hit_term(p, geom: TierGeometry, theta: float):
     the tier both has a potential server in range and delivers the item
     successfully.
     """
-    scalar = np.isscalar(p) or getattr(p, "ndim", 0) == 0
-    p = _as_prob(p)
-    a = geom.pathloss
-    qx = q_factor(p, geom, theta, theta ** (-2.0 / a))
-    q0 = q_factor(p, geom, theta, 0.0)
-    out = p * (p * (qx - q0) + q0)
-    return _maybe_scalar(out, scalar)
+    return _tier(p, geom, theta, lambda t: t.hit)
+
+
+def hit_and_slope(p, geom: TierGeometry, theta: float):
+    """:func:`hit_term` and its exact derivative in ``p``, elementwise."""
+    return _tier(p, geom, theta, lambda t: (t.hit, t.slope))

@@ -2,7 +2,10 @@
 
 The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
-set.  The projection subtracts one uniform shift u from every entry,
+set.  The gradient is exact: each cell's delay is a closed form in its
+own pair of hit terms, and each hit term has a closed-form slope in its
+caching probability, so one evaluation per tier gives every partial
+derivative.  The projection subtracts one uniform shift u from every entry,
 clips to [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
 full utilization is optimal because the delay is non-increasing in every
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import CacheBudgets, cell_delay_matrix, overall_delay
-from .geometry import NetworkGeometry, RadioConfig, hit_term, stp_mbs
+from .delay import CacheBudgets, branch_costs, overall_delay
+from .geometry import NetworkGeometry, RadioConfig, hit_and_slope, hit_term, stp_mbs
 from .policies import CachingPolicy, epcp, mpcp
 
 __all__ = [
@@ -41,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Iteration budget, stopping tolerance and numerical step sizes.
+    """Iteration budget, stopping tolerance and starting policy.
 
     ``initial_policy`` is either an explicit policy or the name of a
     baseline ("mpcp" or "epcp").  The default warm-starts from MPCP: the
@@ -51,15 +54,13 @@ class OptimizerConfig:
 
     max_iterations: int = 100
     convergence_tol: float = 1e-6
-    fd_step: float = 1e-6
     initial_policy: CachingPolicy | str = "mpcp"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("convergence_tol", "fd_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.convergence_tol > 0:
+            raise ValueError("convergence_tol must be positive")
 
 
 @dataclass
@@ -128,35 +129,34 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     return np.clip(rows - u, 0.0, 1.0).reshape(p_hat.shape)
 
 
+# Row blocks keep each block's temporaries cache-resident and off fresh
+# pages, so the gradient's cost stays linear in F*L on large catalogs.
+_BLOCK_ROWS = 4096
+
+
 def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
-                       geoms: NetworkGeometry, radio: RadioConfig,
-                       h: float = 1e-6):
-    """Central finite differences of the overall delay in every policy
-    entry, one matrix per tier.
+                       geoms: NetworkGeometry, radio: RadioConfig):
+    """Exact partial derivatives of the overall delay, one matrix per tier.
 
-    The overall delay is a plain sum of per-cell terms, each depending on
-    its own entry pair only, so perturbing all entries of one tier at
-    once gives exactly the per-entry difference quotients while costing
-    two cell-matrix evaluations instead of 2*F*L delay evaluations; that
-    is what keeps one gradient linear in F*L.  Entries within h of a box
-    edge fall back to the one-sided difference over the clipped window.
+    Cell (f, l) contributes w*(hit_d*a + (1 - hit_d)*(hit_s*b + (1 - hit_s)*c_m)),
+    with w its preference weight and (a, b, c_m) its ``branch_costs``, and
+    depends on its own entry pair only, so with the closed-form hit slopes
+    of ``hit_and_slope``, exact on the box edges too,
+
+        dD/dp_d = w * hit_d' * (a - hit_s*b - (1 - hit_s)*c_m)
+        dD/dp_s = w * (1 - hit_d) * hit_s' * (b - c_m)
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-
-    def tier_grad(p, other, d2d_side):
-        up = np.minimum(p + h, 1.0)
-        down = np.maximum(p - h, 0.0)
-        if d2d_side:
-            f_up = cell_delay_matrix(up, other, lib, geoms, radio)
-            f_dn = cell_delay_matrix(down, other, lib, geoms, radio)
-        else:
-            f_up = cell_delay_matrix(other, up, lib, geoms, radio)
-            f_dn = cell_delay_matrix(other, down, lib, geoms, radio)
-        return (f_up - f_dn) / (up - down)
-
-    grad_d = tier_grad(policy.p_d, policy.p_s, d2d_side=True)
-    grad_s = tier_grad(policy.p_s, policy.p_d, d2d_side=False)
+    theta = radio.sir_threshold
+    pm = stp_mbs(geoms.mbs.pathloss, theta)
+    w = preference_matrix(lib)
+    grad_d, grad_s = np.empty(lib.shape), np.empty(lib.shape)
+    for start in range(0, lib.file_count, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        hit_d, slope_d = hit_and_slope(policy.p_d[rows], geoms.d2d, theta)
+        hit_s, slope_s = hit_and_slope(policy.p_s[rows], geoms.sbs, theta)
+        a, b, c_m = branch_costs(lib.super_layer_sizes[rows], pm, radio)
+        grad_d[rows] = w[rows] * slope_d * (a - hit_s * b - (1.0 - hit_s) * c_m)
+        grad_s[rows] = w[rows] * (1.0 - hit_d) * slope_s * (b - c_m)
     return grad_d, grad_s
 
 
@@ -204,7 +204,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     )
     for t in range(1, cfg.max_iterations + 1):
         eps = 1.0 / t
-        grad_d, grad_s = objective_gradient(policy, lib, geoms, radio, cfg.fd_step)
+        grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
         p_d = project_budget(policy.p_d - eps * grad_d, sizes, budgets.m_d)
         p_s = project_budget(policy.p_s - eps * grad_s, sizes, budgets.m_s)
         policy = CachingPolicy(p_d=p_d, p_s=p_s)
@@ -303,21 +303,17 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     useful = np.flatnonzero(weights > 0)
     w = weights[useful]
     c = sizes[useful]
-    log2t = np.log2(1.0 + theta)
-    a_coef = c / (radio.bandwidth_d2d * log2t)
-    b_coef = c / (radio.bandwidth_sbs * log2t)
-    pm = stp_mbs(geoms.mbs.pathloss, theta)
-    c_coef = c * (1.0 / radio.backhaul_rate + pm / (radio.bandwidth_mbs * log2t))
+    a, b, c_m = branch_costs(c, stp_mbs(geoms.mbs.pathloss, theta), radio)
 
     rows_d, hit_d = _tier_candidates(lib, geoms.d2d, theta, sizes,
                                      budgets.m_d, n_values, useful)
     rows_s, hit_s = _tier_candidates(lib, geoms.sbs, theta, sizes,
                                      budgets.m_s, n_values, useful)
 
-    # D(i, j) = base_i + V_i . H_j with V_i = w*(1-hit_d_i)*(b-c) <= or >= 0
-    base = hit_d @ (w * a_coef) + (1.0 - hit_d) @ (w * c_coef)
-    v_mat = w * (b_coef - c_coef) * (1.0 - hit_d)
-    sbs_gain_sign = float(np.sign((b_coef - c_coef)[0])) if useful.size else 0.0
+    # D(i, j) = base_i + V_i . H_j with V_i = w*(1-hit_d_i)*(b-c_m) <= or >= 0
+    base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)
+    v_mat = w * (b - c_m) * (1.0 - hit_d)
+    sbs_gain_sign = float(np.sign((b - c_m)[0])) if useful.size else 0.0
 
     frontier_idx = _pareto_indices(hit_s, maximize=sbs_gain_sign < 0)
     h_front = hit_s[frontier_idx]

@@ -45,9 +45,9 @@ _REL_TOL = 1e-9
 class CachingPolicy:
     """Pair of caching-probability matrices, entries clamped to [0, 1].
 
-    Clamping absorbs the sub-ulp drift that finite-difference steps and
-    budget projections produce; NaN or grossly out-of-range input is a
-    caller bug and still rejected.
+    Clamping absorbs the sub-ulp drift that gradient steps and budget
+    projections produce; NaN or grossly out-of-range input is a caller
+    bug and still rejected.
     """
 
     p_d: np.ndarray
@@ -201,23 +201,25 @@ def save_policy(path, policy: CachingPolicy):
 
 
 def load_policy(path) -> CachingPolicy:
-    """Read a policy written by :func:`save_policy`."""
-    matrices = {}
+    """Read a policy written by :func:`save_policy`; each matrix must have
+    the F rows of L entries its header declares."""
+    blocks = []
     with open(path) as fh:
-        tier, rows = None, []
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                if tier is not None:
-                    matrices[tier] = np.array(rows)
-                fields = dict(part.split("=") for part in line[1:].split())
-                tier, rows = fields["tier"], []
-            else:
-                rows.append([float(v) for v in line.split(",")])
-        if tier is not None:
-            matrices[tier] = np.array(rows)
+                blocks.append((dict(part.split("=") for part in line[1:].split()), []))
+            elif line:
+                if not blocks:
+                    raise ValueError("policy file must start with a '# tier=' header")
+                blocks[-1][1].append([float(v) for v in line.split(",")])
+    matrices = {}
+    for fields, rows in blocks:
+        tier = fields["tier"]
+        if [len(row) for row in rows] != [int(fields["L"])] * int(fields["F"]):
+            raise ValueError(f"{tier} matrix does not match its header "
+                             f"F={fields['F']} L={fields['L']}")
+        matrices[tier] = np.array(rows)
     if set(matrices) != {"d2d", "sbs"}:
         raise ValueError(f"policy file must hold d2d and sbs matrices, got {set(matrices)}")
     return CachingPolicy(p_d=matrices["d2d"], p_s=matrices["sbs"])

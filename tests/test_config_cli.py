@@ -73,6 +73,11 @@ def test_config_file_loading(tmp_path):
     ("sim.window_multiplier = nan", "window_multiplier"),
     ("sim.master_seed = -1", "master_seed"),
     ("optimizer.initial_policy = greedy", "initial_policy"),
+    ("radio.sir_threshold_db = nan", "sir_threshold_db"),
+    ("radio.sir_threshold_db = inf", "sir_threshold_db"),
+    ("tiers.d2d.pathloss = nan", "pathloss"),
+    ("tiers.mbs.pathloss = inf", "pathloss"),
+    ("optimizer.fd_step = 1e-6", "optimizer.fd_step"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
@@ -219,6 +224,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", "--seed", "-1"]) == 2
     assert "master_seed" in capsys.readouterr().err
+    for points in ("0", "-1"):
+        assert cli.main(["delay-surface", "--grid-points", points,
+                         "--out", str(tmp_path / "surface.csv")]) == 2
+        assert "--grid-points" in capsys.readouterr().err
+    assert not (tmp_path / "surface.csv").exists()
 
 
 def test_cli_optimize_with_sweep(tmp_path):

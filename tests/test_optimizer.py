@@ -22,6 +22,7 @@ from svcache import (
     project_budget,
     total_catalog_bits,
 )
+from svcache.delay import cell_delay_matrix
 from svcache.optimizer import OptimizerConfig
 
 
@@ -128,13 +129,13 @@ def test_gradient_zero_for_zero_weight_cells(lib, geoms, radio):
 
 
 def test_gradient_matches_literal_per_entry_differences(geoms, radio):
-    # the vectorized evaluation must equal perturbing one entry at a time
+    # the closed form must equal perturbing one entry at a time
     lib = ContentLibrary.uniform(3, 2, 25e6)
     rng = np.random.default_rng(1)
     policy = CachingPolicy(rng.uniform(0.1, 0.9, (3, 2)),
                            rng.uniform(0.1, 0.9, (3, 2)))
     h = 1e-6
-    grad_d, grad_s = objective_gradient(policy, lib, geoms, radio, h)
+    grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     for f in range(3):
         for l in range(2):
             for tier, grad in (("d", grad_d), ("s", grad_s)):
@@ -153,22 +154,44 @@ def test_gradient_matches_literal_per_entry_differences(geoms, radio):
                 assert grad[f, l] == pytest.approx(literal, rel=1e-4, abs=1e-9)
 
 
+def _tier_differences(p_d, p_s, lib, geoms, radio, d_step, s_step):
+    """Difference quotients of the per-cell delays under steps of all
+    entries of each tier at once (each cell depends on its own pair only)."""
+    base = cell_delay_matrix(p_d, p_s, lib, geoms, radio)
+    d = cell_delay_matrix(p_d + d_step, p_s, lib, geoms, radio) - base
+    s = cell_delay_matrix(p_d, p_s + s_step, lib, geoms, radio) - base
+    return d / d_step, s / s_step
+
+
 def test_gradient_richardson_refinement(lib, geoms, radio):
-    # central differences are second order: halving h moves entries by o(h)
-    policy = CachingPolicy(np.full(lib.shape, 0.4), np.full(lib.shape, 0.4))
-    g1, _ = objective_gradient(policy, lib, geoms, radio, h=1e-4)
-    g2, _ = objective_gradient(policy, lib, geoms, radio, h=5e-5)
-    scale = np.abs(g1).max()
-    assert np.max(np.abs(g1 - g2)) <= 1e-4 * scale
+    # Richardson-extrapolated central differences are fourth order, so
+    # they reproduce the exact gradient to near round-off
+    p = np.full(lib.shape, 0.4)
+    policy = CachingPolicy(p, p)
+
+    def central(h):
+        up = _tier_differences(p, p, lib, geoms, radio, h, h)
+        down = _tier_differences(p, p, lib, geoms, radio, -h, -h)
+        return [(u + d) / 2 for u, d in zip(up, down)]
+
+    coarse, fine = central(2e-3), central(1e-3)
+    for grad, c, f in zip(objective_gradient(policy, lib, geoms, radio), coarse, fine):
+        extrapolated = (4 * f - c) / 3
+        assert np.max(np.abs(grad - extrapolated)) <= 1e-7 * np.abs(grad).max()
 
 
 def test_gradient_one_sided_at_edges(lib, geoms, radio):
-    ones = CachingPolicy(np.ones(lib.shape), np.ones(lib.shape))
-    grad_d, grad_s = objective_gradient(ones, lib, geoms, radio)
-    assert np.all(np.isfinite(grad_d)) and np.all(np.isfinite(grad_s))
-    zero = CachingPolicy.zeros(*lib.shape)
-    grad_d0, _ = objective_gradient(zero, lib, geoms, radio)
-    assert np.all(np.isfinite(grad_d0))
+    # on the box edges the gradient is finite and equals the one-sided
+    # difference quotient into the box
+    h = 1e-6
+    for value, step in ((0.0, h), (1.0, -h)):
+        p = np.full(lib.shape, value)
+        grads = objective_gradient(CachingPolicy(p, p), lib, geoms, radio)
+        quotients = _tier_differences(p, p, lib, geoms, radio, step, step)
+        for grad, quotient in zip(grads, quotients):
+            assert np.all(np.isfinite(grad))
+            scale = np.abs(grad).max()
+            assert np.all(np.abs(grad - quotient) <= 1e-5 * scale)
 
 
 def test_gradient_cost_scales_linearly(geoms, radio):

@@ -181,3 +181,11 @@ def test_policy_roundtrip(tmp_path, lib, budgets):
     loaded = load_policy(path)
     assert np.allclose(loaded.p_d, policy.p_d, rtol=0, atol=1e-9)
     assert np.allclose(loaded.p_s, policy.p_s, rtol=0, atol=1e-9)
+    # a matrix whose rows disagree with its header's F or L is rejected
+    sbs = "# tier=sbs F=2 L=2\n0.5,0.5\n0.5,0.5\n"
+    for bad_d2d in ("# tier=d2d F=3 L=2\n0.5,0.5\n0.5,0.5\n",
+                    "# tier=d2d F=2 L=2\n0.5,0.5\n0.5\n",
+                    "# tier=d2d F=2 L=2\n0.5,0.5\n0.5,0.5,0.5\n"):
+        path.write_text(bad_d2d + sbs)
+        with pytest.raises(ValueError, match="d2d"):
+            load_policy(path)
