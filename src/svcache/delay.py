@@ -117,9 +117,8 @@ def partial_delay_sbs(f, l, p_d, p_s, lib: ContentLibrary, geom_d, geom_s,
                       radio: RadioConfig):
     """Expected small-cell branch delay for item (f, l): reached only when
     the d2d branch misses."""
-    hd, hs = _hits(p_d, p_s, geom_d, geom_s, radio)
-    _, sbs, _ = branch_delays(hd, hs, 0.0, super_layer_size(lib, f, l), radio)
-    return float(sbs)
+    hits = _hits(p_d, p_s, geom_d, geom_s, radio)
+    return float(branch_delays(*hits, 0.0, super_layer_size(lib, f, l), radio)[1])
 
 
 def partial_delay_mbs(f, l, p_d, p_s, lib: ContentLibrary,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
@@ -171,46 +170,39 @@ def g_integral(a: float, b: float) -> float:
     return _g_quadrature(a, b)
 
 
-def _q(p, geom: TierGeometry, theta: float, x: float):
-    """:func:`q_factor` and its slope in p, (A*exp(-A*(p + c)) - q) / (p + c),
-    with A the mean node count in the serving disk."""
-    a = geom.pathloss
-    area = geom.mean_nodes_in_radius
-    den = p + theta ** (2.0 / a) * g_integral(a, x)
-    z = -area * den
-    q = -np.expm1(z) / den
-    return q, (area * np.exp(z) - q) / den
-
-
-def _tier(p, geom: TierGeometry, theta: float, read):
-    """Evaluate one bounded tier at caching probabilities p and return
-    ``read(t)`` of its terms: ``t.p``; the association probability
-    ``t.assoc``; q at x = theta^(-2/a), where the nearest node serves, and
-    at x = 0, under interference from the whole field, as ``t.q_x`` and
-    ``t.q_0``; the hit term ``t.hit`` = p*(p*(q_x - q_0) + q_0) and its
-    slope ``t.slope`` = 2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'.
-    The check of p, and floats back for a scalar p, happen only here."""
+def _prob(p, geom: TierGeometry):
+    """p as a float array, checked to lie in [0, 1] on a bounded tier."""
     if not geom.bounded:
         raise ValueError("the tier formula needs a finite serving radius")
     arr = np.asarray(p, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("caching probability must lie in [0, 1]")
-    q_x, dq_x = _q(arr, geom, theta, theta ** (-2.0 / geom.pathloss))
-    q_0, dq_0 = _q(arr, geom, theta, 0.0)
-    gap = q_x - q_0
-    out = read(SimpleNamespace(
-        p=arr, assoc=-np.expm1(-geom.density * arr * math.pi * geom.serving_radius**2),
-        q_x=q_x, q_0=q_0, hit=arr * (arr * gap + q_0),
-        slope=2.0 * arr * gap + arr * arr * (dq_x - dq_0) + q_0 + arr * dq_0))
-    if np.ndim(p) > 0:
-        return out
-    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+    return arr
 
 
-def _per_association(t, joint):
+def _scalar(p, out):
+    """``out``, as a float when ``p`` was a scalar."""
+    return out if np.ndim(p) > 0 else float(out)
+
+
+def _q(p, geom: TierGeometry, theta: float, x: float, slope=False):
+    """:func:`q_factor` of a checked array and, with ``slope``, its slope
+    (A*exp(-A*(p + c)) - q) / (p + c), A the mean node count in the disk."""
+    area = geom.mean_nodes_in_radius
+    den = p + theta ** (2.0 / geom.pathloss) * g_integral(geom.pathloss, x)
+    z = -area * den
+    q = -np.expm1(z) / den
+    if not slope:
+        return q
+    return q, (area * np.exp(z) - q) / den
+
+
+def _given_association(p, geom: TierGeometry, joint):
     """joint / association probability, taken as 0 at p = 0 (no server)."""
+    arr = np.asarray(p, dtype=float)
+    assoc = association_probability(arr, geom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t.p > 0, joint / np.where(t.assoc > 0, t.assoc, 1.0), 0.0)
+        return _scalar(p, np.where(arr > 0, joint / np.where(assoc > 0, assoc, 1.0), 0.0))
 
 
 def association_probability(p, geom: TierGeometry):
@@ -220,7 +212,8 @@ def association_probability(p, geom: TierGeometry):
     Only defined for the bounded tiers; the macro tier always has a
     nearest node, so an unbounded radius raises.
     """
-    return _tier(p, geom, 1.0, lambda t: t.assoc)  # theta does not enter
+    arr = _prob(p, geom)
+    return _scalar(p, -np.expm1(-geom.density * arr * math.pi * geom.serving_radius**2))
 
 
 def q_factor(p, geom: TierGeometry, theta: float, x: float):
@@ -231,7 +224,7 @@ def q_factor(p, geom: TierGeometry, theta: float, x: float):
     with G = g_integral(a, x).  Strictly positive even at p = 0 because
     G > 0 for every finite x.
     """
-    return _tier(p, geom, theta, lambda t: _q(t.p, geom, theta, x)[0])
+    return _scalar(p, _q(_prob(p, geom), geom, theta, x))
 
 
 def stp_nearest_cached(p, geom: TierGeometry, theta: float):
@@ -239,7 +232,8 @@ def stp_nearest_cached(p, geom: TierGeometry, theta: float):
     (interference only from nodes beyond the server).  Zero at p = 0 by
     stipulation: with nothing cached there is no server to succeed.
     """
-    return _tier(p, geom, theta, lambda t: _per_association(t, t.p * t.q_x))
+    q_x = q_factor(p, geom, theta, theta ** (-2.0 / geom.pathloss))
+    return _given_association(p, geom, np.multiply(p, q_x))
 
 
 def stp_nearest_uncached(p, geom: TierGeometry, theta: float):
@@ -247,13 +241,13 @@ def stp_nearest_uncached(p, geom: TierGeometry, theta: float):
     a farther potential server transmits (interference from the whole
     field, including nodes closer than the server).  Zero at p = 0.
     """
-    return _tier(p, geom, theta, lambda t: _per_association(t, t.p * t.q_0))
+    return _given_association(p, geom, np.multiply(p, q_factor(p, geom, theta, 0.0)))
 
 
 def stp_cache_tier(p, geom: TierGeometry, theta: float):
     """Tier success probability, mixing the nearest-cached case (weight p)
     with the nearest-uncached case (weight 1 - p).  Zero at p = 0."""
-    return _tier(p, geom, theta, lambda t: _per_association(t, t.hit))
+    return _given_association(p, geom, hit_term(p, geom, theta))
 
 
 def stp_mbs(pathloss: float, theta: float) -> float:
@@ -278,9 +272,19 @@ def hit_term(p, geom: TierGeometry, theta: float):
     the tier both has a potential server in range and delivers the item
     successfully.
     """
-    return _tier(p, geom, theta, lambda t: t.hit)
+    arr = np.asarray(p, dtype=float)  # q_factor checks it
+    q_x = q_factor(arr, geom, theta, theta ** (-2.0 / geom.pathloss))
+    q_0 = q_factor(arr, geom, theta, 0.0)
+    return _scalar(p, arr * (arr * (q_x - q_0) + q_0))
 
 
 def hit_and_slope(p, geom: TierGeometry, theta: float):
-    """:func:`hit_term` and its exact derivative in ``p``, elementwise."""
-    return _tier(p, geom, theta, lambda t: (t.hit, t.slope))
+    """:func:`hit_term` and its exact slope in ``p``, elementwise:
+    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0', q_x and q_0 as there."""
+    arr = _prob(p, geom)
+    q_x, dq_x = _q(arr, geom, theta, theta ** (-2.0 / geom.pathloss), slope=True)
+    q_0, dq_0 = _q(arr, geom, theta, 0.0, slope=True)
+    gap = q_x - q_0
+    hit = arr * (arr * gap + q_0)
+    slope = 2.0 * arr * gap + arr * arr * (dq_x - dq_0) + q_0 + arr * dq_0
+    return _scalar(p, hit), _scalar(p, slope)

@@ -2,17 +2,15 @@
 
 The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
-set.  The gradient is exact: each cell's delay is a closed form in its
-own pair of hit terms, and each hit term has a closed-form slope in its
-caching probability, so one evaluation per tier gives every partial
-derivative.  The projection subtracts one uniform shift u from every entry,
-clips to [0, 1], and solves for u exactly from the breakpoints of the
-piecewise-linear usage so the expected cache usage equals the budget;
-full utilization is optimal because the delay is non-increasing in every
-caching probability.  Note this uniform shift is the operator used
-throughout here and in the baselines; it is not the Euclidean projection
-onto the size-weighted budget polytope (that one would shift each entry
-proportionally to its size).
+set.  The gradient is the closed form of ``objective_gradient``, not a
+difference quotient.  The projection subtracts one uniform shift u from
+every entry, clips to [0, 1], and solves for u exactly from the
+breakpoints of the piecewise-linear usage so the expected cache usage
+equals the budget; full utilization is optimal because the delay is
+non-increasing in every caching probability.  Note this uniform shift is
+the operator used throughout here and in the baselines; it is not the
+Euclidean projection onto the size-weighted budget polytope (that one
+would shift each entry proportionally to its size).
 
 A brute-force ``grid_oracle`` provides ground truth on small instances
 by minimizing over all pairs of per-tier grid matrices projected to
@@ -28,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import CacheBudgets, branch_costs, overall_delay
+from .delay import CacheBudgets, branch_costs, cell_delay_matrix, overall_delay
 from .geometry import NetworkGeometry, RadioConfig, hit_and_slope, hit_term, stp_mbs
 from .policies import CachingPolicy, epcp, mpcp
 
@@ -129,8 +127,7 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     return np.clip(rows - u, 0.0, 1.0).reshape(p_hat.shape)
 
 
-# Row blocks keep each block's temporaries cache-resident and off fresh
-# pages, so the gradient's cost stays linear in F*L on large catalogs.
+# Row blocks keep temporaries cache-resident: gradient cost linear in F*L.
 _BLOCK_ROWS = 4096
 
 
@@ -208,7 +205,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
         p_d = project_budget(policy.p_d - eps * grad_d, sizes, budgets.m_d)
         p_s = project_budget(policy.p_s - eps * grad_s, sizes, budgets.m_s)
         policy = CachingPolicy(p_d=p_d, p_s=p_s)
-        new = overall_delay(policy, lib, geoms, radio).total
+        new = float(cell_delay_matrix(policy.p_d, policy.p_s, lib, geoms, radio).sum())
         usage_d, usage_s = policy.budget_usage(sizes)
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)

@@ -215,10 +215,10 @@ def load_policy(path) -> CachingPolicy:
                 blocks[-1][1].append([float(v) for v in line.split(",")])
     matrices = {}
     for fields, rows in blocks:
-        tier = fields["tier"]
-        if [len(row) for row in rows] != [int(fields["L"])] * int(fields["F"]):
-            raise ValueError(f"{tier} matrix does not match its header "
-                             f"F={fields['F']} L={fields['L']}")
+        tier, n_f, n_l = (fields.get(key, "") for key in ("tier", "F", "L"))
+        if (not (n_f.isdigit() and n_l.isdigit())
+                or [len(row) for row in rows] != [int(n_l)] * int(n_f)):
+            raise ValueError(f"{tier} matrix does not match its header F={n_f} L={n_l}")
         matrices[tier] = np.array(rows)
     if set(matrices) != {"d2d", "sbs"}:
         raise ValueError(f"policy file must hold d2d and sbs matrices, got {set(matrices)}")

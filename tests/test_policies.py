@@ -185,7 +185,8 @@ def test_policy_roundtrip(tmp_path, lib, budgets):
     sbs = "# tier=sbs F=2 L=2\n0.5,0.5\n0.5,0.5\n"
     for bad_d2d in ("# tier=d2d F=3 L=2\n0.5,0.5\n0.5,0.5\n",
                     "# tier=d2d F=2 L=2\n0.5,0.5\n0.5\n",
-                    "# tier=d2d F=2 L=2\n0.5,0.5\n0.5,0.5,0.5\n"):
+                    "# tier=d2d F=2 L=2\n0.5,0.5\n0.5,0.5,0.5\n",
+                    "# tier=d2d\n0.5,0.5\n0.5,0.5\n"):
         path.write_text(bad_d2d + sbs)
         with pytest.raises(ValueError, match="d2d"):
             load_policy(path)
