@@ -207,10 +207,16 @@ def _build(raw: dict) -> ExperimentConfig:
                          raw["tiers.mbs.pathloss"]),
     )
 
-    if not math.isfinite(raw["radio.sir_threshold_db"]):
-        raise ConfigError("radio.sir_threshold_db must be finite")
+    threshold_db = raw["radio.sir_threshold_db"]
+    try:
+        linear = 10.0 ** (threshold_db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not (math.isfinite(linear) and linear > 0):
+        raise ConfigError("radio.sir_threshold_db must give a finite, positive "
+                          f"linear threshold, got {threshold_db!r}")
     radio = RadioConfig.from_db(
-        sir_threshold_db=raw["radio.sir_threshold_db"],
+        sir_threshold_db=threshold_db,
         bandwidth_d2d=_positive(raw, "radio.bandwidth_d2d_hz"),
         bandwidth_sbs=_positive(raw, "radio.bandwidth_sbs_hz"),
         bandwidth_mbs=_positive(raw, "radio.bandwidth_mbs_hz"),

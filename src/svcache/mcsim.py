@@ -12,7 +12,11 @@ Reproducibility: trials are processed in fixed blocks of ``_BLOCK``
 trials, each block drawing from its own counter-derived substream of the
 master seed (``numpy.random.SeedSequence(master_seed).spawn``).  Results
 are therefore bit-identical for a given master seed regardless of how
-blocks are scheduled.
+blocks are scheduled.  Within a block, interferers are drawn ``_SUB``
+trials at a time so the temporaries stay cache-sized; the fading gains
+come from a jump-ahead copy of the block stream (``PCG64.advance``), so
+the stream layout, and every output, is exactly what drawing the whole
+block at once gives (see ``_interference``).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_SUB = 64  # trials per interference sub-chunk (see _interference)
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,18 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     """Aggregate interference per trial from a full-density radial Poisson
     field on the annulus (r0, radius) when ``lo_is_server`` else on the
     whole disk (0, radius).  ``mask`` limits sampling to a trial subset;
-    masked-out trials get zero interference."""
+    masked-out trials get zero interference.
+
+    Stream invariant: ``rng`` (a PCG64 generator) ends in the state, and
+    every trial gets the bits, that drawing the whole call at once gives:
+    the Poisson counts of all trials, then one uniform per interferer, then
+    one exponential gain per interferer.  Interferers are formed ``_SUB``
+    trials at a time so the temporaries stay cache-sized.
+    ``Generator.random`` takes exactly one 64-bit output per float, so the
+    gains come from a copy of the stream jumped ahead by the interferer
+    count, and the caller's stream resumes where the gains end.  Per-trial
+    sums keep their order (``np.bincount``).
+    """
     n = r0_sq.shape[0]
     out = np.zeros(n)
     idx_all = np.arange(n) if mask is None else np.flatnonzero(mask)
@@ -174,16 +190,28 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     else:
         mu = np.full(idx_all.size, density * math.pi * r_max_sq)
     counts = rng.poisson(mu)
-    total = int(counts.sum())
-    u = rng.random(total)
-    gains = rng.standard_exponential(total)
-    pos = np.repeat(np.arange(idx_all.size), counts)
-    if lo_is_server:
-        r_sq = r0s[pos] + u * (r_max_sq - r0s[pos])
-    else:
-        r_sq = r_max_sq * u
-    contrib = gains * _pow_neg_half(r_sq, alpha)
-    out[idx_all] = np.bincount(pos, weights=contrib, minlength=idx_all.size)
+    gain_bits = np.random.PCG64(0)  # seed irrelevant: the state is replaced
+    gain_bits.state = rng.bit_generator.state
+    gain_bits.advance(int(counts.sum()))
+    gain_rng = np.random.Generator(gain_bits)
+    for s in range(0, idx_all.size, _SUB):
+        e = min(s + _SUB, idx_all.size)
+        c = counts[s:e]
+        total = int(c.sum())
+        u = rng.random(total)
+        gains = gain_rng.standard_exponential(total)
+        if lo_is_server:
+            lo = np.repeat(r0s[s:e], c)
+            r_sq = lo + u * (r_max_sq - lo)
+        else:
+            r_sq = r_max_sq * u
+        contrib = gains * _pow_neg_half(r_sq, alpha)
+        out[idx_all[s:e]] = np.bincount(np.repeat(np.arange(e - s), c),
+                                        weights=contrib, minlength=e - s)
+    # advance() clears the buffered 32-bit half; keep the caller's
+    state = rng.bit_generator.state
+    state["state"] = gain_bits.state["state"]
+    rng.bit_generator.state = state
     return out
 
 

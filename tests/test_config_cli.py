@@ -75,6 +75,8 @@ def test_config_file_loading(tmp_path):
     ("optimizer.initial_policy = greedy", "initial_policy"),
     ("radio.sir_threshold_db = nan", "sir_threshold_db"),
     ("radio.sir_threshold_db = inf", "sir_threshold_db"),
+    ("radio.sir_threshold_db = 4000", "sir_threshold_db"),
+    ("radio.sir_threshold_db = -4000", "sir_threshold_db"),
     ("tiers.d2d.pathloss = nan", "pathloss"),
     ("tiers.mbs.pathloss = inf", "pathloss"),
     ("optimizer.fd_step = 1e-6", "optimizer.fd_step"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from svcache import (
     SimConfig,
     SirSample,
     all_miss_delay,
+    default_config,
     mc_delay_end_to_end,
     mc_stp_cache_tier,
     mc_stp_mbs,
@@ -217,6 +219,80 @@ def test_interference_masked_trials_get_zero(geom_d):
     out = _interference(rng, r0_sq, True, geom_d.density, 4.0, 200.0, mask=mask)
     assert np.all(out[~mask] == 0.0)
     assert np.all(out >= 0.0)
+
+
+def _interference_whole_block(rng, r0_sq, lo_is_server, density, alpha,
+                              radius, mask=None):
+    """Reference kernel: every interferer of the call drawn at once."""
+    n = r0_sq.shape[0]
+    out = np.zeros(n)
+    idx_all = np.arange(n) if mask is None else np.flatnonzero(mask)
+    if idx_all.size == 0:
+        return out
+    r0s = r0_sq[idx_all]
+    r_max_sq = radius * radius
+    if lo_is_server:
+        mu = density * math.pi * np.maximum(r_max_sq - r0s, 0.0)
+    else:
+        mu = np.full(idx_all.size, density * math.pi * r_max_sq)
+    counts = rng.poisson(mu)
+    total = int(counts.sum())
+    u = rng.random(total)
+    gains = rng.standard_exponential(total)
+    pos = np.repeat(np.arange(idx_all.size), counts)
+    if lo_is_server:
+        r_sq = r0s[pos] + u * (r_max_sq - r0s[pos])
+    else:
+        r_sq = r_max_sq * u
+    contrib = gains * _pow_neg_half(r_sq, alpha)
+    out[idx_all] = np.bincount(pos, weights=contrib, minlength=idx_all.size)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+@pytest.mark.parametrize("mask_kind", ["none", "alternate", "all_false"])
+@pytest.mark.parametrize("lo_is_server", [True, False])
+def test_interference_matches_whole_block_draw(n, alpha, mask_kind,
+                                               lo_is_server):
+    radius = 60.0
+    r0_sq = np.random.default_rng(n).uniform(0.0, 1.1 * radius**2, n)
+    r0_sq[0] = radius**2  # no room beyond the server: zero interferers
+    mask = {"none": None, "alternate": np.arange(n) % 2 == 0,
+            "all_false": np.zeros(n, dtype=bool)}[mask_kind]
+    rng = np.random.default_rng(99)
+    ref_rng = np.random.default_rng(99)
+    out = _interference(rng, r0_sq, lo_is_server, 0.01, alpha, radius, mask)
+    ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
+                                    alpha, radius, mask)
+    assert np.array_equal(out, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_interference_keeps_buffered_32_bit_half():
+    rng = np.random.default_rng(5)
+    rng.integers(0, 10, dtype=np.int32)  # leaves half a 64-bit word buffered
+    ref_rng = np.random.default_rng(5)
+    ref_rng.integers(0, 10, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    r0_sq = np.full(200, 100.0)
+    out = _interference(rng, r0_sq, True, 0.01, 4.0, 60.0)
+    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, 60.0)
+    assert np.array_equal(out, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_interference_memory_stays_cache_sized():
+    cfg = default_config()
+    sim = SimConfig(trials=4096)
+    tracemalloc.start()
+    try:
+        mc_stp_nearest_uncached(0.5, cfg.geometry.d2d,
+                                cfg.radio.sir_threshold, sim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
