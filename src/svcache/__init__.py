@@ -14,7 +14,9 @@ The library has six parts:
     delay, and the content hit rate for a caching policy.
 ``mcsim``
     Seeded Monte-Carlo estimators that mirror the analytic sampling model
-    (Poisson fields, Rayleigh fading, truncated serving-distance laws).
+    (Poisson fields, Rayleigh fading, truncated serving-distance laws):
+    the conditional, tier and macro success probabilities and the
+    end-to-end delay, all through one SIR-test kernel.
 ``policies``
     The caching-policy data model, feasibility validation and the MPCP /
     EPCP / ICP baseline generators.
@@ -62,13 +64,11 @@ from .delay import (
 from .mcsim import (
     EstimatorResult,
     SimConfig,
-    SirSample,
     mc_delay_end_to_end,
     mc_stp_cache_tier,
     mc_stp_mbs,
     mc_stp_nearest_cached,
     mc_stp_nearest_uncached,
-    sample_ppp,
     sample_serving_distance,
 )
 from .policies import (
@@ -105,7 +105,6 @@ __all__ = [
     "OptimizerResult",
     "RadioConfig",
     "SimConfig",
-    "SirSample",
     "TierGeometry",
     "all_miss_delay",
     "association_probability",
@@ -136,7 +135,6 @@ __all__ = [
     "quality_preference",
     "request_distribution",
     "request_probability",
-    "sample_ppp",
     "sample_serving_distance",
     "save_policy",
     "stp_cache_tier",

@@ -207,26 +207,25 @@ def _build(raw: dict) -> ExperimentConfig:
                          raw["tiers.mbs.pathloss"]),
     )
 
-    threshold_db = raw["radio.sir_threshold_db"]
+    bandwidths = [_positive(raw, f"radio.bandwidth_{tier}_hz")
+                  for tier in ("d2d", "sbs", "mbs")]
+    backhaul = _positive(raw, "radio.backhaul_rate_bps")
     try:
-        linear = 10.0 ** (threshold_db / 10.0)
-    except OverflowError:
-        linear = math.inf
-    if not (math.isfinite(linear) and linear > 0):
-        raise ConfigError("radio.sir_threshold_db must give a finite, positive "
-                          f"linear threshold, got {threshold_db!r}")
-    radio = RadioConfig.from_db(
-        sir_threshold_db=threshold_db,
-        bandwidth_d2d=_positive(raw, "radio.bandwidth_d2d_hz"),
-        bandwidth_sbs=_positive(raw, "radio.bandwidth_sbs_hz"),
-        bandwidth_mbs=_positive(raw, "radio.bandwidth_mbs_hz"),
-        backhaul_rate=_positive(raw, "radio.backhaul_rate_bps"),
-    )
+        radio = RadioConfig.from_db(raw["radio.sir_threshold_db"], *bandwidths,
+                                    backhaul)
+    except ValueError as exc:
+        raise ConfigError(f"radio.{exc}") from exc
     budgets = CacheBudgets(m_d=_positive(raw, "budgets.d2d_bits"),
                            m_s=_positive(raw, "budgets.sbs_bits"))
 
-    mbs_radius = raw["sim.mbs_region_radius_m"]
-    mbs_radius = float(mbs_radius) if str(mbs_radius).strip() else None
+    text = str(raw["sim.mbs_region_radius_m"]).strip()
+    try:
+        mbs_radius = float(text) if text else None
+    except ValueError:
+        mbs_radius = math.nan
+    if mbs_radius is not None and not 0 < mbs_radius < math.inf:
+        raise ConfigError("sim.mbs_region_radius_m must be empty or finite "
+                          f"and > 0, got {text!r}")
     if raw["sim.trials"] < 1:
         raise ConfigError("sim.trials must be >= 1")
     if not 5 <= raw["sim.window_multiplier"] < math.inf:

@@ -118,9 +118,18 @@ class RadioConfig:
     @classmethod
     def from_db(cls, sir_threshold_db, bandwidth_d2d, bandwidth_sbs,
                 bandwidth_mbs, backhaul_rate):
-        """Build from a threshold in dB; the conversion happens only here."""
-        return cls(10.0 ** (sir_threshold_db / 10.0), bandwidth_d2d,
-                   bandwidth_sbs, bandwidth_mbs, backhaul_rate)
+        """Build from a threshold in dB; the conversion happens only here.
+        Raises ``ValueError`` naming ``sir_threshold_db`` unless the linear
+        threshold is finite and positive (NaN, +-inf, overflow, underflow)."""
+        try:
+            linear = 10.0 ** (sir_threshold_db / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not (math.isfinite(linear) and linear > 0):
+            raise ValueError("sir_threshold_db must give a finite, positive "
+                             f"linear threshold, got {sir_threshold_db!r}")
+        return cls(linear, bandwidth_d2d, bandwidth_sbs, bandwidth_mbs,
+                   backhaul_rate)
 
     @property
     def sir_threshold_db(self) -> float:

@@ -1,12 +1,15 @@
 """Monte-Carlo estimators mirroring the analytic sampling model.
 
-Each estimator draws the serving distance from the truncated
-nearest-point law of the p-thinned field, places interferers as a
-full-density Poisson field over the appropriate region (beyond the
-server when the nearest node is the server, the whole disk otherwise),
-applies unit-mean exponential fading, and counts SIR threshold
-crossings.  Distances enter only through their squares, so fields are
-sampled radially; no angles are needed.
+Every estimator runs one SIR test, ``_served``: interferers form a
+full-density Poisson field beyond the server when the nearest node is the
+server and over the whole disk otherwise; the serving link's unit-mean
+exponential fading gain is drawn after them, and SIR threshold crossings
+are counted.  Cached tiers draw the serving distance from the truncated
+nearest-point law of the p-thinned field (``_nearest_r0_sq``), the macro
+tier from the unbounded law (``_macro_served``); the end-to-end cascade
+runs the same pieces and prices each trial with ``delay.branch_costs``.
+Distances enter only through their squares, so fields are sampled
+radially; no angles are needed.
 
 Reproducibility: trials are processed in fixed blocks of ``_BLOCK``
 trials, each block drawing from its own counter-derived substream of the
@@ -27,19 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import _log_rate
-from .geometry import NetworkGeometry, RadioConfig, TierGeometry, stp_mbs
+from .delay import branch_costs
+from .geometry import NetworkGeometry, RadioConfig, TierGeometry
 
 __all__ = [
     "EstimatorResult",
     "SimConfig",
-    "SirSample",
     "mc_delay_end_to_end",
     "mc_stp_cache_tier",
     "mc_stp_mbs",
     "mc_stp_nearest_cached",
     "mc_stp_nearest_uncached",
-    "sample_ppp",
     "sample_serving_distance",
 ]
 
@@ -68,9 +69,12 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.window_multiplier < 5:
-            raise ValueError("window_multiplier must be >= 5 to keep the "
-                             "truncated-interference bias negligible")
+        if not 5 <= self.window_multiplier < math.inf:
+            raise ValueError("window_multiplier must be finite and >= 5 to "
+                             "keep the truncated-interference bias negligible")
+        if not (self.mbs_region_radius is None
+                or 0 < self.mbs_region_radius < math.inf):
+            raise ValueError("mbs_region_radius must be None or finite and > 0")
 
     def region_radius(self, geom: TierGeometry) -> float:
         if geom.bounded:
@@ -89,65 +93,26 @@ class EstimatorResult:
     trials_used: int
 
 
-@dataclass(frozen=True)
-class SirSample:
-    """One transmission draw: serving distance, fading gains (serving link
-    first), interferer distances, and the resulting SIR."""
+def _nearest_r0_sq(u, lam_p, mass):
+    """Inverse CDF of the truncated nearest-point law, in squared distance.
 
-    serving_distance: float
-    fading_gains: np.ndarray
-    interferer_distances: np.ndarray
-    sir: float
-
-    @classmethod
-    def draw(cls, p, geom: TierGeometry, sim: SimConfig, rng,
-             nearest_cached=True):
-        """Draw a single trial the same way the estimators do, keeping the
-        raw ingredients for inspection."""
-        r0 = float(sample_serving_distance(p, geom, rng))
-        radius = sim.region_radius(geom)
-        lo_sq = r0**2 if nearest_cached else 0.0
-        mu = geom.density * math.pi * max(radius**2 - lo_sq, 0.0)
-        n = rng.poisson(mu)
-        dist = np.sqrt(lo_sq + rng.random(n) * (radius**2 - lo_sq))
-        gains = rng.standard_exponential(n + 1)
-        interference = float(np.sum(gains[1:] * dist ** (-geom.pathloss)))
-        signal = gains[0] * r0 ** (-geom.pathloss)
-        sir = signal / interference if interference > 0 else math.inf
-        return cls(r0, gains, dist, sir)
-
-
-# ---------------------------------------------------------------------------
-# Elementary samplers
-# ---------------------------------------------------------------------------
-
-def sample_ppp(density: float, region_radius: float, rng) -> np.ndarray:
-    """Sample a planar Poisson field on a disk: point count is
-    Poisson(density * pi * R^2), positions uniform on the disk.
-    Returns an (N, 2) array of xy coordinates."""
-    if not (density > 0 and region_radius > 0):
-        raise ValueError("density and region_radius must be positive")
-    n = rng.poisson(density * math.pi * region_radius**2)
-    radii = region_radius * np.sqrt(rng.random(n))
-    angles = rng.random(n) * 2.0 * math.pi
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    ``lam_p`` is the thinned density times pi and ``mass`` the probability
+    1 - exp(-lam_p * rc^2) that a point lies within the serving radius rc;
+    the law has density lam_p*exp(-lam_p*s) / mass on s = r^2 in [0, rc^2].
+    """
+    return -np.log1p(-u * mass) / lam_p
 
 
 def sample_serving_distance(p, geom: TierGeometry, rng, size=None):
     """Distance to the nearest point of the p-thinned field, conditioned on
-    one existing within the serving radius.
-
-    Inverse-CDF sampling of the truncated law with density
-    2*pi*lambda*p*r*exp(-lambda*p*pi*r^2) / (1 - exp(-lambda*p*pi*rc^2)).
-    """
+    one existing within the serving radius (``_nearest_r0_sq``)."""
     if not p > 0:
         raise ValueError("serving-distance law is conditional on p > 0")
     if not geom.bounded:
         raise ValueError("use the unbounded nearest-point law for the macro tier")
     lam_p = geom.density * p * math.pi
-    trunc = -math.expm1(-lam_p * geom.serving_radius**2)
-    u = rng.random(size)
-    return np.sqrt(-np.log1p(-u * trunc) / lam_p)
+    mass = -math.expm1(-lam_p * geom.serving_radius**2)
+    return np.sqrt(_nearest_r0_sq(rng.random(size), lam_p, mass))
 
 
 # ---------------------------------------------------------------------------
@@ -235,43 +200,47 @@ def _estimate(values) -> EstimatorResult:
     return EstimatorResult(mean=mean, stderr=stderr, trials_used=n)
 
 
-def _stp_trials(p, geom, theta, sim, lo_is_server, mixture=False):
-    radius = sim.region_radius(geom)
+def _served(rng, r0_sq, near, far, geom: TierGeometry, radius, theta):
+    """The one SIR test: interference beyond the server for the ``near``
+    trials and over the whole disk for the ``far`` trials (boolean masks;
+    other trials see none), then the serving link's fading gain for every
+    trial.  Returns the flags signal >= theta * interference."""
     alpha = geom.pathloss
+    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius,
+                           mask=near)
+    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius,
+                            mask=far)
+    signal = rng.standard_exponential(r0_sq.size) * _pow_neg_half(r0_sq, alpha)
+    return signal >= theta * interf
+
+
+def _stp_trials(p, geom, theta, sim, nearest_serves=None):
+    """Conditional SIR trials of a cached tier.  ``nearest_serves`` fixes
+    whether the nearest node is the server in every trial; None draws it
+    with probability p per trial."""
+    radius = sim.region_radius(geom)
     flags = []
     for rng, n in _block_streams(sim):
-        case1 = rng.random(n) < p if mixture else None
+        near = (rng.random(n) < p if nearest_serves is None
+                else np.full(n, nearest_serves))
         r0 = sample_serving_distance(p, geom, rng, size=n)
-        r0_sq = r0 * r0
-        if mixture:
-            interf = _interference(rng, r0_sq, True, geom.density, alpha,
-                                   radius, mask=case1)
-            interf += _interference(rng, r0_sq, False, geom.density, alpha,
-                                    radius, mask=~case1)
-        else:
-            interf = _interference(rng, r0_sq, lo_is_server, geom.density,
-                                   alpha, radius)
-        signal = rng.standard_exponential(n) * _pow_neg_half(r0_sq, alpha)
-        flags.append(signal >= theta * interf)
+        flags.append(_served(rng, r0 * r0, near, ~near, geom, radius, theta))
     return _estimate(np.concatenate(flags))
 
 
 def mc_stp_nearest_cached(p, geom: TierGeometry, theta: float,
                           sim: SimConfig) -> EstimatorResult:
     """Estimate the success probability when the nearest node is the server
-    (interferers only beyond the serving distance)."""
-    if not p > 0:
-        raise ValueError("conditional estimator requires p > 0")
-    return _stp_trials(p, geom, theta, sim, lo_is_server=True)
+    (interferers only beyond the serving distance); requires p > 0."""
+    return _stp_trials(p, geom, theta, sim, nearest_serves=True)
 
 
 def mc_stp_nearest_uncached(p, geom: TierGeometry, theta: float,
                             sim: SimConfig) -> EstimatorResult:
     """Estimate the success probability when a farther potential server
-    transmits (interferers over the whole disk, the server excluded)."""
-    if not p > 0:
-        raise ValueError("conditional estimator requires p > 0")
-    return _stp_trials(p, geom, theta, sim, lo_is_server=False)
+    transmits (interferers over the whole disk, the server excluded);
+    requires p > 0."""
+    return _stp_trials(p, geom, theta, sim, nearest_serves=False)
 
 
 def mc_stp_cache_tier(p, geom: TierGeometry, theta: float,
@@ -282,25 +251,27 @@ def mc_stp_cache_tier(p, geom: TierGeometry, theta: float,
     occurs)."""
     if p == 0:
         return EstimatorResult(mean=0.0, stderr=0.0, trials_used=sim.trials)
-    return _stp_trials(p, geom, theta, sim, lo_is_server=True, mixture=True)
+    return _stp_trials(p, geom, theta, sim)
+
+
+def _macro_served(rng, n, geom: TierGeometry, radius, theta):
+    """Macro-tier SIR trials: the serving distance follows the unbounded
+    nearest-point law; interferers lie beyond it."""
+    r0_sq = rng.standard_exponential(n) / (geom.density * math.pi)
+    everyone = np.ones(n, dtype=bool)
+    return _served(rng, r0_sq, everyone, ~everyone, geom, radius, theta)
 
 
 def mc_stp_mbs(density: float, pathloss: float, theta: float,
                sim: SimConfig) -> EstimatorResult:
-    """Estimate the macro-tier success probability.  The serving distance
-    follows the unbounded nearest-point law; interferers lie beyond it."""
+    """Estimate the macro-tier success probability (``_macro_served``)."""
     if not density > 0:
         raise ValueError("density must be positive")
     geom = TierGeometry(density=density, serving_radius=math.inf,
                         pathloss=pathloss)
     radius = sim.region_radius(geom)
-    flags = []
-    for rng, n in _block_streams(sim):
-        r0_sq = rng.standard_exponential(n) / (density * math.pi)
-        interf = _interference(rng, r0_sq, True, density, pathloss, radius)
-        signal = rng.standard_exponential(n) * _pow_neg_half(r0_sq, pathloss)
-        flags.append(signal >= theta * interf)
-    return _estimate(np.concatenate(flags))
+    return _estimate(np.concatenate([_macro_served(rng, n, geom, radius, theta)
+                                     for rng, n in _block_streams(sim)]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,32 +281,22 @@ def mc_stp_mbs(density: float, pathloss: float, theta: float,
 def _tier_service(rng, n, p_cell, geom, theta, radius, active):
     """Simulate one cached tier of the cascade for the active trials.
 
-    Association happens with probability 1 - exp(-lambda*p*pi*r^2); for
-    associated trials the serving distance is drawn from the truncated
-    law with the trial's own caching probability, the nearest-vs-farther
-    case is picked with probability p, and an SIR trial is run.  Returns
-    a boolean served mask.  The per-trial uniform and signal draws happen
-    for all ``n`` trials in a fixed order.
+    A trial associates with probability 1 - exp(-lambda*p*pi*r^2), which is
+    also the mass of the truncated serving-distance law at the trial's own
+    caching probability p; the nearest-vs-farther case is picked with
+    probability p.  Every draw happens for all ``n`` trials in a fixed
+    order.  Returns the served mask.
     """
-    lam_pi = geom.density * math.pi
-    r_sq = geom.serving_radius**2
-    assoc_prob = -np.expm1(-lam_pi * p_cell * r_sq)
-    has_server = (rng.random(n) < assoc_prob) & active
-    case1 = rng.random(n) < p_cell
+    lam_p = geom.density * math.pi * p_cell
+    mass = -np.expm1(-lam_p * geom.serving_radius**2)
+    has_server = (rng.random(n) < mass) & active
+    near = rng.random(n) < p_cell
     u = rng.random(n)
-    signal_gain = rng.standard_exponential(n)
-    # inverse-CDF serving distance; a dummy rate keeps p=0 cells finite,
-    # their trials are masked out through has_server anyway
-    lam_p = np.where(has_server, lam_pi * p_cell, 1.0)
-    trunc = -np.expm1(-lam_p * r_sq)
-    r0_sq = -np.log1p(-u * trunc) / lam_p
-    alpha = geom.pathloss
-    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius,
-                           mask=has_server & case1)
-    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius,
-                            mask=has_server & ~case1)
-    signal = signal_gain * _pow_neg_half(r0_sq, alpha)
-    return has_server & (signal >= theta * interf)
+    r0_sq = np.ones(n)  # unused where there is no server
+    r0_sq[has_server] = _nearest_r0_sq(u[has_server], lam_p[has_server],
+                                       mass[has_server])
+    return has_server & _served(rng, r0_sq, has_server & near,
+                                has_server & ~near, geom, radius, theta)
 
 
 def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
@@ -344,42 +305,28 @@ def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
 
     Each trial draws a requested (file, layer) from the demand law, walks
     the serving cascade (d2d association and SIR trial, then sbs, then
-    the macro fallback) and accrues the realized delay: transmission time
-    on the serving branch, plus backhaul retrieval and an SIR-gated macro
-    transmission when both cached tiers miss.
+    the macro fallback) and accrues the realized delay: the ``branch_costs``
+    of the serving branch, with the macro success of the trial in place of
+    its probability.
     """
     theta = radio.sir_threshold
     weights = preference_matrix(lib).ravel()
     sizes = lib.super_layer_sizes.ravel()
     pd_flat = policy.p_d.ravel()
     ps_flat = policy.p_s.ravel()
-    rate_d = _log_rate(radio.bandwidth_d2d, theta)
-    rate_s = _log_rate(radio.bandwidth_sbs, theta)
-    rate_m = _log_rate(radio.bandwidth_mbs, theta)
     radius_d = sim.region_radius(geoms.d2d)
     radius_s = sim.region_radius(geoms.sbs)
     radius_m = sim.region_radius(geoms.mbs)
-    lam_m = geoms.mbs.density
-    alpha_m = geoms.mbs.pathloss
 
     values = []
     for rng, n in _block_streams(sim):
         cells = rng.choice(weights.size, size=n, p=weights)
-        c = sizes[cells]
         served_d = _tier_service(rng, n, pd_flat[cells], geoms.d2d, theta,
                                  radius_d, active=np.ones(n, dtype=bool))
         served_s = _tier_service(rng, n, ps_flat[cells], geoms.sbs, theta,
                                  radius_s, active=~served_d)
         # macro branch: always draw so the stream layout is policy-free
-        r0_sq_m = rng.standard_exponential(n) / (lam_m * math.pi)
-        interf_m = _interference(rng, r0_sq_m, True, lam_m, alpha_m, radius_m)
-        sig_m = rng.standard_exponential(n) * _pow_neg_half(r0_sq_m, alpha_m)
-        success_m = sig_m >= theta * interf_m
-
-        miss = ~served_d & ~served_s
-        delay = np.where(served_d, c / rate_d, 0.0)
-        delay += np.where(~served_d & served_s, c / rate_s, 0.0)
-        delay += np.where(miss, c / radio.backhaul_rate, 0.0)
-        delay += np.where(miss & success_m, c / rate_m, 0.0)
-        values.append(delay)
+        success_m = _macro_served(rng, n, geoms.mbs, radius_m, theta)
+        a, b, c_m = branch_costs(sizes[cells], success_m, radio)
+        values.append(np.where(served_d, a, np.where(served_s, b, c_m)))
     return _estimate(np.concatenate(values))

@@ -80,6 +80,11 @@ def test_config_file_loading(tmp_path):
     ("tiers.d2d.pathloss = nan", "pathloss"),
     ("tiers.mbs.pathloss = inf", "pathloss"),
     ("optimizer.fd_step = 1e-6", "optimizer.fd_step"),
+    ("sim.mbs_region_radius_m = -5", "sim.mbs_region_radius_m"),
+    ("sim.mbs_region_radius_m = 0", "sim.mbs_region_radius_m"),
+    ("sim.mbs_region_radius_m = nan", "sim.mbs_region_radius_m"),
+    ("sim.mbs_region_radius_m = inf", "sim.mbs_region_radius_m"),
+    ("sim.mbs_region_radius_m = abc", "sim.mbs_region_radius_m"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"

@@ -259,6 +259,10 @@ def test_radio_config_db_conversion():
     assert radio.sir_threshold_db == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         RadioConfig(1.0, -1.0, 1.0, 1.0, 1.0)
+    # overflow, underflow to 0 and NaN are named as the dB field
+    for bad_db in (4000.0, -4000.0, math.nan):
+        with pytest.raises(ValueError, match="sir_threshold_db"):
+            RadioConfig.from_db(bad_db, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_probability_domain_checked(geom_d, theta):

@@ -7,8 +7,8 @@ from scipy import stats
 
 from svcache import (
     CachingPolicy,
+    EstimatorResult,
     SimConfig,
-    SirSample,
     all_miss_delay,
     default_config,
     mc_delay_end_to_end,
@@ -17,7 +17,6 @@ from svcache import (
     mc_stp_nearest_cached,
     mc_stp_nearest_uncached,
     overall_delay,
-    sample_ppp,
     sample_serving_distance,
     stp_cache_tier,
     stp_mbs,
@@ -34,32 +33,6 @@ def _z(est, target):
 # ---------------------------------------------------------------------------
 # elementary samplers
 # ---------------------------------------------------------------------------
-
-def test_sample_ppp_count_statistics():
-    rng = np.random.default_rng(0)
-    counts = [sample_ppp(0.01, 20.0, rng).shape[0] for _ in range(4000)]
-    mean = np.mean(counts)
-    var = np.var(counts)
-    expected = 0.01 * math.pi * 400.0  # ~12.566
-    assert mean == pytest.approx(expected, rel=0.03)
-    assert var == pytest.approx(expected, rel=0.10)  # Poisson: variance = mean
-
-
-def test_sample_ppp_uniform_positions():
-    rng = np.random.default_rng(1)
-    points = sample_ppp(2.0, 10.0, rng)
-    radii = np.hypot(points[:, 0], points[:, 1])
-    assert radii.max() <= 10.0
-    # uniform on the disk: r^2 is uniform on [0, R^2]
-    ks = stats.kstest(radii**2 / 100.0, "uniform")
-    assert ks.statistic < 0.05
-
-
-def test_sample_ppp_deterministic():
-    a = sample_ppp(0.5, 5.0, np.random.default_rng(42))
-    b = sample_ppp(0.5, 5.0, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-
 
 def test_serving_distance_matches_analytic_cdf(geom_d):
     rng = np.random.default_rng(2)
@@ -95,17 +68,6 @@ def test_serving_distance_dense_limit():
 def test_serving_distance_requires_positive_p(geom_d):
     with pytest.raises(ValueError):
         sample_serving_distance(0.0, geom_d, np.random.default_rng(0))
-
-
-def test_sir_sample_invariant(geom_d, fast_sim):
-    rng = np.random.default_rng(9)
-    sample = SirSample.draw(0.5, geom_d, fast_sim, rng)
-    alpha = geom_d.pathloss
-    interference = float(np.sum(sample.fading_gains[1:]
-                                * sample.interferer_distances**-alpha))
-    expected = sample.fading_gains[0] * sample.serving_distance**-alpha / interference
-    assert sample.sir == pytest.approx(expected, rel=1e-12)
-    assert 0 < sample.serving_distance <= geom_d.serving_radius
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +133,43 @@ def test_seed_determinism(geom_d, theta):
     other = mc_stp_cache_tier(0.4, geom_d, theta,
                               SimConfig(trials=4_000, master_seed=78))
     assert other != first
+
+
+# Pinned bits: the shared SIR kernel and serving-distance formula must keep
+# every draw of the standalone estimators.  Never re-record these to pass.
+_PINNED = {
+    ("cached", 0.3): (0.1402, 0.004910561548636224),
+    ("uncached", 0.3): (0.0984, 0.004212723276869903),
+    ("tier", 0.3): (0.105, 0.004335753654435453),
+    ("cached", 0.7): (0.2742, 0.006309582725254766),
+    ("uncached", 0.7): (0.1966, 0.005621032574308771),
+    ("tier", 0.7): (0.2486, 0.0061128619660747495),
+}
+_PINNED_R0 = ["0x1.40268d488489cp+3", "0x1.dcba091fd9340p+3",
+              "0x1.88831b00525b2p+3", "0x1.489e1fa4c0c75p+2",
+              "0x1.8460ce0ebf845p+2"]
+
+
+@pytest.mark.parametrize("family, p", sorted(_PINNED))
+def test_estimator_streams_pinned(family, p, geom_d, theta):
+    estimator = {"cached": mc_stp_nearest_cached,
+                 "uncached": mc_stp_nearest_uncached,
+                 "tier": mc_stp_cache_tier}[family]
+    est = estimator(p, geom_d, theta, SimConfig(trials=5_000, master_seed=5))
+    assert est == EstimatorResult(*_PINNED[family, p], trials_used=5_000)
+
+
+def test_mbs_stream_pinned():
+    est = mc_stp_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
+    assert est == EstimatorResult(0.363, 0.006801136014682991, 5_000)
+
+
+def test_serving_distance_stream_pinned(geom_d):
+    pinned = np.array([float.fromhex(h) for h in _PINNED_R0])
+    r0 = sample_serving_distance(0.3, geom_d, np.random.default_rng(7), size=5)
+    assert np.array_equal(r0, pinned)
+    one = sample_serving_distance(0.3, geom_d, np.random.default_rng(7))
+    assert one == pinned[0]
 
 
 def test_stderr_scales_inverse_sqrt(geom_d, theta):
@@ -329,6 +328,13 @@ def test_sim_config_validation():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(window_multiplier=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(window_multiplier=bad)
+    for bad in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(mbs_region_radius=bad)
+    assert SimConfig(mbs_region_radius=500.0).mbs_region_radius == 500.0
 
 
 def test_region_radius_rules(geom_d, geom_m):
