@@ -1,5 +1,5 @@
 """Experiment configuration: flat dotted-key text format, defaults, and
-cross-field validation.
+the names of rejected fields.
 
 A config file is plain ``key = value`` lines with ``#`` comments; keys
 use dotted section names (``content.file_count``, ``tiers.d2d.density``,
@@ -12,6 +12,10 @@ such in the template, and freely overridable.
 All sizes are bits, rates bit/s, bandwidths Hz, densities nodes per
 square metre; the SIR threshold is given in dB and converted to linear
 scale exactly once when the radio config is built.
+
+This module only parses text and names keys.  Every range rule lives in
+the constructor it protects, whose ``ValueError`` names the field first;
+a rejected value reads ``<dotted key>: <constructor message>``.
 """
 
 from __future__ import annotations
@@ -40,48 +44,52 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration; the message names
-    the offending field."""
+    """Invalid or inconsistent experiment configuration; the message starts
+    with the offending dotted key or names the offending line."""
 
 
-# (key, default, is_invented).  Invented defaults fill parameters the
-# reference table leaves unspecified; the template labels them.
-_SCHEMA: list[tuple[str, object, bool]] = [
-    ("content.file_count", 20, False),
-    ("content.layer_count", 2, False),
-    ("content.layer_size_bits", 25e6, False),
-    ("content.skewness", 1.0, False),
-    ("content.plateau", 5.0, False),
-    ("tiers.d2d.density", 0.01, False),
-    ("tiers.d2d.radius_m", 20.0, True),
-    ("tiers.d2d.pathloss", 4.0, False),
-    ("tiers.sbs.density", 0.001, False),
-    ("tiers.sbs.radius_m", 60.0, True),
-    ("tiers.sbs.pathloss", 4.0, False),
-    ("tiers.mbs.density", 1e-5, True),
-    ("tiers.mbs.pathloss", 4.0, False),
-    ("radio.sir_threshold_db", 5.0, False),
-    ("radio.bandwidth_d2d_hz", 20e6, True),
-    ("radio.bandwidth_sbs_hz", 20e6, True),
-    ("radio.bandwidth_mbs_hz", 10e6, True),
-    ("radio.backhaul_rate_bps", 5e6, True),
-    ("budgets.d2d_bits", 200e6, False),
-    ("budgets.sbs_bits", 500e6, False),
-    ("sim.trials", 50_000, False),
-    ("sim.window_multiplier", 10.0, True),
-    ("sim.master_seed", 20260809, True),
-    ("sim.mbs_region_radius_m", "", True),
-    ("optimizer.max_iterations", 100, False),
-    ("optimizer.convergence_tol_s", 1e-6, False),
-    ("optimizer.initial_policy", "mpcp", True),
-    ("sweep.variable", "", False),
-    ("sweep.start", "", False),
-    ("sweep.stop", "", False),
-    ("sweep.steps", "", False),
-    ("output.path", "", False),
+# (key, default, is_invented, field).  Invented defaults fill parameters
+# the reference table leaves unspecified; the template labels them.  Field
+# is the constructor field that a ValueError names first, qualified by
+# tier for the tiers as NetworkGeometry's messages are ("" when the key
+# is only parsed here).
+_SCHEMA: list[tuple[str, object, bool, str]] = [
+    ("content.file_count", 20, False, "file_count"),
+    ("content.layer_count", 2, False, "layer_count"),
+    ("content.layer_size_bits", 25e6, False, "layer_sizes"),
+    ("content.skewness", 1.0, False, "skewness"),
+    ("content.plateau", 5.0, False, "plateau"),
+    ("tiers.d2d.density", 0.01, False, "d2d.density"),
+    ("tiers.d2d.radius_m", 20.0, True, "d2d.serving_radius"),
+    ("tiers.d2d.pathloss", 4.0, False, "d2d.pathloss"),
+    ("tiers.sbs.density", 0.001, False, "sbs.density"),
+    ("tiers.sbs.radius_m", 60.0, True, "sbs.serving_radius"),
+    ("tiers.sbs.pathloss", 4.0, False, "sbs.pathloss"),
+    ("tiers.mbs.density", 1e-5, True, "mbs.density"),
+    ("tiers.mbs.pathloss", 4.0, False, "mbs.pathloss"),
+    ("radio.sir_threshold_db", 5.0, False, "sir_threshold_db"),
+    ("radio.bandwidth_d2d_hz", 20e6, True, "bandwidth_d2d"),
+    ("radio.bandwidth_sbs_hz", 20e6, True, "bandwidth_sbs"),
+    ("radio.bandwidth_mbs_hz", 10e6, True, "bandwidth_mbs"),
+    ("radio.backhaul_rate_bps", 5e6, True, "backhaul_rate"),
+    ("budgets.d2d_bits", 200e6, False, "m_d"),
+    ("budgets.sbs_bits", 500e6, False, "m_s"),
+    ("sim.trials", 50_000, False, "trials"),
+    ("sim.window_multiplier", 10.0, True, "window_multiplier"),
+    ("sim.master_seed", 20260809, True, "master_seed"),
+    ("sim.mbs_region_radius_m", "", True, "mbs_region_radius"),
+    ("optimizer.max_iterations", 100, False, "max_iterations"),
+    ("optimizer.convergence_tol_s", 1e-6, False, "convergence_tol"),
+    ("optimizer.initial_policy", "mpcp", True, "initial_policy"),
+    ("sweep.variable", "", False, "variable"),
+    ("sweep.start", "", False, ""),
+    ("sweep.stop", "", False, ""),
+    ("sweep.steps", "", False, "steps"),
+    ("output.path", "", False, ""),
 ]
 
-_DEFAULTS = {key: value for key, value, _ in _SCHEMA}
+_DEFAULTS = {key: value for key, value, _, _ in _SCHEMA}
+_FIELD_KEYS = {field: key for key, _, _, field in _SCHEMA if field}
 
 SWEEPABLE = (
     "radio.sir_threshold_db",
@@ -95,10 +103,21 @@ SWEEPABLE = (
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """``steps`` evenly spaced values of one ``SWEEPABLE`` key from
+    ``start`` to ``stop``; each check raises ``ValueError`` naming its
+    field first."""
+
     variable: str
     start: float
     stop: float
     steps: int
+
+    def __post_init__(self):
+        if self.variable not in SWEEPABLE:
+            raise ValueError(f"variable {self.variable!r} is not sweepable; "
+                             f"choose from {SWEEPABLE}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -126,19 +145,12 @@ class ExperimentConfig:
 
     def with_values(self, **dotted) -> "ExperimentConfig":
         """New config with some dotted keys replaced (used by sweeps)."""
-        raw = dict(self.resolved)
-        for key, value in dotted.items():
-            if key not in raw:
-                raise ConfigError(f"unknown config key {key!r}")
-            raw[key] = value
-        return _build(raw)
+        return _build(self.resolved, dotted)
 
 
 def _parse_value(key, text):
     default = _DEFAULTS[key]
-    if isinstance(default, bool):  # none today, kept for safety
-        return text.lower() in ("1", "true", "yes")
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         try:
             return int(text)
         except ValueError as exc:
@@ -167,99 +179,64 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _positive(raw, key):
-    value = raw[key]
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigError(f"{key} must be strictly positive, got {value!r}")
-    return value
-
-
-def _build(raw: dict) -> ExperimentConfig:
-    f_count = raw["content.file_count"]
-    l_count = raw["content.layer_count"]
-    if f_count < 2:
-        raise ConfigError("content.file_count must be >= 2")
-    if l_count < 2:
-        raise ConfigError("content.layer_count must be >= 2")
-    for key in ("content.skewness", "content.plateau"):
-        if not 0 <= raw[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {raw[key]!r}")
-    library = ContentLibrary.uniform(
-        f_count, l_count,
-        layer_size_bits=_positive(raw, "content.layer_size_bits"),
-        skewness=raw["content.skewness"],
-        plateau=raw["content.plateau"],
-    )
-
-    for key in ("tiers.d2d.pathloss", "tiers.sbs.pathloss", "tiers.mbs.pathloss"):
-        if not 2 < raw[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 2, got {raw[key]!r}")
-    if raw["tiers.sbs.radius_m"] < raw["tiers.d2d.radius_m"]:
-        raise ConfigError("tiers.sbs.radius_m must be >= tiers.d2d.radius_m")
-    geometry = NetworkGeometry(
-        d2d=TierGeometry(_positive(raw, "tiers.d2d.density"),
-                         _positive(raw, "tiers.d2d.radius_m"),
-                         raw["tiers.d2d.pathloss"]),
-        sbs=TierGeometry(_positive(raw, "tiers.sbs.density"),
-                         _positive(raw, "tiers.sbs.radius_m"),
-                         raw["tiers.sbs.pathloss"]),
-        mbs=TierGeometry(_positive(raw, "tiers.mbs.density"), math.inf,
-                         raw["tiers.mbs.pathloss"]),
-    )
-
-    bandwidths = [_positive(raw, f"radio.bandwidth_{tier}_hz")
-                  for tier in ("d2d", "sbs", "mbs")]
-    backhaul = _positive(raw, "radio.backhaul_rate_bps")
+def _named(build, *args, tier="", **kwargs):
+    """Call a constructor; re-raise its ``ValueError`` as a ``ConfigError``
+    led by the dotted key of the field its message names first (``tier``
+    qualifies a ``TierGeometry`` field)."""
     try:
-        radio = RadioConfig.from_db(raw["radio.sir_threshold_db"], *bandwidths,
-                                    backhaul)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"radio.{exc}") from exc
-    budgets = CacheBudgets(m_d=_positive(raw, "budgets.d2d_bits"),
-                           m_s=_positive(raw, "budgets.sbs_bits"))
+        field = tier + str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{_FIELD_KEYS[field]}: {exc}") from exc
+
+
+def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
+    raw = dict(resolved)
+    for key, value in (overrides or {}).items():
+        if key not in raw:
+            raise ConfigError(f"unknown config key {key!r}")
+        raw[key] = value
+
+    library = _named(ContentLibrary.uniform, raw["content.file_count"],
+                     raw["content.layer_count"],
+                     layer_size_bits=raw["content.layer_size_bits"],
+                     skewness=raw["content.skewness"],
+                     plateau=raw["content.plateau"])
+    # the macro tier has no radius key: it is unbounded
+    tiers = {tier: _named(TierGeometry, raw[f"tiers.{tier}.density"],
+                          raw.get(f"tiers.{tier}.radius_m", math.inf),
+                          raw[f"tiers.{tier}.pathloss"], tier=f"{tier}.")
+             for tier in ("d2d", "sbs", "mbs")}
+    geometry = _named(NetworkGeometry, **tiers)
+    radio = _named(RadioConfig.from_db, raw["radio.sir_threshold_db"],
+                   *(raw[f"radio.bandwidth_{tier}_hz"] for tier in ("d2d", "sbs", "mbs")),
+                   raw["radio.backhaul_rate_bps"])
+    budgets = _named(CacheBudgets, m_d=raw["budgets.d2d_bits"],
+                     m_s=raw["budgets.sbs_bits"])
 
     text = str(raw["sim.mbs_region_radius_m"]).strip()
     try:
         mbs_radius = float(text) if text else None
-    except ValueError:
-        mbs_radius = math.nan
-    if mbs_radius is not None and not 0 < mbs_radius < math.inf:
-        raise ConfigError("sim.mbs_region_radius_m must be empty or finite "
-                          f"and > 0, got {text!r}")
-    if raw["sim.trials"] < 1:
-        raise ConfigError("sim.trials must be >= 1")
-    if not 5 <= raw["sim.window_multiplier"] < math.inf:
-        raise ConfigError("sim.window_multiplier must be finite and >= 5")
-    if raw["sim.master_seed"] < 0:
-        raise ConfigError("sim.master_seed must be >= 0")
-    sim = SimConfig(trials=raw["sim.trials"],
-                    window_multiplier=raw["sim.window_multiplier"],
-                    master_seed=raw["sim.master_seed"],
-                    mbs_region_radius=mbs_radius)
-
-    if raw["optimizer.initial_policy"] not in ("mpcp", "epcp"):
-        raise ConfigError("optimizer.initial_policy must be 'mpcp' or 'epcp', "
-                          f"got {raw['optimizer.initial_policy']!r}")
-    opt = OptimizerConfig(
-        max_iterations=raw["optimizer.max_iterations"],
-        convergence_tol=_positive(raw, "optimizer.convergence_tol_s"),
-        initial_policy=raw["optimizer.initial_policy"],
-    )
+    except ValueError as exc:
+        raise ConfigError("sim.mbs_region_radius_m: expected empty or a number, "
+                          f"got {text!r}") from exc
+    sim = _named(SimConfig, trials=raw["sim.trials"],
+                 window_multiplier=raw["sim.window_multiplier"],
+                 master_seed=raw["sim.master_seed"],
+                 mbs_region_radius=mbs_radius)
+    opt = _named(OptimizerConfig, max_iterations=raw["optimizer.max_iterations"],
+                 convergence_tol=raw["optimizer.convergence_tol_s"],
+                 initial_policy=raw["optimizer.initial_policy"])
 
     sweep = None
     if str(raw["sweep.variable"]).strip():
-        variable = raw["sweep.variable"]
-        if variable not in SWEEPABLE:
-            raise ConfigError(
-                f"sweep.variable {variable!r} not sweepable; choose from {SWEEPABLE}")
         try:
-            sweep = SweepSpec(variable, float(raw["sweep.start"]),
-                              float(raw["sweep.stop"]), int(raw["sweep.steps"]))
+            bounds = (float(raw["sweep.start"]), float(raw["sweep.stop"]),
+                      int(raw["sweep.steps"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 "sweep.start/sweep.stop/sweep.steps must be numeric") from exc
-        if sweep.steps < 1:
-            raise ConfigError("sweep.steps must be >= 1")
+        sweep = _named(SweepSpec, raw["sweep.variable"], *bounds)
 
     output_path = str(raw["output.path"]).strip() or None
     return ExperimentConfig(library=library, geometry=geometry, radio=radio,
@@ -270,27 +247,18 @@ def _build(raw: dict) -> ExperimentConfig:
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Load a config file (defaults when ``path`` is None) and apply
     dotted-key overrides."""
-    raw = dict(_DEFAULTS)
+    raw = _DEFAULTS
     if path is not None:
         with open(path) as fh:
             raw = parse_config_text(fh.read())
-    for key, value in (overrides or {}).items():
-        if key not in raw:
-            raise ConfigError(f"unknown config key {key!r}")
-        raw[key] = value
-    return _build(raw)
+    return _build(raw, overrides)
 
 
 def default_config(**overrides) -> ExperimentConfig:
     """The committed default configuration.  Dotted keys are overridable
     through keyword expansion, e.g.
     ``default_config(**{"radio.sir_threshold_db": 3.0})``."""
-    raw = dict(_DEFAULTS)
-    for key, value in overrides.items():
-        if key not in raw:
-            raise ConfigError(f"unknown config key {key!r}")
-        raw[key] = value
-    return _build(raw)
+    return _build(_DEFAULTS, overrides)
 
 
 def parse_sweep_flag(text: str) -> SweepSpec:
@@ -298,15 +266,10 @@ def parse_sweep_flag(text: str) -> SweepSpec:
     try:
         variable, rest = text.split("=", 1)
         start, stop, steps = rest.split(":")
-        spec = SweepSpec(variable.strip(), float(start), float(stop), int(steps))
+        bounds = (float(start), float(stop), int(steps))
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec {text!r}; expected VAR=start:stop:steps") from exc
-    if spec.variable not in SWEEPABLE:
-        raise ConfigError(
-            f"sweep variable {spec.variable!r} not sweepable; choose from {SWEEPABLE}")
-    if spec.steps < 1:
-        raise ConfigError("sweep steps must be >= 1")
-    return spec
+    return _named(SweepSpec, variable.strip(), *bounds)
 
 
 def render_default_template() -> str:
@@ -317,7 +280,7 @@ def render_default_template() -> str:
         "# setting leaves unspecified; override them freely.",
         "",
     ]
-    for key, value, invented in _SCHEMA:
+    for key, value, invented, _ in _SCHEMA:
         if value == "":
             rendered = f"# {key} ="
         else:

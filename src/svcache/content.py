@@ -40,11 +40,14 @@ class ContentLibrary:
     layer_count : int
         Number of layers L per file, at least 2 (the split divides by L-1).
     layer_sizes : ndarray, shape (F, L)
-        Size of each individual layer in bits, strictly positive.
+        Size of each individual layer in bits, finite and strictly positive.
     skewness : float
-        Popularity skewness (>= 0); 0 gives a uniform request law.
+        Popularity skewness, finite and >= 0; 0 gives a uniform request law.
     plateau : float
-        Popularity plateau (>= 0); 0 reduces to a plain Zipf law.
+        Popularity plateau, finite and >= 0; 0 reduces to a plain Zipf law.
+
+    Each check raises ``ValueError`` with a message that starts with the
+    offending field's name.
     """
 
     file_count: int
@@ -67,12 +70,12 @@ class ContentLibrary:
                 f"layer_sizes must have shape {(self.file_count, self.layer_count)}, "
                 f"got {sizes.shape}"
             )
-        if not np.all(sizes > 0):
-            raise ValueError("all layer sizes must be strictly positive")
-        if self.skewness < 0:
-            raise ValueError("skewness must be >= 0")
-        if self.plateau < 0:
-            raise ValueError("plateau must be >= 0")
+        if not np.all((sizes > 0) & (sizes < np.inf)):
+            raise ValueError("layer_sizes must be finite and strictly positive")
+        for name in ("skewness", "plateau"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         sizes = sizes.copy()
         sizes.setflags(write=False)
         object.__setattr__(self, "layer_sizes", sizes)
@@ -81,7 +84,10 @@ class ContentLibrary:
     def uniform(cls, file_count, layer_count, layer_size_bits=25e6,
                 skewness=1.0, plateau=5.0):
         """Catalog with one common size for every layer of every file."""
-        sizes = np.full((file_count, layer_count), float(layer_size_bits))
+        # a negative count yields an empty array, so the constructor's own
+        # count check reports it rather than numpy's shape error
+        sizes = np.full((max(file_count, 0), max(layer_count, 0)),
+                        float(layer_size_bits))
         return cls(file_count, layer_count, sizes, skewness, plateau)
 
     @cached_property

@@ -39,14 +39,17 @@ __all__ = [
 @dataclass(frozen=True)
 class CacheBudgets:
     """Per-node cache sizes in bits: every d2d helper stores at most
-    ``m_d`` bits and every small cell at most ``m_s`` bits."""
+    ``m_d`` bits and every small cell at most ``m_s`` bits.  A non-positive
+    budget raises ``ValueError`` naming its field."""
 
     m_d: float
     m_s: float
 
     def __post_init__(self):
-        if not (self.m_d > 0 and self.m_s > 0):
-            raise ValueError("cache budgets must be strictly positive")
+        for name in ("m_d", "m_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,14 @@ def partial_delay_mbs(f, l, p_d, p_s, lib: ContentLibrary,
     return float(_branches(p_d, p_s, super_layer_size(lib, f, l), geoms, radio)[2])
 
 
+def _check_shape(policy, lib: ContentLibrary):
+    """Reject a policy whose matrices do not have the catalog's shape; every
+    entry point that reads a policy cell by cell calls this first."""
+    if policy.shape != lib.shape:
+        raise ValueError(
+            f"policy shape {policy.shape} does not match catalog {lib.shape}")
+
+
 def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
                   radio: RadioConfig) -> DelayBreakdown:
     """Popularity-weighted overall service delay of a caching policy.
@@ -145,9 +156,7 @@ def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
         The three per-cell partial-delay matrices and the total
         sum_{f,l} p_{f,l} * (d2d + sbs + mbs).
     """
-    if policy.p_d.shape != lib.shape or policy.p_s.shape != lib.shape:
-        raise ValueError(
-            f"policy shape {policy.p_d.shape} does not match catalog {lib.shape}")
+    _check_shape(policy, lib)
     d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, lib.super_layer_sizes,
                               geoms, radio)
     total = float((preference_matrix(lib) * (d2d + sbs + mbs)).sum())

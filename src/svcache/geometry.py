@@ -49,8 +49,9 @@ class TierGeometry:
     """Poisson density, serving radius and path-loss exponent of one tier.
 
     ``serving_radius`` is in metres; use ``math.inf`` for the unbounded
-    macro tier.  The path-loss exponent must exceed 2 or the aggregate
-    interference integral diverges.
+    macro tier.  The density must be finite and positive, and the path-loss
+    exponent finite and above 2 or the aggregate interference integral
+    diverges.  Each check raises ``ValueError`` naming its field first.
     """
 
     density: float
@@ -58,12 +59,13 @@ class TierGeometry:
     pathloss: float
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError("density must be positive")
+        if not 0 < self.density < math.inf:
+            raise ValueError(f"density must be finite and positive, got {self.density!r}")
         if not self.serving_radius > 0:
-            raise ValueError("serving_radius must be positive (math.inf allowed)")
-        if not self.pathloss > 2:
-            raise ValueError("pathloss exponent must be > 2")
+            raise ValueError("serving_radius must be positive (math.inf allowed), "
+                             f"got {self.serving_radius!r}")
+        if not 2 < self.pathloss < math.inf:
+            raise ValueError(f"pathloss must be finite and > 2, got {self.pathloss!r}")
 
     @property
     def bounded(self) -> bool:
@@ -80,28 +82,31 @@ class TierGeometry:
 @dataclass(frozen=True)
 class NetworkGeometry:
     """The three tiers together, with the cross-tier radius ordering checked:
-    the small-cell radius must be at least the device-to-device radius, and
-    the macro tier is unbounded."""
+    the small-cell radius must be finite and at least the device-to-device
+    radius, and the macro tier is unbounded.  Messages start with the
+    tier-qualified field, e.g. ``sbs.serving_radius``."""
 
     d2d: TierGeometry
     sbs: TierGeometry
     mbs: TierGeometry
 
     def __post_init__(self):
-        if not (self.d2d.bounded and self.sbs.bounded):
-            raise ValueError("d2d and sbs tiers must have finite serving radii")
+        for tier in ("d2d", "sbs"):
+            if not getattr(self, tier).bounded:
+                raise ValueError(f"{tier}.serving_radius must be finite")
         if self.sbs.serving_radius < self.d2d.serving_radius:
             raise ValueError(
-                "sbs serving radius must be >= d2d serving radius "
+                "sbs.serving_radius must be >= d2d.serving_radius "
                 f"({self.sbs.serving_radius} < {self.d2d.serving_radius})"
             )
         if self.mbs.bounded:
-            raise ValueError("mbs tier must be unbounded (serving_radius=math.inf)")
+            raise ValueError("mbs.serving_radius must be math.inf (unbounded tier)")
 
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Linear SIR threshold, per-tier bandwidths (Hz) and backhaul rate (bit/s)."""
+    """Linear SIR threshold, per-tier bandwidths (Hz) and backhaul rate
+    (bit/s); a non-positive value raises ``ValueError`` naming its field."""
 
     sir_threshold: float
     bandwidth_d2d: float
@@ -112,8 +117,9 @@ class RadioConfig:
     def __post_init__(self):
         for name in ("sir_threshold", "bandwidth_d2d", "bandwidth_sbs",
                      "bandwidth_mbs", "backhaul_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
     @classmethod
     def from_db(cls, sir_threshold_db, bandwidth_d2d, bandwidth_sbs,

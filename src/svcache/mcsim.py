@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import branch_costs
+from .delay import _check_shape, branch_costs
 from .geometry import NetworkGeometry, RadioConfig, TierGeometry
 
 __all__ = [
@@ -58,7 +58,8 @@ class SimConfig:
     ``window_multiplier * 3 / sqrt(density * pi)``.  The factor 3 on the
     natural nearest-neighbour scale compensates for the unbounded
     serving-distance tail: it brings the truncation bias at the default
-    multiplier down to the bounded tiers' level (a few 1e-4).
+    multiplier down to the bounded tiers' level (a few 1e-4).  Each check
+    raises ``ValueError`` naming its field first.
     """
 
     trials: int = 50_000
@@ -69,6 +70,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if not 5 <= self.window_multiplier < math.inf:
             raise ValueError("window_multiplier must be finite and >= 5 to "
                              "keep the truncated-interference bias negligible")
@@ -265,8 +268,6 @@ def _macro_served(rng, n, geom: TierGeometry, radius, theta):
 def mc_stp_mbs(density: float, pathloss: float, theta: float,
                sim: SimConfig) -> EstimatorResult:
     """Estimate the macro-tier success probability (``_macro_served``)."""
-    if not density > 0:
-        raise ValueError("density must be positive")
     geom = TierGeometry(density=density, serving_radius=math.inf,
                         pathloss=pathloss)
     radius = sim.region_radius(geom)
@@ -309,6 +310,7 @@ def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
     of the serving branch, with the macro success of the trial in place of
     its probability.
     """
+    _check_shape(policy, lib)
     theta = radio.sir_threshold
     weights = preference_matrix(lib).ravel()
     sizes = lib.super_layer_sizes.ravel()

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import CacheBudgets, branch_costs, cell_delay_matrix, overall_delay
+from .delay import (CacheBudgets, _check_shape, branch_costs, cell_delay_matrix,
+                    overall_delay)
 from .geometry import NetworkGeometry, RadioConfig, hit_and_slope, hit_term, stp_mbs
 from .policies import CachingPolicy, epcp, mpcp
 
@@ -40,14 +41,21 @@ __all__ = [
 ]
 
 
+# Baseline generators a run may start from, by name.
+_STARTS = {"mpcp": mpcp, "epcp": epcp}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Iteration budget, stopping tolerance and starting policy.
 
+    ``max_iterations`` must be at least 1 and ``convergence_tol`` positive.
     ``initial_policy`` is either an explicit policy or the name of a
-    baseline ("mpcp" or "epcp").  The default warm-starts from MPCP: the
-    1/t step schedule refines a good feasible point well but moves too
-    slowly to cross the whole box from a cold uniform start.
+    baseline ("mpcp" or "epcp"); any other name is rejected here, at
+    construction, not when ``optimize`` runs.  Each check raises
+    ``ValueError`` naming its field first.  The default warm-starts from
+    MPCP: the 1/t step schedule refines a good feasible point well but
+    moves too slowly to cross the whole box from a cold uniform start.
     """
 
     max_iterations: int = 100
@@ -56,9 +64,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+            raise ValueError("convergence_tol must be positive, "
+                             f"got {self.convergence_tol!r}")
+        if not (isinstance(self.initial_policy, CachingPolicy)
+                or self.initial_policy in _STARTS):
+            raise ValueError("initial_policy must be a CachingPolicy or one of "
+                             f"{sorted(_STARTS)}, got {self.initial_policy!r}")
 
 
 @dataclass
@@ -143,6 +156,7 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
         dD/dp_d = w * hit_d' * (a - hit_s*b - (1 - hit_s)*c_m)
         dD/dp_s = w * (1 - hit_d) * hit_s' * (b - c_m)
     """
+    _check_shape(policy, lib)
     theta = radio.sir_threshold
     pm = stp_mbs(geoms.mbs.pathloss, theta)
     w = preference_matrix(lib)
@@ -160,12 +174,7 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
 def _resolve_initial(initial, lib, budgets):
     if isinstance(initial, CachingPolicy):
         return initial
-    if initial == "mpcp":
-        return mpcp(lib, budgets)
-    if initial == "epcp":
-        return epcp(lib, budgets)
-    raise ValueError(f"unknown initial policy {initial!r}; "
-                     "use 'mpcp', 'epcp' or an explicit CachingPolicy")
+    return _STARTS[initial](lib, budgets)
 
 
 def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,

@@ -7,6 +7,7 @@ import pytest
 from svcache import cli, experiments
 from svcache.config import (
     ConfigError,
+    SweepSpec,
     default_config,
     load_config,
     parse_config_text,
@@ -85,6 +86,11 @@ def test_config_file_loading(tmp_path):
     ("sim.mbs_region_radius_m = nan", "sim.mbs_region_radius_m"),
     ("sim.mbs_region_radius_m = inf", "sim.mbs_region_radius_m"),
     ("sim.mbs_region_radius_m = abc", "sim.mbs_region_radius_m"),
+    ("optimizer.max_iterations = 0", "optimizer.max_iterations"),
+    ("tiers.sbs.radius_m = inf", "tiers.sbs.radius_m"),
+    ("content.layer_size_bits = inf", "content.layer_size_bits"),
+    ("tiers.d2d.density = inf", "tiers.d2d.density"),
+    ("budgets.sbs_bits = 0", "budgets.sbs_bits"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
@@ -118,6 +124,10 @@ def test_parse_sweep_flag():
         parse_sweep_flag("budgets.d2d_bits=1:2")
     with pytest.raises(ConfigError):
         parse_sweep_flag("bogus=1:2:3")
+    with pytest.raises(ValueError, match="^variable"):
+        SweepSpec("radio.nope", 0, 1, 2)
+    with pytest.raises(ValueError, match="^steps"):
+        SweepSpec("budgets.d2d_bits", 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +246,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                          "--out", str(tmp_path / "surface.csv")]) == 2
         assert "--grid-points" in capsys.readouterr().err
     assert not (tmp_path / "surface.csv").exists()
+    for line in ("optimizer.max_iterations = 0", "tiers.sbs.radius_m = inf",
+                 "content.layer_size_bits = inf", "tiers.d2d.density = inf"):
+        bad.write_text(line + "\n")
+        assert cli.main(["validate", "--config", str(bad)]) == 2
+        assert f"config error: {line.split(' = ')[0]}: " in capsys.readouterr().err
 
 
 def test_cli_optimize_with_sweep(tmp_path):

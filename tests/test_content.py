@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,12 @@ def test_construction_errors():
         ContentLibrary.uniform(5, 2, 1.0, skewness=-0.1)
     with pytest.raises(ValueError):
         ContentLibrary(2, 2, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="^skewness"):
+        ContentLibrary.uniform(5, 2, 1.0, skewness=math.nan)
+    with pytest.raises(ValueError, match="^plateau"):
+        ContentLibrary.uniform(5, 2, 1.0, plateau=math.inf)
+    with pytest.raises(ValueError, match="^layer_sizes"):
+        ContentLibrary(2, 2, np.array([[1.0, math.inf], [1.0, 1.0]]))
 
 
 def test_library_immutable(lib):

@@ -6,9 +6,12 @@ import pytest
 from svcache import (
     CacheBudgets,
     CachingPolicy,
+    SimConfig,
     all_miss_delay,
     hit_rate,
     hit_term,
+    mc_delay_end_to_end,
+    objective_gradient,
     overall_delay,
     partial_delay_d2d,
     partial_delay_mbs,
@@ -139,10 +142,17 @@ def test_hand_computed_hit_rate():
     assert 1 - (1 - 0.18087) * 0.5 == pytest.approx(0.59044, abs=1e-5)
 
 
-def test_overall_delay_shape_mismatch(lib, geoms, radio):
-    bad = CachingPolicy(np.zeros((3, 2)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        overall_delay(bad, lib, geoms, radio)
+@pytest.mark.parametrize("evaluate", [
+    overall_delay,
+    objective_gradient,
+    lambda *args: mc_delay_end_to_end(*args, SimConfig(trials=64)),
+], ids=["overall_delay", "objective_gradient", "mc_delay_end_to_end"])
+@pytest.mark.parametrize("shape", [(3, 2), (40, 2), (2, 40), (20, 1), (1, 2)],
+                         ids=["3x2", "40x2", "2x40", "20x1", "1x2"])
+def test_overall_delay_shape_mismatch(lib, geoms, radio, evaluate, shape):
+    bad = CachingPolicy(np.zeros(shape), np.zeros(shape))
+    with pytest.raises(ValueError, match="does not match catalog"):
+        evaluate(bad, lib, geoms, radio)
 
 
 def test_cache_budgets_validation():

@@ -244,6 +244,10 @@ def test_tier_geometry_validation():
         TierGeometry(density=1.0, serving_radius=-1.0, pathloss=4.0)
     with pytest.raises(ValueError):
         TierGeometry(density=1.0, serving_radius=10.0, pathloss=2.0)
+    with pytest.raises(ValueError, match="^pathloss"):
+        TierGeometry(density=1.0, serving_radius=10.0, pathloss=math.inf)
+    with pytest.raises(ValueError, match="^density"):
+        TierGeometry(density=math.inf, serving_radius=10.0, pathloss=4.0)
 
 
 def test_network_geometry_radius_ordering(geom_d, geom_s, geom_m):

@@ -335,6 +335,8 @@ def test_sim_config_validation():
         with pytest.raises(ValueError):
             SimConfig(mbs_region_radius=bad)
     assert SimConfig(mbs_region_radius=500.0).mbs_region_radius == 500.0
+    with pytest.raises(ValueError, match="^master_seed"):
+        SimConfig(master_seed=-1)
 
 
 def test_region_radius_rules(geom_d, geom_m):

@@ -262,6 +262,8 @@ def test_optimize_rejects_unknown_start(lib, geoms, radio, budgets):
     with pytest.raises(ValueError):
         optimize(lib, geoms, radio, budgets,
                  OptimizerConfig(initial_policy="rarest-first"))
+    with pytest.raises(ValueError, match="^initial_policy"):
+        OptimizerConfig(initial_policy="greedy")
 
 
 # ---------------------------------------------------------------------------
