@@ -106,7 +106,8 @@ class NetworkGeometry:
 @dataclass(frozen=True)
 class RadioConfig:
     """Linear SIR threshold, per-tier bandwidths (Hz) and backhaul rate
-    (bit/s); a non-positive value raises ``ValueError`` naming its field."""
+    (bit/s); a value that is not finite and positive raises ``ValueError``
+    naming its field."""
 
     sir_threshold: float
     bandwidth_d2d: float
@@ -118,8 +119,8 @@ class RadioConfig:
         for name in ("sir_threshold", "bandwidth_d2d", "bandwidth_sbs",
                      "bandwidth_mbs", "backhaul_rate"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
     def from_db(cls, sir_threshold_db, bandwidth_d2d, bandwidth_sbs,

@@ -122,11 +122,13 @@ def sample_serving_distance(p, geom: TierGeometry, rng, size=None):
 # Vectorized SIR trial engine
 # ---------------------------------------------------------------------------
 
-def _pow_neg_half(r_sq, alpha):
-    """r^(-alpha) from r^2; fast path for the common quartic path loss."""
+def _pow_neg_half(r_sq, alpha, out=None):
+    """r^(-alpha) from r^2, into ``out`` when given; fast path for the
+    common quartic path loss."""
     if alpha == 4.0:
-        return 1.0 / (r_sq * r_sq)
-    return r_sq ** (-0.5 * alpha)
+        out = np.multiply(r_sq, r_sq, out=out)
+        return np.divide(1.0, out, out=out)
+    return np.power(r_sq, -0.5 * alpha, out=out)
 
 
 def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
@@ -140,7 +142,8 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     every trial gets the bits, that drawing the whole call at once gives:
     the Poisson counts of all trials, then one uniform per interferer, then
     one exponential gain per interferer.  Interferers are formed ``_SUB``
-    trials at a time so the temporaries stay cache-sized.
+    trials at a time in buffers allocated once per call, sized to the
+    largest sub-chunk, so the working set stays cache-sized.
     ``Generator.random`` takes exactly one 64-bit output per float, so the
     gains come from a copy of the stream jumped ahead by the interferer
     count, and the caller's stream resumes where the gains end.  Per-trial
@@ -162,20 +165,26 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     gain_bits.state = rng.bit_generator.state
     gain_bits.advance(int(counts.sum()))
     gain_rng = np.random.Generator(gain_bits)
+    # one set of buffers per call, sized to the largest sub-chunk
+    size = int(np.add.reduceat(counts, np.arange(0, idx_all.size, _SUB)).max())
+    u_buf, gain_buf, lo_buf, r_buf = (np.empty(size) for _ in range(4))
     for s in range(0, idx_all.size, _SUB):
         e = min(s + _SUB, idx_all.size)
         c = counts[s:e]
         total = int(c.sum())
-        u = rng.random(total)
-        gains = gain_rng.standard_exponential(total)
+        u = rng.random(out=u_buf[:total])
+        gains = gain_rng.standard_exponential(out=gain_buf[:total])
+        owner = np.repeat(np.arange(e - s), c)
+        r = r_buf[:total]
         if lo_is_server:
-            lo = np.repeat(r0s[s:e], c)
-            r_sq = lo + u * (r_max_sq - lo)
+            lo = np.take(r0s[s:e], owner, out=lo_buf[:total])
+            np.subtract(r_max_sq, lo, out=r)
+            np.multiply(u, r, out=r)
+            np.add(lo, r, out=r)
         else:
-            r_sq = r_max_sq * u
-        contrib = gains * _pow_neg_half(r_sq, alpha)
-        out[idx_all[s:e]] = np.bincount(np.repeat(np.arange(e - s), c),
-                                        weights=contrib, minlength=e - s)
+            np.multiply(r_max_sq, u, out=r)
+        np.multiply(gains, _pow_neg_half(r, alpha, out=r), out=r)
+        out[idx_all[s:e]] = np.bincount(owner, weights=r, minlength=e - s)
     # advance() clears the buffered 32-bit half; keep the caller's
     state = rng.bit_generator.state
     state["state"] = gain_bits.state["state"]

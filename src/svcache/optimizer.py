@@ -255,6 +255,29 @@ def _grid_chunks(n_cells, n_values, chunk=65_536):
 _CANDIDATE_GUARD = 3_000_000
 
 
+def _first_of_each_key(key):
+    """Indices of the first row of each distinct ``key`` row, in key order.
+
+    A stable lexsort (first column primary) puts equal rows next to each
+    other in their original order, so the first row of every run is the
+    first occurrence of its key."""
+    order = np.lexsort(key.T[::-1])
+    sorted_key = key[order]
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    first[1:] = np.any(sorted_key[1:] != sorted_key[:-1], axis=1)
+    return order[first]
+
+
+def _merge(rows, keys):
+    """Concatenate blocks and keep each key's first occurrence, in order."""
+    rows, keys = np.concatenate(rows), np.concatenate(keys)
+    keep = np.sort(_first_of_each_key(keys))
+    if keep.size > _CANDIDATE_GUARD:
+        raise ValueError("grid_oracle search space too large for this instance")
+    return rows[keep], keys[keep]
+
+
 def _tier_candidates(lib, geom, theta, sizes_flat, budget, n_values, useful):
     """Enumerate, project and dedupe one tier's grid.
 
@@ -262,22 +285,30 @@ def _tier_candidates(lib, geom, theta, sizes_flat, budget, n_values, useful):
     projected matrix per distinct useful-cell combination and hit the
     corresponding hit-term values on the useful cells.  Matrices that
     differ only on zero-popularity cells cannot change the delay, so one
-    representative suffices.  Dedupe happens per chunk and again on the
-    merged survivors, keeping memory bounded.
+    representative suffices.  Rows are keyed by the exact integers
+    rint(row[useful] * 1e9), the same partition as rounding to 9 decimals
+    on [0, 1].  Each block keeps the first row of each of its keys, in key
+    order; the survivors are merged once at the end (or earlier, whenever
+    the unmerged rows pass ``_CANDIDATE_GUARD``), keeping each key's first
+    occurrence in grid order.  The guard is checked on the merged, deduped
+    count.
     """
     n_cells = sizes_flat.size
-    reps = None
+    rows, keys = [], []
+    pending = 0
     for raw in _grid_chunks(n_cells, n_values):
         block = project_budget(raw, sizes_flat, budget)
-        key = np.round(block[:, useful], 9)
-        _, keep = np.unique(key, axis=0, return_index=True)
-        block = block[keep]
-        reps = block if reps is None else np.vstack((reps, block))
-        if reps.shape[0] > _CANDIDATE_GUARD:
-            raise ValueError("grid_oracle search space too large for this instance")
-        key = np.round(reps[:, useful], 9)
-        _, keep = np.unique(key, axis=0, return_index=True)
-        reps = reps[np.sort(keep)]
+        key = np.rint(block[:, useful] * 1e9).astype(np.int64)
+        keep = _first_of_each_key(key)
+        # drop the full block before the next projection allocates its own
+        block, key = block[keep], key[keep]
+        rows.append(block)
+        keys.append(key)
+        pending += keep.size
+        if pending > _CANDIDATE_GUARD:
+            merged_rows, merged_keys = _merge(rows, keys)
+            rows, keys, pending = [merged_rows], [merged_keys], 0
+    reps = _merge(rows, keys)[0]
     hit = hit_term(reps[:, useful], geom, theta)
     return reps, hit
 

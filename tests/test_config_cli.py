@@ -91,6 +91,8 @@ def test_config_file_loading(tmp_path):
     ("content.layer_size_bits = inf", "content.layer_size_bits"),
     ("tiers.d2d.density = inf", "tiers.d2d.density"),
     ("budgets.sbs_bits = 0", "budgets.sbs_bits"),
+    ("radio.backhaul_rate_bps = inf", "radio.backhaul_rate_bps"),
+    ("radio.bandwidth_d2d_hz = inf", "radio.bandwidth_d2d_hz"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
@@ -247,7 +249,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert "--grid-points" in capsys.readouterr().err
     assert not (tmp_path / "surface.csv").exists()
     for line in ("optimizer.max_iterations = 0", "tiers.sbs.radius_m = inf",
-                 "content.layer_size_bits = inf", "tiers.d2d.density = inf"):
+                 "content.layer_size_bits = inf", "tiers.d2d.density = inf",
+                 "radio.backhaul_rate_bps = inf", "radio.bandwidth_d2d_hz = inf"):
         bad.write_text(line + "\n")
         assert cli.main(["validate", "--config", str(bad)]) == 2
         assert f"config error: {line.split(' = ')[0]}: " in capsys.readouterr().err

@@ -263,6 +263,13 @@ def test_radio_config_db_conversion():
     assert radio.sir_threshold_db == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         RadioConfig(1.0, -1.0, 1.0, 1.0, 1.0)
+    # an infinite rate leaves the model's finite-rate region
+    with pytest.raises(ValueError, match="^backhaul_rate"):
+        RadioConfig(1.0, 1.0, 1.0, 1.0, backhaul_rate=math.inf)
+    with pytest.raises(ValueError, match="^backhaul_rate"):
+        RadioConfig.from_db(5.0, 1.0, 1.0, 1.0, backhaul_rate=math.inf)
+    with pytest.raises(ValueError, match="^bandwidth_d2d"):
+        RadioConfig(1.0, math.inf, 1.0, 1.0, 1.0)
     # overflow, underflow to 0 and NaN are named as the dB field
     for bad_db in (4000.0, -4000.0, math.nan):
         with pytest.raises(ValueError, match="sir_threshold_db"):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import time
 
@@ -13,6 +15,7 @@ from svcache import (
     all_miss_delay,
     epcp,
     grid_oracle,
+    hit_term,
     icp,
     mpcp,
     objective_gradient,
@@ -22,8 +25,9 @@ from svcache import (
     project_budget,
     total_catalog_bits,
 )
+from svcache import optimizer
 from svcache.delay import cell_delay_matrix
-from svcache.optimizer import OptimizerConfig
+from svcache.optimizer import OptimizerConfig, _tier_candidates
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +301,78 @@ def test_grid_oracle_dominates_baselines(toy_lib, geoms, radio, toy_budgets):
     usage_d, usage_s = policy.budget_usage(toy_lib.super_layer_sizes)
     assert usage_d == pytest.approx(toy_budgets.m_d, rel=1e-6)
     assert usage_s == pytest.approx(toy_budgets.m_s, rel=1e-6)
+
+
+def test_grid_oracle_pinned_at_criterion_6_instance(toy_lib, geoms, radio,
+                                                     toy_budgets):
+    # toy_lib at half budgets is the criterion-6 instance
+    policy, value = grid_oracle(toy_lib, geoms, radio, toy_budgets,
+                                grid_step=0.05)
+    assert value == pytest.approx(4.093377990380037, rel=1e-12)
+    assert policy.p_d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert policy.p_s.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def _useful_and_sizes(lib):
+    useful = np.flatnonzero(preference_matrix(lib).ravel() > 0)
+    return useful, lib.super_layer_sizes.ravel()
+
+
+def _first_rows_by_rounded_key(lib, budget, n_values):
+    """The whole grid projected in one call; the first row of each
+    distinct rounded useful-cell combination, keyed by that combination."""
+    useful, sizes = _useful_and_sizes(lib)
+    values = np.linspace(0.0, 1.0, n_values)
+    grid = np.array(list(itertools.product(values, repeat=sizes.size)))
+    rows = project_budget(grid, sizes, budget)
+    first = {}
+    for row, key in zip(rows, np.round(rows[:, useful], 9).tolist()):
+        first.setdefault(tuple(key), row)
+    return first
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8)],
+                         ids=["criterion-6", "toy-0.3-0.8"])
+def test_tier_candidates_match_first_occurrence_reference(toy_lib, geoms,
+                                                          radio, fractions):
+    useful, sizes = _useful_and_sizes(toy_lib)
+    total = total_catalog_bits(toy_lib)
+    for geom, fraction in zip((geoms.d2d, geoms.sbs), fractions):
+        budget = fraction * total
+        reference = _first_rows_by_rounded_key(toy_lib, budget, 21)
+        rows, hit = _tier_candidates(toy_lib, geom, radio.sir_threshold,
+                                     sizes, budget, 21, useful)
+        got = {tuple(k): row
+               for k, row in zip(np.round(rows[:, useful], 9).tolist(), rows)}
+        assert len(got) == rows.shape[0] == len(reference)
+        assert got.keys() == reference.keys()
+        for key, row in reference.items():
+            assert np.array_equal(got[key], row)
+        assert np.array_equal(hit, hit_term(rows[:, useful], geom,
+                                            radio.sir_threshold))
+
+
+def test_grid_oracle_independent_of_block_size(toy_lib, geoms, radio,
+                                               toy_budgets, monkeypatch):
+    policy, value = grid_oracle(toy_lib, geoms, radio, toy_budgets,
+                                grid_step=0.05)
+    monkeypatch.setattr(optimizer, "_grid_chunks",
+                        functools.partial(optimizer._grid_chunks, chunk=4096))
+    small_policy, small_value = grid_oracle(toy_lib, geoms, radio,
+                                            toy_budgets, grid_step=0.05)
+    assert small_value == value
+    assert np.array_equal(small_policy.p_d, policy.p_d)
+    assert np.array_equal(small_policy.p_s, policy.p_s)
+
+
+def test_grid_oracle_candidate_guard_counts_deduped_rows(toy_lib, geoms, radio,
+                                                         toy_budgets,
+                                                         monkeypatch):
+    survivors = max(len(_first_rows_by_rounded_key(toy_lib, budget, 21))
+                    for budget in (toy_budgets.m_d, toy_budgets.m_s))
+    monkeypatch.setattr(optimizer, "_CANDIDATE_GUARD", survivors - 1)
+    with pytest.raises(ValueError, match="search space too large"):
+        grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
+    monkeypatch.setattr(optimizer, "_CANDIDATE_GUARD", survivors)
+    _, value = grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
+    assert value == pytest.approx(4.093377990380037, rel=1e-12)
