@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix, total_catalog_bits
-from .delay import CacheBudgets
+from .delay import CacheBudgets, _check_shape
 
 __all__ = [
     "CachingPolicy",
@@ -100,9 +100,7 @@ def validate_policy(policy: CachingPolicy, lib: ContentLibrary,
     relative slack.  Box violations are counted on the stored matrices
     (zero unless someone mutated them in place).
     """
-    if policy.shape != lib.shape:
-        raise ValueError(
-            f"policy shape {policy.shape} does not match catalog {lib.shape}")
+    _check_shape(policy, lib)
     sizes = lib.super_layer_sizes
     usage_d, usage_s = policy.budget_usage(sizes)
     box = int(((policy.p_d < 0) | (policy.p_d > 1)).sum()

@@ -67,8 +67,9 @@ def test_validate_all_ones_infeasible(lib, budgets):
 
 
 def test_validate_shape_mismatch(lib, budgets):
-    with pytest.raises(ValueError):
-        validate_policy(CachingPolicy.zeros(3, 2), lib, budgets)
+    for shape in ((3, 2), (40, 2), (2, 40)):
+        with pytest.raises(ValueError, match="does not match catalog"):
+            validate_policy(CachingPolicy.zeros(*shape), lib, budgets)
 
 
 # ---------------------------------------------------------------------------
