@@ -98,6 +98,26 @@ class ContentLibrary:
         cum.setflags(write=False)
         return cum
 
+    @cached_property
+    def preference_matrix(self) -> np.ndarray:
+        """Joint request probability over (file, quality level), shape
+        (F, L), built once per catalog and read-only.
+
+        File f's popularity p(f) is split between the lowest quality, with
+        weight (f-1)/(F-1), and the L-1 higher qualities, each with weight
+        (F-f)/((F-1)(L-1)).  Row sums telescope back to p(f), so the matrix
+        sums to 1.  The most popular file is never requested at the lowest
+        quality and the least popular one never above it.
+        """
+        F, L = self.file_count, self.layer_count
+        pf = request_distribution(self)
+        ranks = np.arange(1, F + 1, dtype=float)
+        out = np.empty((F, L))
+        out[:, 0] = pf * (ranks - 1) / (F - 1)
+        out[:, 1:] = (pf * (F - ranks) / ((F - 1) * (L - 1)))[:, None]
+        out.setflags(write=False)
+        return out
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.file_count, self.layer_count)
@@ -131,21 +151,9 @@ def request_probability(lib: ContentLibrary, f: int) -> float:
 
 
 def preference_matrix(lib: ContentLibrary) -> np.ndarray:
-    """Joint request probability over (file, quality level), shape (F, L).
-
-    File f's popularity p(f) is split between the lowest quality, with
-    weight (f-1)/(F-1), and the L-1 higher qualities, each with weight
-    (F-f)/((F-1)(L-1)).  Row sums telescope back to p(f), so the matrix
-    sums to 1.  The most popular file is never requested at the lowest
-    quality and the least popular one never above it.
-    """
-    F, L = lib.file_count, lib.layer_count
-    pf = request_distribution(lib)
-    ranks = np.arange(1, F + 1, dtype=float)
-    out = np.empty((F, L))
-    out[:, 0] = pf * (ranks - 1) / (F - 1)
-    out[:, 1:] = (pf * (F - ranks) / ((F - 1) * (L - 1)))[:, None]
-    return out
+    """Joint request probability over (file, quality level), shape (F, L):
+    the catalog's cached, read-only ``ContentLibrary.preference_matrix``."""
+    return lib.preference_matrix
 
 
 def quality_preference(lib: ContentLibrary, f: int, l: int) -> float:

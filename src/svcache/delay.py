@@ -94,7 +94,11 @@ def branch_delays(hit_d, hit_s, mbs_success, sizes, radio: RadioConfig):
     values; the public functions feed it hit terms derived from the
     caching probabilities.
     """
-    a, b, c_m = branch_costs(sizes, mbs_success, radio)
+    return _cascade(hit_d, hit_s, *branch_costs(sizes, mbs_success, radio))
+
+
+def _cascade(hit_d, hit_s, a, b, c_m):
+    """The three branch delays from hit terms and ``branch_costs``."""
     return (hit_d * a, (1.0 - hit_d) * hit_s * b,
             (1.0 - hit_d) * (1.0 - hit_s) * c_m)
 

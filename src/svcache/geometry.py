@@ -17,6 +17,8 @@ adaptive quadrature plus an analytic tail series otherwise.
 All probability functions accept scalars or numpy arrays for the caching
 probability ``p`` and broadcast elementwise.  Thresholds are linear SIR
 values; convert from dB once at the boundary (``RadioConfig.from_db``).
+A caching probability outside [0, 1] and a threshold that is not finite
+and positive raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def g_integral(a: float, b: float) -> float:
     return _g_quadrature(a, b)
 
 
+def _check_theta(theta):
+    """Reject a threshold that is not finite and > 0 (NaN included) with a
+    plain scalar comparison, cheap enough for every solver iterate."""
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
+
+
 def _prob(p, geom: TierGeometry):
     """p as a float array, checked to lie in [0, 1] on a bounded tier."""
     if not geom.bounded:
@@ -240,6 +249,7 @@ def q_factor(p, geom: TierGeometry, theta: float, x: float):
     with G = g_integral(a, x).  Strictly positive even at p = 0 because
     G > 0 for every finite x.
     """
+    _check_theta(theta)
     return _scalar(p, _q(_prob(p, geom), geom, theta, x))
 
 
@@ -248,6 +258,7 @@ def stp_nearest_cached(p, geom: TierGeometry, theta: float):
     (interference only from nodes beyond the server).  Zero at p = 0 by
     stipulation: with nothing cached there is no server to succeed.
     """
+    _check_theta(theta)
     q_x = q_factor(p, geom, theta, theta ** (-2.0 / geom.pathloss))
     return _given_association(p, geom, np.multiply(p, q_x))
 
@@ -275,6 +286,7 @@ def stp_mbs(pathloss: float, theta: float) -> float:
     """
     if not pathloss > 2:
         raise ValueError("pathloss exponent must be > 2")
+    _check_theta(theta)
     t = theta ** (2.0 / pathloss)
     return 1.0 / (1.0 + t * g_integral(pathloss, 1.0 / t))
 
@@ -288,6 +300,7 @@ def hit_term(p, geom: TierGeometry, theta: float):
     the tier both has a potential server in range and delivers the item
     successfully.
     """
+    _check_theta(theta)
     arr = np.asarray(p, dtype=float)  # q_factor checks it
     q_x = q_factor(arr, geom, theta, theta ** (-2.0 / geom.pathloss))
     q_0 = q_factor(arr, geom, theta, 0.0)
@@ -297,6 +310,7 @@ def hit_term(p, geom: TierGeometry, theta: float):
 def hit_and_slope(p, geom: TierGeometry, theta: float):
     """:func:`hit_term` and its exact slope in ``p``, elementwise:
     2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0', q_x and q_0 as there."""
+    _check_theta(theta)
     arr = _prob(p, geom)
     q_x, dq_x = _q(arr, geom, theta, theta ** (-2.0 / geom.pathloss), slope=True)
     q_0, dq_0 = _q(arr, geom, theta, 0.0, slope=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .content import ContentLibrary, preference_matrix
 from .delay import _check_shape, branch_costs
-from .geometry import NetworkGeometry, RadioConfig, TierGeometry
+from .geometry import NetworkGeometry, RadioConfig, TierGeometry, _check_theta, _prob
 
 __all__ = [
     "EstimatorResult",
@@ -240,10 +240,18 @@ def _stp_trials(p, geom, theta, sim, nearest_serves=None):
     return _estimate(np.concatenate(flags))
 
 
+def _check_tier_args(p, geom, theta):
+    """The analytic functions' checks: p in [0, 1] on a bounded tier and a
+    finite, positive threshold."""
+    _prob(p, geom)
+    _check_theta(theta)
+
+
 def mc_stp_nearest_cached(p, geom: TierGeometry, theta: float,
                           sim: SimConfig) -> EstimatorResult:
     """Estimate the success probability when the nearest node is the server
-    (interferers only beyond the serving distance); requires p > 0."""
+    (interferers only beyond the serving distance); requires p in (0, 1]."""
+    _check_tier_args(p, geom, theta)
     return _stp_trials(p, geom, theta, sim, nearest_serves=True)
 
 
@@ -251,7 +259,8 @@ def mc_stp_nearest_uncached(p, geom: TierGeometry, theta: float,
                             sim: SimConfig) -> EstimatorResult:
     """Estimate the success probability when a farther potential server
     transmits (interferers over the whole disk, the server excluded);
-    requires p > 0."""
+    requires p in (0, 1]."""
+    _check_tier_args(p, geom, theta)
     return _stp_trials(p, geom, theta, sim, nearest_serves=False)
 
 
@@ -261,6 +270,7 @@ def mc_stp_cache_tier(p, geom: TierGeometry, theta: float,
     nearest-cached variant with probability p, the farther-server variant
     otherwise.  Degenerate zero estimate at p = 0 (association never
     occurs)."""
+    _check_tier_args(p, geom, theta)
     if p == 0:
         return EstimatorResult(mean=0.0, stderr=0.0, trials_used=sim.trials)
     return _stp_trials(p, geom, theta, sim)
@@ -277,6 +287,7 @@ def _macro_served(rng, n, geom: TierGeometry, radius, theta):
 def mc_stp_mbs(density: float, pathloss: float, theta: float,
                sim: SimConfig) -> EstimatorResult:
     """Estimate the macro-tier success probability (``_macro_served``)."""
+    _check_theta(theta)
     geom = TierGeometry(density=density, serving_radius=math.inf,
                         pathloss=pathloss)
     radius = sim.region_radius(geom)

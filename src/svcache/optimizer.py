@@ -2,13 +2,17 @@
 
 The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
-set.  The gradient is the closed form of ``objective_gradient``, not a
-difference quotient, and the same call returns the delay, so each
-iterate is evaluated once.  The projection subtracts one uniform shift u
-from every entry, clips to [0, 1], and solves for u exactly from the
-breakpoints of the piecewise-linear usage so the expected cache usage
-equals the budget; full utilization is optimal because the delay is
-non-increasing in every caching probability.  Note this uniform shift is
+set; the two tiers are stacked and projected in one call against a
+column of their budgets.  The gradient is the closed form of
+``objective_gradient``, not a difference quotient, and the same call
+returns the delay, so each iterate is evaluated once.  What a solve
+never changes (the sizes and their check, the preference weights, the
+branch costs) is built once per solve, and iterates stay plain arrays.
+The projection subtracts one uniform shift u from every entry, clips to
+[0, 1], and solves for u exactly from the breakpoints of the
+piecewise-linear usage so the expected cache usage equals the budget;
+full utilization is optimal because the delay is non-increasing in
+every caching probability.  Note this uniform shift is
 the operator used throughout here and in the baselines; it is not the
 Euclidean projection onto the size-weighted budget polytope (that one
 would shift each entry proportionally to its size).
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content import ContentLibrary, preference_matrix
-from .delay import (CacheBudgets, _check_shape, branch_costs, branch_delays,
+from .delay import (CacheBudgets, _cascade, _check_shape, branch_costs,
                     cell_delay_matrix, overall_delay)
 from .geometry import NetworkGeometry, RadioConfig, hit_and_slope, hit_term, stp_mbs
 from .policies import CachingPolicy, epcp, mpcp
@@ -108,22 +112,46 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the root (the breakpoint method of Duchi et al., 2008, and Condat,
     2016).  When the budget is at least the whole catalog the equality is
     unattainable and the all-ones matrix is returned (budget non-binding).
+    The checks are made here; ``_project`` is the kernel behind them.
     """
     if not budget > 0:
         raise ValueError("budget must be strictly positive")
+    sizes, signed, capacity = _size_terms(sizes)
     p_hat = np.asarray(p_hat, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
     if p_hat.shape[p_hat.ndim - sizes.ndim:] != sizes.shape:
         raise ValueError("p_hat must end with the shape of sizes")
-    if not (np.all(np.isfinite(p_hat)) and np.all(np.isfinite(sizes))):
-        raise ValueError("p_hat and sizes must be finite")
-    if np.any(sizes <= 0):
-        raise ValueError("sizes must be strictly positive")
-    capacity = sizes.sum()
-    if budget >= capacity:
-        return np.ones_like(p_hat)
+    if not np.all(np.isfinite(p_hat)):
+        raise ValueError("p_hat must be finite")
+    return _project(p_hat, signed, capacity, budget)
 
-    rows = p_hat.reshape(-1, sizes.size)
+
+def _size_terms(sizes):
+    """Checked ``sizes`` as floats, the signed usage slopes concat(-s, s)
+    of the 2n breakpoints, and the capacity sum(s)."""
+    sizes = np.asarray(sizes, dtype=float)
+    if not np.all((sizes > 0) & (sizes < np.inf)):
+        raise ValueError("sizes must be finite and strictly positive")
+    return sizes, np.concatenate((-sizes.ravel(), sizes.ravel())), sizes.sum()
+
+
+def _project(p_hat, signed, capacity, budget):
+    """The breakpoint projection of ``project_budget`` on checked input.
+
+    ``budget`` is a positive scalar shared by every trailing block, or a
+    column with one budget per block; a block whose budget is at least
+    ``capacity`` comes back as exact ones.
+    """
+    rows = p_hat.reshape(-1, signed.size // 2)
+    level = budget
+    if np.ndim(budget):
+        full = budget[:, 0] >= capacity
+        if full.any():
+            out = np.ones_like(rows)
+            out[~full] = _project(rows[~full], signed, capacity, budget[~full])
+            return out.reshape(p_hat.shape)
+        level = budget[:, 0]
+    elif budget >= capacity:
+        return np.ones_like(p_hat)
     points = np.concatenate((rows - 1.0, rows), axis=1)
     order = np.argsort(points, axis=1, kind="stable")
     # row r starts at r*2n in the raveled arrays: gather through flat indices
@@ -131,7 +159,7 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     points = points.ravel()[order + offset[:, None]].reshape(points.shape)
     # usage slope after each breakpoint: -s_i once entry i leaves the cap,
     # back up by s_i once it reaches zero
-    slope = np.cumsum(np.concatenate((-sizes.ravel(), sizes.ravel()))[order], axis=1)
+    slope = np.cumsum(signed[order], axis=1)
     usage = np.empty_like(points)
     usage[:, 0] = capacity
     usage[:, 1:] = capacity + np.cumsum(slope[:, :-1] * np.diff(points, axis=1), axis=1)
@@ -140,7 +168,7 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     k = np.argmax(usage[:, 1:] <= budget, axis=1) + offset
     points, usage = points.ravel(), usage.ravel()
     lo, hi, above, below = points[k], points[k + 1], usage[k], usage[k + 1]
-    u = lo + (above - budget) / (above - below) * (hi - lo)
+    u = lo + (above - level) / (above - below) * (hi - lo)
     return np.clip(rows - u[:, None], 0.0, 1.0).reshape(p_hat.shape)
 
 
@@ -163,21 +191,33 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
         dD/dp_s = w * (1 - hit_d) * hit_s' * (b - c_m)
     """
     _check_shape(policy, lib)
+    delay, grad = _objective(np.stack((policy.p_d, policy.p_s)),
+                             *_solve_terms(lib, geoms, radio), geoms, radio)
+    return delay, grad[0], grad[1]
+
+
+def _solve_terms(lib, geoms, radio):
+    """What the objective reads that a solve never changes: the preference
+    weights and the three ``branch_costs`` matrices."""
+    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
+    return preference_matrix(lib), branch_costs(lib.super_layer_sizes, pm, radio)
+
+
+def _objective(p, w, costs, geoms, radio):
+    """``objective_gradient`` of the stacked (2, F, L) matrices ``p``,
+    entries in [0, 1]: the delay and the stacked gradient."""
     theta = radio.sir_threshold
-    pm = stp_mbs(geoms.mbs.pathloss, theta)
-    w = preference_matrix(lib)
-    cells, grad_d, grad_s = np.empty(lib.shape), np.empty(lib.shape), np.empty(lib.shape)
-    for start in range(0, lib.file_count, _BLOCK_ROWS):
+    cells, grad = np.empty(w.shape), np.empty(p.shape)
+    for start in range(0, w.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        sizes = lib.super_layer_sizes[rows]
-        hit_d, slope_d = hit_and_slope(policy.p_d[rows], geoms.d2d, theta)
-        hit_s, slope_s = hit_and_slope(policy.p_s[rows], geoms.sbs, theta)
-        d2d, sbs, mbs = branch_delays(hit_d, hit_s, pm, sizes, radio)
+        a, b, c_m = (cost[rows] for cost in costs)
+        hit_d, slope_d = hit_and_slope(p[0, rows], geoms.d2d, theta)
+        hit_s, slope_s = hit_and_slope(p[1, rows], geoms.sbs, theta)
+        d2d, sbs, mbs = _cascade(hit_d, hit_s, a, b, c_m)
         cells[rows] = w[rows] * (d2d + sbs + mbs)
-        a, b, c_m = branch_costs(sizes, pm, radio)
-        grad_d[rows] = w[rows] * slope_d * (a - hit_s * b - (1.0 - hit_s) * c_m)
-        grad_s[rows] = w[rows] * (1.0 - hit_d) * slope_s * (b - c_m)
-    return float(cells.sum()), grad_d, grad_s
+        grad[0, rows] = w[rows] * slope_d * (a - hit_s * b - (1.0 - hit_s) * c_m)
+        grad[1, rows] = w[rows] * (1.0 - hit_d) * slope_s * (b - c_m)
+    return float(cells.sum()), grad
 
 
 def _resolve_initial(initial, lib, budgets):
@@ -192,51 +232,59 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     """Run the projected-gradient solver and return the best iterate.
 
     Every iterate is feasible: both gradients are evaluated at the
-    current point, the stepped matrices are projected tier by tier onto
-    budget equality, and iteration stops once the delay change drops
-    below ``convergence_tol`` or the iteration budget runs out.  The 1/t
-    step does not guarantee monotone descent, so the best iterate seen
-    (including the start) is tracked and returned.
+    current point, the two stepped matrices are stacked and projected in
+    one call, each onto its own tier's budget equality, and iteration
+    stops once the delay change drops below ``convergence_tol`` or the
+    iteration budget runs out.  The 1/t step does not guarantee monotone
+    descent, so the best iterate seen (including the start) is tracked
+    and returned.  The sizes are checked, and the weights and branch
+    costs built, once per solve; iterates stay plain arrays and only the
+    returned policy is a ``CachingPolicy``.
     """
     cfg = cfg or OptimizerConfig()
-    sizes = lib.super_layer_sizes
+    sizes, signed, capacity = _size_terms(lib.super_layer_sizes)
     start = _resolve_initial(cfg.initial_policy, lib, budgets)
+    _check_shape(start, lib)
+    column = np.array([[budgets.m_d], [budgets.m_s]], dtype=float)
+    target_d, target_s = min(budgets.m_d, capacity), min(budgets.m_s, capacity)
 
-    def at_equality(matrix, budget):
-        target = min(budget, float(sizes.sum()))
-        return abs(float((matrix * sizes).sum()) - target) <= 1e-9 * budget
+    def feasible(matrix, budget, target):
+        if abs(float((matrix * sizes).sum()) - target) <= 1e-9 * budget:
+            return matrix
+        return _project(matrix, signed, capacity, budget)
 
-    policy = CachingPolicy(
-        p_d=start.p_d if at_equality(start.p_d, budgets.m_d)
-        else project_budget(start.p_d, sizes, budgets.m_d),
-        p_s=start.p_s if at_equality(start.p_s, budgets.m_s)
-        else project_budget(start.p_s, sizes, budgets.m_s),
-    )
+    policy = CachingPolicy(p_d=feasible(start.p_d, budgets.m_d, target_d),
+                           p_s=feasible(start.p_s, budgets.m_s, target_s))
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
+    p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
+    terms = _solve_terms(lib, geoms, radio)
+    best_p = None  # None while the start is the best iterate
     result = OptimizerResult(
         best_policy=policy, best_delay=current, delay_trajectory=[current],
         iterations_run=0, converged=False,
     )
     for t in range(1, cfg.max_iterations + 1):
         eps = 1.0 / t
-        p_d = project_budget(policy.p_d - eps * grad_d, sizes, budgets.m_d)
-        p_s = project_budget(policy.p_s - eps * grad_s, sizes, budgets.m_s)
-        policy = CachingPolicy(p_d=p_d, p_s=p_s)
-        new, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
-        usage_d, usage_s = policy.budget_usage(sizes)
+        raw = p - eps * grad
+        if not np.all(np.isfinite(raw)):
+            raise ValueError(f"iterate {t} is not finite")
+        p = _project(raw, signed, capacity, column)
+        new, grad = _objective(p, *terms, geoms, radio)
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)
-        result.budget_residual_d.append(abs(usage_d - min(budgets.m_d, sizes.sum())))
-        result.budget_residual_s.append(abs(usage_s - min(budgets.m_s, sizes.sum())))
+        result.budget_residual_d.append(abs(float((p[0] * sizes).sum()) - target_d))
+        result.budget_residual_s.append(abs(float((p[1] * sizes).sum()) - target_s))
         result.iterations_run = t
         if new < result.best_delay:
             result.best_delay = new
-            result.best_policy = policy
+            best_p = p
         delta = abs(new - current)
         current = new
         if delta < cfg.convergence_tol:
             result.converged = True
             break
+    if best_p is not None:
+        result.best_policy = CachingPolicy(p_d=best_p[0], p_s=best_p[1])
     best = result.best_policy
     result.best_delay = float(cell_delay_matrix(best.p_d, best.p_s, lib, geoms, radio).sum())
     return result

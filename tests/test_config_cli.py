@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -293,3 +294,19 @@ def test_cli_convergence_smoke(tmp_path):
     assert code == 0
     assert out.read_text().splitlines()[1].split(",") == list(
         experiments.CONVERGENCE_FIELDS)
+
+
+# Pinned bytes: the solver and the baselines must reproduce these CSVs at
+# the committed defaults exactly.  Never re-record these to pass.
+_PINNED_CSV_SHA256 = {
+    "optimize": "4e010927501ed7fb76ee40105301ec4ec5119993f2b30e4ceee2befaac266f36",
+    "convergence": "4ace953d5b8337c978dac89bfe362567cffaee5e3bbcff5d002765c1965ea06c",
+    "baselines": "19d8c1123a5644b6b115b0c807ffa5225c2719e6f9802575377ee2c633089c01",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_CSV_SHA256))
+def test_cli_csv_bytes_pinned_at_defaults(tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_CSV_SHA256[command]

@@ -119,3 +119,20 @@ def test_construction_errors():
 def test_library_immutable(lib):
     with pytest.raises(ValueError):
         lib.layer_sizes[0, 0] = 1.0
+
+
+def test_preference_matrix_cached_read_only(lib):
+    first = preference_matrix(lib)
+    assert preference_matrix(lib) is first is lib.preference_matrix
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    assert abs(first.sum() - 1.0) <= 1e-12
+
+
+def test_preference_matrix_per_library(lib):
+    other = ContentLibrary.uniform(20, 2, 25e6, skewness=0.5, plateau=5.0)
+    assert preference_matrix(other) is not preference_matrix(lib)
+    assert not np.array_equal(preference_matrix(other), preference_matrix(lib))
+    pf = request_distribution(other)
+    assert np.allclose(preference_matrix(other).sum(axis=1), pf, rtol=0, atol=1e-15)

@@ -17,7 +17,7 @@ from svcache import (
     stp_nearest_cached,
     stp_nearest_uncached,
 )
-from svcache.geometry import _g_quadrature
+from svcache.geometry import _g_quadrature, hit_and_slope
 
 # Frozen against a 30-digit mpmath evaluation of the closed forms, each
 # cross-checked by quadrature of the radial integral they came from.
@@ -285,3 +285,18 @@ def test_probability_domain_checked(geom_d, theta):
         hit_term(math.nan, geom_d, theta)
     with pytest.raises(ValueError):
         hit_term(np.array([0.5, math.nan]), geom_d, theta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
+def test_threshold_domain_checked(geom_d, bad):
+    with pytest.raises(ValueError, match="^theta"):
+        stp_mbs(4.0, bad)
+    with pytest.raises(ValueError, match="^theta"):
+        stp_cache_tier(0.5, geom_d, bad)
+    for fn in (q_factor, stp_nearest_cached, stp_nearest_uncached, hit_term,
+               hit_and_slope):
+        args = (0.5, geom_d, bad, 0.0) if fn is q_factor else (0.5, geom_d, bad)
+        with pytest.raises(ValueError, match="^theta"):
+            fn(*args)
+    with pytest.raises(ValueError, match="^theta"):
+        stp_mbs(4.0, math.inf)

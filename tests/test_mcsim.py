@@ -121,6 +121,30 @@ def test_estimator_preconditions(geom_d, theta, fast_sim):
     assert degenerate.mean == 0.0 and degenerate.stderr == 0.0
 
 
+_CACHED_ESTIMATORS = (mc_stp_nearest_cached, mc_stp_nearest_uncached,
+                      mc_stp_cache_tier)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf, -0.1, math.nan],
+                         ids=["1.5", "inf", "negative", "nan"])
+def test_estimators_reject_probability_outside_unit_interval(p, geom_d, theta):
+    sim = SimConfig(trials=500, master_seed=1)
+    for estimator in _CACHED_ESTIMATORS:
+        with pytest.raises(ValueError, match="caching probability"):
+            estimator(p, geom_d, theta, sim)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
+def test_estimators_reject_bad_threshold(bad, geom_d):
+    sim = SimConfig(trials=500, master_seed=1)
+    for estimator in _CACHED_ESTIMATORS:
+        for p in (0.0, 0.5):
+            with pytest.raises(ValueError, match="^theta"):
+                estimator(p, geom_d, bad, sim)
+    with pytest.raises(ValueError, match="^theta"):
+        mc_stp_mbs(1e-5, 4.0, bad, sim)
+
+
 # ---------------------------------------------------------------------------
 # estimator contracts: determinism, stderr scaling, truncation robustness
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,82 @@ def test_project_matches_take_along_axis_reference(lib, fraction):
     budget = fraction * cells.sum()
     assert np.array_equal(project_budget(grid, cells, budget),
                           _project_budget_reference(grid, cells, budget))
+
+
+def _kernel(p_hat, sizes, budget):
+    """``optimizer._project`` on checked input, as ``optimize`` calls it."""
+    sizes, signed, capacity = optimizer._size_terms(sizes)
+    return optimizer._project(np.asarray(p_hat, dtype=float), signed,
+                              capacity, budget)
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["random", "duplicates"])
+def test_project_two_row_kernel_matches_scalar_calls(lib, duplicates):
+    rng = np.random.default_rng(11)
+    sizes = lib.super_layer_sizes
+    capacity = sizes.sum()
+    for _ in range(50):
+        if duplicates:  # few distinct values: tied breakpoints everywhere
+            pair = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5], (2, 20, 2))
+        else:
+            pair = rng.uniform(-1.0, 2.0, (2, 20, 2))
+        m_d, m_s = rng.uniform(1e-6, 1.0, 2) * capacity
+        column = np.array([[m_d], [m_s]])
+        got = _kernel(pair, sizes, column)
+        assert got.shape == pair.shape
+        assert np.array_equal(got[0], project_budget(pair[0], sizes, m_d))
+        assert np.array_equal(got[1], project_budget(pair[1], sizes, m_s))
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0], ids=["at-capacity", "above"])
+def test_project_full_row_is_exact_ones(lib, factor):
+    sizes = lib.super_layer_sizes
+    capacity = sizes.sum()
+    # equal entries make the first usage segment flat: 0/0 if interpolated
+    pair = np.stack((np.full((20, 2), 0.3),
+                     np.random.default_rng(2).uniform(-1.0, 2.0, (20, 2))))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for column in (np.array([[factor * capacity], [0.4 * capacity]]),
+                       np.array([[0.4 * capacity], [factor * capacity]]),
+                       np.array([[factor * capacity], [factor * capacity]])):
+            got = _kernel(pair, sizes, column)
+            assert not np.isnan(got).any()
+            for row, budget in enumerate(column[:, 0]):
+                if budget >= capacity:
+                    assert np.array_equal(got[row], np.ones((20, 2)))
+                else:
+                    assert np.array_equal(got[row],
+                                          project_budget(pair[row], sizes, budget))
+        assert np.array_equal(project_budget(pair[0], sizes, factor * capacity),
+                              np.ones((20, 2)))
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_project_rejects_non_positive_budget(budget):
+    with pytest.raises(ValueError, match="^budget"):
+        project_budget(np.array([0.5, 0.2]), np.ones(2), budget)
+
+
+def test_optimize_keeps_a_non_binding_tier_at_ones(lib, geoms, radio, budgets):
+    capacity = lib.super_layer_sizes.sum()
+    result = optimize(lib, geoms, radio, CacheBudgets(2.0 * capacity, budgets.m_s),
+                      OptimizerConfig(initial_policy="epcp", max_iterations=10))
+    assert np.array_equal(result.best_policy.p_d, np.ones(lib.shape))
+    assert result.budget_residual_d == [0.0] * result.iterations_run
+
+
+def test_optimize_rejects_non_finite_iterate(lib, geoms, radio, budgets,
+                                             monkeypatch):
+    objective = optimizer._objective
+
+    def blown_up(*args):
+        delay, grad = objective(*args)
+        return delay, np.full_like(grad, np.inf)
+
+    monkeypatch.setattr(optimizer, "_objective", blown_up)
+    with pytest.raises(ValueError, match="not finite"):
+        optimize(lib, geoms, radio, budgets)
 
 
 # ---------------------------------------------------------------------------
