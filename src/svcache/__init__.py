@@ -22,7 +22,7 @@ The library has six parts:
     EPCP / ICP baseline generators.
 ``optimizer``
     Gradient projection with a diminishing step and uniform-shift budget
-    projection, plus a brute-force grid oracle for small instances.
+    projection, plus a brute-force grid oracle for the 2x2 catalog only.
 
 ``config`` parses the flat dotted-key experiment configuration and
 ``cli`` exposes the experiment subcommands (``validate``,

@@ -36,7 +36,7 @@ def _add_common(parser, sweep=False):
     parser.add_argument("--trials", metavar="N", type=int, default=None,
                         help="override sim.trials")
     parser.add_argument("--out", metavar="PATH", default=None,
-                        help="output CSV path (stdout when omitted)")
+                        help="output CSV path (else output.path, else stdout)")
     if sweep:
         parser.add_argument("--sweep", metavar="VAR=start:stop:steps",
                             default=None, help="sweep specification")
@@ -88,11 +88,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
+        out = args.out if args.out is not None else cfg.output_path
 
         if args.command == "validate":
             rows, ok = experiments.run_probability_validation(cfg)
-            _emit(experiments.render_csv(experiments.VALIDATE_FIELDS, rows, cfg),
-                  args.out)
+            _emit(experiments.render_csv(experiments.VALIDATE_FIELDS, rows, cfg), out)
             if not ok:
                 print("validation gate FAILED: an analytic value misses its "
                       "Monte-Carlo estimate by more than 3 standard errors",
@@ -104,8 +104,7 @@ def main(argv=None) -> int:
             if args.grid_points < 1:
                 raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
             rows = experiments.run_delay_surface(cfg, args.grid_points)
-            _emit(experiments.render_csv(experiments.SURFACE_FIELDS, rows, cfg),
-                  args.out)
+            _emit(experiments.render_csv(experiments.SURFACE_FIELDS, rows, cfg), out)
             return EXIT_OK
 
         if args.command == "optimize":
@@ -116,20 +115,18 @@ def main(argv=None) -> int:
             else:
                 sweep = SweepSpec("radio.sir_threshold_db", 3.0, 7.0, 5)
             rows = experiments.run_optimize_and_compare(cfg, sweep)
-            _emit(experiments.render_csv(experiments.COMPARE_FIELDS, rows, cfg),
-                  args.out)
+            _emit(experiments.render_csv(experiments.COMPARE_FIELDS, rows, cfg), out)
             return EXIT_OK
 
         if args.command == "convergence":
             rows = experiments.run_convergence(cfg, tuple(args.theta_db))
             _emit(experiments.render_csv(experiments.CONVERGENCE_FIELDS, rows, cfg),
-                  args.out)
+                  out)
             return EXIT_OK
 
         if args.command == "baselines":
             rows, policies = experiments.run_baselines(cfg)
-            _emit(experiments.render_csv(experiments.BASELINE_FIELDS, rows, cfg),
-                  args.out)
+            _emit(experiments.render_csv(experiments.BASELINE_FIELDS, rows, cfg), out)
             if args.policy_dir is not None:
                 directory = Path(args.policy_dir)
                 directory.mkdir(parents=True, exist_ok=True)

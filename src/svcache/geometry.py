@@ -284,8 +284,8 @@ def stp_mbs(pathloss: float, theta: float) -> float:
     and the interferers alike.  Equals
     [1 + theta^(2/a) * g_integral(a, theta^(-2/a))]^(-1).
     """
-    if not pathloss > 2:
-        raise ValueError("pathloss exponent must be > 2")
+    if not 2 < pathloss < math.inf:
+        raise ValueError("pathloss exponent must be finite and > 2")
     _check_theta(theta)
     t = theta ** (2.0 / pathloss)
     return 1.0 / (1.0 + t * g_integral(pathloss, 1.0 / t))

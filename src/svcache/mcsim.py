@@ -107,12 +107,13 @@ def _nearest_r0_sq(u, lam_p, mass):
 
 
 def sample_serving_distance(p, geom: TierGeometry, rng, size=None):
-    """Distance to the nearest point of the p-thinned field, conditioned on
-    one existing within the serving radius (``_nearest_r0_sq``)."""
+    """Distance to the nearest point of the p-thinned field, p in (0, 1],
+    given one within the serving radius (``_nearest_r0_sq``)."""
     if not p > 0:
         raise ValueError("serving-distance law is conditional on p > 0")
     if not geom.bounded:
         raise ValueError("use the unbounded nearest-point law for the macro tier")
+    _prob(p, geom)
     lam_p = geom.density * p * math.pi
     mass = -math.expm1(-lam_p * geom.serving_radius**2)
     return np.sqrt(_nearest_r0_sq(rng.random(size), lam_p, mass))

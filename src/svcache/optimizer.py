@@ -17,9 +17,9 @@ the operator used throughout here and in the baselines; it is not the
 Euclidean projection onto the size-weighted budget polytope (that one
 would shift each entry proportionally to its size).
 
-A brute-force ``grid_oracle`` provides ground truth on small instances
-by minimizing over all pairs of per-tier grid matrices projected to
-budget equality; only grid rows with a zero entry are projected, as
+A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
+only, by minimizing over all pairs of per-tier grid matrices projected
+to budget equality; only grid rows with a zero entry are projected, as
 every other row is a uniform shift of one.  It evaluates the cross
 product through an exact bilinear split of the objective rather than
 literal pair enumeration, astronomically large already at step 0.02.
@@ -312,9 +312,6 @@ def _grid_chunks(n_cells, n_values, chunk=65_536):
         yield np.column_stack([values[c[canonical]] for c in coords])
 
 
-_CANDIDATE_GUARD = 3_000_000
-
-
 def _first_of_each_key(key):
     """Indices of the first row of each distinct ``key`` row, in key order.
 
@@ -329,38 +326,23 @@ def _first_of_each_key(key):
     return order[first]
 
 
-def _merge(rows, keys):
-    """Concatenate blocks and keep each key's first occurrence, in order."""
-    rows, keys = np.concatenate(rows), np.concatenate(keys)
-    keep = np.sort(_first_of_each_key(keys))
-    if keep.size > _CANDIDATE_GUARD:
-        raise ValueError("grid_oracle search space too large for this instance")
-    return rows[keep], keys[keep]
+def _tier_candidates(geom, theta, sizes_flat, budget, n_values, useful):
+    """Enumerate, project and dedupe one tier's grid of the 2x2 catalog.
 
-
-def _tier_candidates(lib, geom, theta, sizes_flat, budget, n_values, useful):
-    """Enumerate, project and dedupe one tier's grid.
-
-    Returns (full_rows, hit) where full_rows holds one representative
-    projected matrix per distinct useful-cell combination and hit the
-    corresponding hit-term values on the useful cells.  Matrices that
-    differ only on zero-popularity cells cannot change the delay, so one
-    representative suffices.  Rows are keyed by the exact integers
-    rint(row[useful] * 1e9), the same partition as rounding to 9 decimals
-    on [0, 1].  Each block keeps the first row of each of its keys, in key
-    order; the survivors are merged once at the end (or earlier, whenever
-    the unmerged rows pass ``_CANDIDATE_GUARD``), keeping each key's first
-    occurrence in grid order.  The guard is checked on the merged, deduped
-    count.  Only rows with a zero entry are projected (``_grid_chunks``):
-    as u absorbs any uniform shift c, P(r + c*1) = P(r), so each row r
-    projects like r - min(r)*1, an earlier grid row, and every key first
-    occurs on a row with a zero.  Exact in real arithmetic; checked bit for
-    bit against the full grid at steps 0.05 and 0.02 (2x2, half budgets).
+    Returns (full_rows, hit): one representative projected matrix per
+    distinct useful-cell combination (the zero-popularity cells cannot
+    change the delay) and its hit-term values on the useful cells.  Rows
+    are keyed by the exact integers rint(row[useful] * 1e9), the partition
+    of rounding to 9 decimals on [0, 1].  Each block keeps the first row
+    of each of its keys; the survivors, at most 515 201 rows at step 0.02,
+    are merged once, keeping each key's first occurrence in grid order.
+    Only rows with a zero entry are projected (``_grid_chunks``): as u
+    absorbs any uniform shift c, P(r + c*1) = P(r), so every key first
+    occurs on a row with a zero.  Exact in real arithmetic; checked bit
+    for bit against the full grid at steps 0.05 and 0.02 (half budgets).
     """
-    n_cells = sizes_flat.size
     rows, keys = [], []
-    pending = 0
-    for raw in _grid_chunks(n_cells, n_values):
+    for raw in _grid_chunks(sizes_flat.size, n_values):
         block = project_budget(raw, sizes_flat, budget)
         key = np.rint(block[:, useful] * 1e9).astype(np.int64)
         keep = _first_of_each_key(key)
@@ -368,13 +350,8 @@ def _tier_candidates(lib, geom, theta, sizes_flat, budget, n_values, useful):
         block, key = block[keep], key[keep]
         rows.append(block)
         keys.append(key)
-        pending += keep.size
-        if pending > _CANDIDATE_GUARD:
-            merged_rows, merged_keys = _merge(rows, keys)
-            rows, keys, pending = [merged_rows], [merged_keys], 0
-    reps = _merge(rows, keys)[0]
-    hit = hit_term(reps[:, useful], geom, theta)
-    return reps, hit
+    rows = np.concatenate(rows)[np.sort(_first_of_each_key(np.concatenate(keys)))]
+    return rows, hit_term(rows[:, useful], geom, theta)
 
 
 def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
@@ -389,11 +366,11 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     inner minimum is a dot product against the Pareto frontier of the
     sbs hit vectors (all components of V share one sign, fixed by
     whether the small-cell transmission beats the backhaul-plus-macro
-    path).  Only small instances are accepted.
+    path).  Only the 2x2 catalog is served: any other shape raises
+    ``ValueError`` at once.
     """
-    F, L = lib.shape
-    if F * L > 6:
-        raise ValueError("grid_oracle refuses instances with F*L > 6")
+    if lib.shape != (2, 2):
+        raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")
     if not any(abs(grid_step - s) < 1e-12 for s in _GRID_STEPS):
         raise ValueError(f"grid_step must be one of {_GRID_STEPS}")
     n_values = int(round(1.0 / grid_step)) + 1
@@ -403,72 +380,55 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     sizes = lib.super_layer_sizes.ravel()
     useful = np.flatnonzero(weights > 0)
     w = weights[useful]
-    c = sizes[useful]
-    a, b, c_m = branch_costs(c, stp_mbs(geoms.mbs.pathloss, theta), radio)
+    a, b, c_m = branch_costs(sizes[useful], stp_mbs(geoms.mbs.pathloss, theta), radio)
 
-    rows_d, hit_d = _tier_candidates(lib, geoms.d2d, theta, sizes,
-                                     budgets.m_d, n_values, useful)
-    rows_s, hit_s = _tier_candidates(lib, geoms.sbs, theta, sizes,
-                                     budgets.m_s, n_values, useful)
+    rows_d, hit_d = _tier_candidates(geoms.d2d, theta, sizes, budgets.m_d,
+                                     n_values, useful)
+    rows_s, hit_s = _tier_candidates(geoms.sbs, theta, sizes, budgets.m_s,
+                                     n_values, useful)
 
     # D(i, j) = base_i + V_i . H_j with V_i = w*(1-hit_d_i)*(b-c_m) <= or >= 0
     base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)
     v_mat = w * (b - c_m) * (1.0 - hit_d)
-    sbs_gain_sign = float(np.sign((b - c_m)[0])) if useful.size else 0.0
 
-    frontier_idx = _pareto_indices(hit_s, maximize=sbs_gain_sign < 0)
+    frontier_idx = _pareto_indices(hit_s, maximize=(b - c_m)[0] < 0)
     h_front = hit_s[frontier_idx]
-    if v_mat.shape[0] * h_front.shape[0] * max(useful.size, 1) > _PAIR_FLOP_GUARD:
+    if v_mat.shape[0] * h_front.shape[0] * useful.size > _PAIR_FLOP_GUARD:
         raise ValueError("grid_oracle search space too large for this instance")
 
     best_val = np.inf
     best_i = best_j = 0
-    block = max(1, int(2e7 // max(h_front.shape[0], 1)))
+    block = int(2e7 // h_front.shape[0])
     for start in range(0, v_mat.shape[0], block):
         sl = slice(start, start + block)
         scores = v_mat[sl] @ h_front.T + base[sl, None]
-        flat = int(np.argmin(scores))
-        i_loc, j_loc = divmod(flat, h_front.shape[0])
+        i_loc, j_loc = divmod(int(np.argmin(scores)), h_front.shape[0])
         if scores[i_loc, j_loc] < best_val:
             best_val = float(scores[i_loc, j_loc])
             best_i = start + i_loc
             best_j = int(frontier_idx[j_loc])
 
-    policy = CachingPolicy(p_d=rows_d[best_i].reshape(F, L),
-                           p_s=rows_s[best_j].reshape(F, L))
+    policy = CachingPolicy(p_d=rows_d[best_i].reshape(lib.shape),
+                           p_s=rows_s[best_j].reshape(lib.shape))
     # recompute through the delay model; the bilinear split must agree
-    total = overall_delay(policy, lib, geoms, radio).total
-    return policy, total
+    return policy, overall_delay(policy, lib, geoms, radio).total
 
 
 def _pareto_indices(points, maximize):
-    """Indices of the Pareto-optimal rows of ``points``.
+    """Indices of the Pareto-optimal rows of the 2x2 catalog's hit vectors.
 
     For the inner minimization only non-dominated hit vectors can attain
     the optimum: dominated rows are removable because every weight vector
-    they are scored against has one uniform sign.  2-D uses a sort-scan;
-    the small widths beyond that use pairwise dominance pruning.
+    they are scored against has one uniform sign.  The columns are the two
+    requested cells; one sort-scan keeps each row whose last column beats
+    every row ahead of it in descending first-column order.  With one column
+    (the other cell's popularity underflowed) that is the first maximum.
     """
     pts = points if maximize else -points
-    n, k = pts.shape
-    if k == 1:
-        return np.array([int(np.argmax(pts[:, 0]))])
-    if k == 2:
-        order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-        sorted_pts = pts[order]
-        running = np.maximum.accumulate(sorted_pts[:, 1])
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_pts[1:, 1] > running[:-1]
-        return order[first]
-    if n > 200_000:
-        raise ValueError("grid_oracle search space too large for this instance")
-    kept_idx: list[int] = []
-    for idx in np.argsort(-pts.sum(axis=1)):
-        row = pts[idx]
-        kept = pts[kept_idx]
-        if kept_idx and bool(np.any(np.all(kept >= row, axis=1)
-                                    & np.any(kept > row, axis=1))):
-            continue
-        kept_idx.append(int(idx))
-    return np.asarray(kept_idx)
+    order = np.lexsort((-pts[:, -1], -pts[:, 0]))
+    last = pts[order, -1]
+    running = np.maximum.accumulate(last)
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = last[1:] > running[:-1]
+    return order[first]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svcache import cli, experiments
+from svcache import EstimatorResult, cli, experiments
 from svcache.config import (
     ConfigError,
     SweepSpec,
@@ -149,6 +149,16 @@ def test_validation_rows_have_na_at_zero(monkeypatch):
     assert "theta_db_mbs" in families
 
 
+def test_validation_gate_fails_on_a_far_off_estimate(monkeypatch):
+    def far_off(density, pathloss, theta, sim):
+        return EstimatorResult(mean=0.0, stderr=1e-3, trials_used=sim.trials)
+
+    monkeypatch.setattr(experiments, "mc_stp_mbs", far_off)
+    rows, ok = experiments.run_probability_validation(default_config(**FAST_OVERRIDES))
+    assert [r["mc_mean"] for r in rows if r["sweep_var"] == "theta_db_mbs"] == [0.0] * 5
+    assert not ok
+
+
 def test_delay_surface_corner_and_monotonicity():
     cfg = default_config(**FAST_OVERRIDES)
     rows = experiments.run_delay_surface(cfg, grid_points=5)
@@ -283,6 +293,23 @@ def test_cli_baselines_writes_policies(tmp_path):
     from svcache import load_policy
     loaded = load_policy(policy_dir / "mpcp.policy")
     assert loaded.shape == (20, 2)
+
+
+def test_cli_output_path_is_the_fallback_for_out(tmp_path, capsys):
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    cfgfile = tmp_path / "out.cfg"
+    cfgfile.write_text(f"output.path = {from_config}\n")
+    assert cli.main(["baselines", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == ""
+    assert from_config.read_text().splitlines()[1].split(",") == list(
+        experiments.BASELINE_FIELDS)
+    from_config.unlink()
+    # --out wins over output.path
+    assert cli.main(["baselines", "--config", str(cfgfile),
+                     "--out", str(from_flag)]) == 0
+    assert not from_config.exists()
+    assert from_flag.read_text().splitlines()[1].split(",") == list(
+        experiments.BASELINE_FIELDS)
 
 
 def test_cli_convergence_smoke(tmp_path):

@@ -194,8 +194,9 @@ def test_mbs_threshold_limits():
 
 
 def test_mbs_domain():
-    with pytest.raises(ValueError):
-        stp_mbs(2.0, 1.0)
+    for pathloss in (2.0, math.inf):
+        with pytest.raises(ValueError):
+            stp_mbs(pathloss, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,10 @@ def test_serving_distance_dense_limit():
 
 
 def test_serving_distance_requires_positive_p(geom_d):
-    with pytest.raises(ValueError):
-        sample_serving_distance(0.0, geom_d, np.random.default_rng(0))
+    # p is checked like every tier formula's: a probability in (0, 1]
+    for p in (0.0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_serving_distance(p, geom_d, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

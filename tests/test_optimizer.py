@@ -378,6 +378,24 @@ def test_optimize_close_to_coarse_oracle(toy_lib, geoms, radio, toy_budgets):
     assert result.best_delay <= 1.01 * oracle_value
 
 
+def test_optimize_projects_an_over_budget_start(lib, geoms, radio, budgets):
+    # every entry cached with probability at least 0.2: over both budgets
+    ramp = np.linspace(1.0, 0.2, lib.shape[0] * lib.shape[1]).reshape(lib.shape)
+    start = CachingPolicy(ramp, ramp[::-1].copy())
+    usage_d, usage_s = start.budget_usage(lib.super_layer_sizes)
+    assert usage_d > budgets.m_d and usage_s > budgets.m_s
+    result = optimize(lib, geoms, radio, budgets,
+                      OptimizerConfig(initial_policy=start, max_iterations=10))
+    sizes = lib.super_layer_sizes
+    projected = CachingPolicy(project_budget(start.p_d, sizes, budgets.m_d),
+                              project_budget(start.p_s, sizes, budgets.m_s))
+    assert result.delay_trajectory[0] == overall_delay(projected, lib, geoms,
+                                                       radio).total
+    assert result.iterations_run >= 1
+    assert all(r <= 1e-6 * budgets.m_d for r in result.budget_residual_d)
+    assert all(r <= 1e-6 * budgets.m_s for r in result.budget_residual_s)
+
+
 def test_optimize_iterates_feasible(lib, geoms, radio, budgets):
     result = optimize(lib, geoms, radio, budgets)
     assert all(r <= 1e-6 * budgets.m_d for r in result.budget_residual_d)
@@ -433,9 +451,17 @@ def test_optimize_rejects_unknown_start(lib, geoms, radio, budgets):
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def test_grid_oracle_refuses_large_instances(lib, geoms, radio, budgets):
-    with pytest.raises(ValueError):
-        grid_oracle(lib, geoms, radio, budgets, grid_step=0.05)
+def test_grid_oracle_refuses_large_instances(lib, geoms, radio):
+    # the oracle serves the 2x2 catalog only; every other shape is refused
+    # before any grid row is built
+    for catalog in (lib, ContentLibrary.uniform(2, 3, 25e6, skewness=1.0, plateau=5.0),
+                    ContentLibrary.uniform(3, 2, 25e6, skewness=1.0, plateau=5.0)):
+        half = total_catalog_bits(catalog) / 2
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="2x2"):
+            grid_oracle(catalog, geoms, radio, CacheBudgets(m_d=half, m_s=half),
+                        grid_step=0.05)
+        assert time.monotonic() - start < 1.0
 
 
 def test_grid_oracle_validates_step(toy_lib, geoms, radio, toy_budgets):
@@ -499,7 +525,7 @@ def test_tier_candidates_match_first_occurrence_reference(toy_lib, geoms,
     for geom, fraction in zip((geoms.d2d, geoms.sbs), fractions):
         budget = fraction * total
         reference = _first_rows_by_rounded_key(toy_lib, budget, 21)
-        rows, hit = _tier_candidates(toy_lib, geom, radio.sir_threshold,
+        rows, hit = _tier_candidates(geom, radio.sir_threshold,
                                      sizes, budget, 21, useful)
         got = {tuple(k): row
                for k, row in zip(np.round(rows[:, useful], 9).tolist(), rows)}
@@ -536,16 +562,3 @@ def test_grid_oracle_independent_of_block_size(toy_lib, geoms, radio,
     assert small_value == value
     assert np.array_equal(small_policy.p_d, policy.p_d)
     assert np.array_equal(small_policy.p_s, policy.p_s)
-
-
-def test_grid_oracle_candidate_guard_counts_deduped_rows(toy_lib, geoms, radio,
-                                                         toy_budgets,
-                                                         monkeypatch):
-    survivors = max(len(_first_rows_by_rounded_key(toy_lib, budget, 21))
-                    for budget in (toy_budgets.m_d, toy_budgets.m_s))
-    monkeypatch.setattr(optimizer, "_CANDIDATE_GUARD", survivors - 1)
-    with pytest.raises(ValueError, match="search space too large"):
-        grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-    monkeypatch.setattr(optimizer, "_CANDIDATE_GUARD", survivors)
-    _, value = grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-    assert value == pytest.approx(4.093377990380037, rel=1e-12)
