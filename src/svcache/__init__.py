@@ -10,8 +10,8 @@ The library has six parts:
     Closed-form / quadrature evaluation of the success probabilities of a
     transmission from each tier, and the association probabilities.
 ``delay``
-    Per-item partial service delays, the popularity-weighted overall
-    delay, and the content hit rate for a caching policy.
+    Per-item d2d / sbs / macro branch delays, the popularity-weighted
+    overall delay, and the content hit rate for a caching policy.
 ``mcsim``
     Seeded Monte-Carlo estimators that mirror the analytic sampling model
     (Poisson fields, Rayleigh fading, truncated serving-distance laws):
@@ -57,9 +57,6 @@ from .delay import (
     all_miss_delay,
     hit_rate,
     overall_delay,
-    partial_delay_d2d,
-    partial_delay_mbs,
-    partial_delay_sbs,
 )
 from .mcsim import (
     EstimatorResult,
@@ -126,9 +123,6 @@ __all__ = [
     "objective_gradient",
     "optimize",
     "overall_delay",
-    "partial_delay_d2d",
-    "partial_delay_mbs",
-    "partial_delay_sbs",
     "preference_matrix",
     "project_budget",
     "q_factor",

@@ -1,7 +1,8 @@
 """Experiment configuration: flat dotted-key text format, defaults, and
 the names of rejected fields.
 
-A config file is plain ``key = value`` lines with ``#`` comments; keys
+A config file is plain ``key = value`` lines with ``#`` comments, which
+start at a ``#`` that begins the line or follows whitespace; keys
 use dotted section names (``content.file_count``, ``tiers.d2d.density``,
 ``radio.sir_threshold_db``, ...).  Unknown keys are rejected so typos
 fail loudly.  The committed defaults encode the reference parameter set;
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,11 +165,14 @@ def _parse_value(key, text):
     return text
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a resolved key map over defaults."""
     raw = dict(_DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -10,6 +10,10 @@ weights (hit_d, (1-hit_d)*hit_s, (1-hit_d)*(1-hit_s)) partition unity.
 Delays are expected-time surrogates: success probability times
 transmission time, not a conditional waiting time.  Units are bits, Hz,
 bit/s and seconds throughout.
+
+What the delay reads besides the policy (preference weights, branch
+costs, the hit terms' tier constants) is built in one place, ``_Model``,
+which this module, the solver and the grid oracle read.
 """
 
 from __future__ import annotations
@@ -18,21 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary, preference_matrix, super_layer_size
-from .geometry import NetworkGeometry, RadioConfig, hit_term, stp_mbs
+from .content import (ContentLibrary, _check_file_index, _check_layer_index,
+                      preference_matrix)
+from .geometry import (NetworkGeometry, RadioConfig, _hit, _tier_terms, hit_term,
+                       stp_mbs)
 
 __all__ = [
     "CacheBudgets",
     "DelayBreakdown",
     "all_miss_delay",
     "branch_costs",
-    "branch_delays",
     "cell_delay_matrix",
     "hit_rate",
     "overall_delay",
-    "partial_delay_d2d",
-    "partial_delay_mbs",
-    "partial_delay_sbs",
 ]
 
 
@@ -67,10 +69,6 @@ class DelayBreakdown:
         return self.d2d + self.sbs + self.mbs
 
 
-def _log_rate(bandwidth, theta):
-    return bandwidth * np.log2(1.0 + theta)
-
-
 def branch_costs(sizes, mbs_success, radio: RadioConfig):
     """Seconds each branch costs an item of ``sizes`` bits, elementwise:
 
@@ -80,21 +78,11 @@ def branch_costs(sizes, mbs_success, radio: RadioConfig):
 
     The delay of an item is hit_d*a + (1 - hit_d)*(hit_s*b + (1 - hit_s)*c_m).
     """
-    theta = radio.sir_threshold
-    return (sizes / _log_rate(radio.bandwidth_d2d, theta),
-            sizes / _log_rate(radio.bandwidth_sbs, theta),
+    log_term = np.log2(1.0 + radio.sir_threshold)
+    return (sizes / (radio.bandwidth_d2d * log_term),
+            sizes / (radio.bandwidth_sbs * log_term),
             sizes * (1.0 / radio.backhaul_rate
-                     + mbs_success / _log_rate(radio.bandwidth_mbs, theta)))
-
-
-def branch_delays(hit_d, hit_s, mbs_success, sizes, radio: RadioConfig):
-    """The three branch delays for given hit terms, elementwise.
-
-    Split out so the algebra can be checked against hand-computed hit
-    values; the public functions feed it hit terms derived from the
-    caching probabilities.
-    """
-    return _cascade(hit_d, hit_s, *branch_costs(sizes, mbs_success, radio))
+                     + mbs_success / (radio.bandwidth_mbs * log_term)))
 
 
 def _cascade(hit_d, hit_s, a, b, c_m):
@@ -103,36 +91,43 @@ def _cascade(hit_d, hit_s, a, b, c_m):
             (1.0 - hit_d) * (1.0 - hit_s) * c_m)
 
 
-def _hits(p_d, p_s, geom_d, geom_s, radio):
-    theta = radio.sir_threshold
-    return hit_term(p_d, geom_d, theta), hit_term(p_s, geom_s, theta)
+@dataclass(frozen=True)
+class _Model:
+    """What the delay of an instance reads besides the policy, built once
+    from ``(lib, geoms, radio)``: the preference weights ``w``, the three
+    ``branch_costs`` matrices and, stacked d2d over sbs as (2, 1, 1)
+    columns, the ``_tier_terms`` of the two cached tiers."""
+
+    w: np.ndarray
+    costs: tuple
+    area: np.ndarray
+    t_x: np.ndarray
+    t_0: np.ndarray
+
+    @classmethod
+    def build(cls, lib: ContentLibrary, geoms: NetworkGeometry,
+              radio: RadioConfig) -> _Model:
+        theta = radio.sir_threshold
+        pm = stp_mbs(geoms.mbs.pathloss, theta)
+        terms = np.array([_tier_terms(geoms.d2d, theta),
+                          _tier_terms(geoms.sbs, theta)]).T[:, :, None, None]
+        return cls(preference_matrix(lib),
+                   branch_costs(lib.super_layer_sizes, pm, radio), *terms)
+
+    def cells(self, p, rows=slice(None)):
+        """Weighted per-cell delays of the stacked (2, F, L) matrices ``p``
+        on ``rows``, and their stacked hits and slopes there.  Entries must
+        lie in [0, 1] (policy matrices and projected iterates do); they are
+        not checked here."""
+        hit, slope = _hit(p[:, rows], self.area, self.t_x, self.t_0)
+        d2d, sbs, mbs = _cascade(hit[0], hit[1], *(c[rows] for c in self.costs))
+        return self.w[rows] * (d2d + sbs + mbs), hit, slope
 
 
-def _branches(p_d, p_s, sizes, geoms: NetworkGeometry, radio):
-    hd, hs = _hits(p_d, p_s, geoms.d2d, geoms.sbs, radio)
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    return branch_delays(hd, hs, pm, sizes, radio)
-
-
-def partial_delay_d2d(f, l, p_d, lib: ContentLibrary, geom_d, radio: RadioConfig):
-    """Expected d2d branch delay for item (f, l) cached with probability p_d."""
-    a, _, _ = branch_costs(super_layer_size(lib, f, l), 0.0, radio)
-    return float(hit_term(p_d, geom_d, radio.sir_threshold) * a)
-
-
-def partial_delay_sbs(f, l, p_d, p_s, lib: ContentLibrary, geom_d, geom_s,
-                      radio: RadioConfig):
-    """Expected small-cell branch delay for item (f, l): reached only when
-    the d2d branch misses."""
-    hits = _hits(p_d, p_s, geom_d, geom_s, radio)
-    return float(branch_delays(*hits, 0.0, super_layer_size(lib, f, l), radio)[1])
-
-
-def partial_delay_mbs(f, l, p_d, p_s, lib: ContentLibrary,
-                      geoms: NetworkGeometry, radio: RadioConfig):
-    """Expected macro branch delay for item (f, l): backhaul retrieval plus
-    downlink transmission, reached when both cached tiers miss."""
-    return float(_branches(p_d, p_s, super_layer_size(lib, f, l), geoms, radio)[2])
+def _branches(p_d, p_s, model: _Model, geoms: NetworkGeometry, theta):
+    """The three per-cell branch delays, hits through the checked ``hit_term``."""
+    return _cascade(hit_term(p_d, geoms.d2d, theta), hit_term(p_s, geoms.sbs, theta),
+                    *model.costs)
 
 
 def _check_shape(policy, lib: ContentLibrary):
@@ -161,9 +156,9 @@ def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
         sum_{f,l} p_{f,l} * (d2d + sbs + mbs).
     """
     _check_shape(policy, lib)
-    d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, lib.super_layer_sizes,
-                              geoms, radio)
-    total = float((preference_matrix(lib) * (d2d + sbs + mbs)).sum())
+    model = _Model.build(lib, geoms, radio)
+    d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, model, geoms, radio.sir_threshold)
+    total = float((model.w * (d2d + sbs + mbs)).sum())
     return DelayBreakdown(d2d=d2d, sbs=sbs, mbs=mbs, total=total)
 
 
@@ -174,16 +169,21 @@ def cell_delay_matrix(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     The overall delay is the plain sum of this matrix, and each cell
     depends only on its own pair of caching probabilities.
     """
-    d2d, sbs, mbs = _branches(p_d, p_s, lib.super_layer_sizes, geoms, radio)
-    return preference_matrix(lib) * (d2d + sbs + mbs)
+    model = _Model.build(lib, geoms, radio)
+    d2d, sbs, mbs = _branches(p_d, p_s, model, geoms, radio.sir_threshold)
+    return model.w * (d2d + sbs + mbs)
 
 
 def hit_rate(f, l, p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
              radio: RadioConfig) -> float:
     """Probability that item (f, l) is served from a local cache (either
     cached tier): 1 - (1 - hit_d) * (1 - hit_s).  Non-decreasing in both
-    caching probabilities."""
-    hd, hs = _hits(p_d, p_s, geoms.d2d, geoms.sbs, radio)
+    caching probabilities.  An index outside the catalog raises
+    ``IndexError``."""
+    _check_file_index(lib, f)
+    _check_layer_index(lib, l)
+    hd = hit_term(p_d, geoms.d2d, radio.sir_threshold)
+    hs = hit_term(p_s, geoms.sbs, radio.sir_threshold)
     return float(1.0 - (1.0 - hd) * (1.0 - hs))
 
 
@@ -191,6 +191,5 @@ def all_miss_delay(lib: ContentLibrary, geoms: NetworkGeometry,
                    radio: RadioConfig) -> float:
     """Closed form of the overall delay when nothing is cached anywhere:
     every request pays backhaul retrieval plus macro downlink."""
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    _, _, c_m = branch_costs(lib.super_layer_sizes, pm, radio)
-    return float((preference_matrix(lib) * c_m).sum())
+    model = _Model.build(lib, geoms, radio)
+    return float((model.w * model.costs[2]).sum())

@@ -210,16 +210,32 @@ def _scalar(p, out):
     return out if np.ndim(p) > 0 else float(out)
 
 
-def _q(p, geom: TierGeometry, theta: float, x: float, slope=False):
-    """:func:`q_factor` of a checked array and, with ``slope``, its slope
-    (A*exp(-A*(p + c)) - q) / (p + c), A the mean node count in the disk."""
-    area = geom.mean_nodes_in_radius
-    den = p + theta ** (2.0 / geom.pathloss) * g_integral(geom.pathloss, x)
+def _q(p, area, t):
+    """:func:`q_factor` q = -expm1(-A*(p + t)) / (p + t) of a checked array,
+    t its threshold term, and its slope (A*exp(-A*(p + t)) - q) / (p + t)."""
+    den = p + t
     z = -area * den
     q = -np.expm1(z) / den
-    if not slope:
-        return q
     return q, (area * np.exp(z) - q) / den
+
+
+def _tier_terms(geom: TierGeometry, theta: float):
+    """The mean node count A in the disk and the threshold terms of the hit
+    term: t_x = theta^(2/a) * G(a, theta^(-2/a)) and t_0 = theta^(2/a) * G(a, 0)."""
+    t = theta ** (2.0 / geom.pathloss)
+    return (geom.mean_nodes_in_radius,
+            t * g_integral(geom.pathloss, theta ** (-2.0 / geom.pathloss)),
+            t * g_integral(geom.pathloss, 0.0))
+
+
+def _hit(p, area, t_x, t_0):
+    """Hit term p(p(q_x - q_0) + q_0) of a checked array and its slope
+    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'; ``_tier_terms`` broadcast."""
+    q_x, dq_x = _q(p, area, t_x)
+    q_0, dq_0 = _q(p, area, t_0)
+    gap = q_x - q_0
+    return (p * (p * gap + q_0),
+            2.0 * p * gap + p * p * (dq_x - dq_0) + q_0 + p * dq_0)
 
 
 def _given_association(p, geom: TierGeometry, joint):
@@ -250,7 +266,8 @@ def q_factor(p, geom: TierGeometry, theta: float, x: float):
     G > 0 for every finite x.
     """
     _check_theta(theta)
-    return _scalar(p, _q(_prob(p, geom), geom, theta, x))
+    t = theta ** (2.0 / geom.pathloss) * g_integral(geom.pathloss, x)
+    return _scalar(p, _q(_prob(p, geom), geom.mean_nodes_in_radius, t)[0])
 
 
 def stp_nearest_cached(p, geom: TierGeometry, theta: float):
@@ -308,13 +325,7 @@ def hit_term(p, geom: TierGeometry, theta: float):
 
 
 def hit_and_slope(p, geom: TierGeometry, theta: float):
-    """:func:`hit_term` and its exact slope in ``p``, elementwise:
-    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0', q_x and q_0 as there."""
+    """:func:`hit_term` and its exact slope in ``p``, elementwise (``_hit``)."""
     _check_theta(theta)
-    arr = _prob(p, geom)
-    q_x, dq_x = _q(arr, geom, theta, theta ** (-2.0 / geom.pathloss), slope=True)
-    q_0, dq_0 = _q(arr, geom, theta, 0.0, slope=True)
-    gap = q_x - q_0
-    hit = arr * (arr * gap + q_0)
-    slope = 2.0 * arr * gap + arr * arr * (dq_x - dq_0) + q_0 + arr * dq_0
+    hit, slope = _hit(_prob(p, geom), *_tier_terms(geom, theta))
     return _scalar(p, hit), _scalar(p, slope)

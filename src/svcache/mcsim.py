@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary, preference_matrix
-from .delay import _check_shape, branch_costs
+from .content import ContentLibrary
+from .delay import _check_shape, _Model, branch_costs
 from .geometry import NetworkGeometry, RadioConfig, TierGeometry, _check_theta, _prob
 
 __all__ = [
@@ -205,6 +205,12 @@ def _block_streams(sim: SimConfig):
         yield np.random.Generator(np.random.PCG64(child)), n
 
 
+def _over_blocks(sim: SimConfig, fn) -> EstimatorResult:
+    """``_estimate`` of the per-trial values ``fn(rng, n)`` returns for each
+    block stream, concatenated in block order."""
+    return _estimate(np.concatenate([fn(rng, n) for rng, n in _block_streams(sim)]))
+
+
 def _estimate(values) -> EstimatorResult:
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -232,13 +238,14 @@ def _stp_trials(p, geom, theta, sim, nearest_serves=None):
     whether the nearest node is the server in every trial; None draws it
     with probability p per trial."""
     radius = sim.region_radius(geom)
-    flags = []
-    for rng, n in _block_streams(sim):
+
+    def block(rng, n):
         near = (rng.random(n) < p if nearest_serves is None
                 else np.full(n, nearest_serves))
         r0 = sample_serving_distance(p, geom, rng, size=n)
-        flags.append(_served(rng, r0 * r0, near, ~near, geom, radius, theta))
-    return _estimate(np.concatenate(flags))
+        return _served(rng, r0 * r0, near, ~near, geom, radius, theta)
+
+    return _over_blocks(sim, block)
 
 
 def _check_tier_args(p, geom, theta):
@@ -292,8 +299,7 @@ def mc_stp_mbs(density: float, pathloss: float, theta: float,
     geom = TierGeometry(density=density, serving_radius=math.inf,
                         pathloss=pathloss)
     radius = sim.region_radius(geom)
-    return _estimate(np.concatenate([_macro_served(rng, n, geom, radius, theta)
-                                     for rng, n in _block_streams(sim)]))
+    return _over_blocks(sim, lambda rng, n: _macro_served(rng, n, geom, radius, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +339,13 @@ def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
     """
     _check_shape(policy, lib)
     theta = radio.sir_threshold
-    weights = preference_matrix(lib).ravel()
-    sizes = lib.super_layer_sizes.ravel()
-    pd_flat = policy.p_d.ravel()
-    ps_flat = policy.p_s.ravel()
-    radius_d = sim.region_radius(geoms.d2d)
-    radius_s = sim.region_radius(geoms.sbs)
-    radius_m = sim.region_radius(geoms.mbs)
+    weights = _Model.build(lib, geoms, radio).w.ravel()
+    sizes, pd_flat, ps_flat = (m.ravel() for m in (lib.super_layer_sizes,
+                                                    policy.p_d, policy.p_s))
+    radius_d, radius_s, radius_m = (sim.region_radius(g)
+                                    for g in (geoms.d2d, geoms.sbs, geoms.mbs))
 
-    values = []
-    for rng, n in _block_streams(sim):
+    def block(rng, n):
         cells = rng.choice(weights.size, size=n, p=weights)
         served_d = _tier_service(rng, n, pd_flat[cells], geoms.d2d, theta,
                                  radius_d, active=np.ones(n, dtype=bool))
@@ -351,5 +354,6 @@ def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
         # macro branch: always draw so the stream layout is policy-free
         success_m = _macro_served(rng, n, geoms.mbs, radius_m, theta)
         a, b, c_m = branch_costs(sizes[cells], success_m, radio)
-        values.append(np.where(served_d, a, np.where(served_s, b, c_m)))
-    return _estimate(np.concatenate(values))
+        return np.where(served_d, a, np.where(served_s, b, c_m))
+
+    return _over_blocks(sim, block)

@@ -6,8 +6,9 @@ set; the two tiers are stacked and projected in one call against a
 column of their budgets.  The gradient is the closed form of
 ``objective_gradient``, not a difference quotient, and the same call
 returns the delay, so each iterate is evaluated once.  What a solve
-never changes (the sizes and their check, the preference weights, the
-branch costs) is built once per solve, and iterates stay plain arrays.
+never changes is built once per solve: the sizes and their check here,
+and the instance's delay model (``delay._Model``: weights, branch costs
+and the hit terms' tier constants); iterates stay plain arrays.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
@@ -31,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .content import ContentLibrary, preference_matrix
-from .delay import (CacheBudgets, _cascade, _check_shape, branch_costs,
-                    cell_delay_matrix, overall_delay)
-from .geometry import NetworkGeometry, RadioConfig, hit_and_slope, hit_term, stp_mbs
+from .content import ContentLibrary
+from .delay import CacheBudgets, _check_shape, _Model, cell_delay_matrix, overall_delay
+from .geometry import NetworkGeometry, RadioConfig, hit_term
 from .policies import CachingPolicy, epcp, mpcp
 
 __all__ = [
@@ -192,38 +192,23 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
     """
     _check_shape(policy, lib)
     delay, grad = _objective(np.stack((policy.p_d, policy.p_s)),
-                             *_solve_terms(lib, geoms, radio), geoms, radio)
+                             _Model.build(lib, geoms, radio))
     return delay, grad[0], grad[1]
 
 
-def _solve_terms(lib, geoms, radio):
-    """What the objective reads that a solve never changes: the preference
-    weights and the three ``branch_costs`` matrices."""
-    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
-    return preference_matrix(lib), branch_costs(lib.super_layer_sizes, pm, radio)
-
-
-def _objective(p, w, costs, geoms, radio):
+def _objective(p, model):
     """``objective_gradient`` of the stacked (2, F, L) matrices ``p``,
-    entries in [0, 1]: the delay and the stacked gradient."""
-    theta = radio.sir_threshold
-    cells, grad = np.empty(w.shape), np.empty(p.shape)
-    for start in range(0, w.shape[0], _BLOCK_ROWS):
+    entries in [0, 1], on the instance's ``_Model``: the delay and the
+    stacked gradient."""
+    cells, grad = np.empty(model.w.shape), np.empty(p.shape)
+    for start in range(0, p.shape[1], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        a, b, c_m = (cost[rows] for cost in costs)
-        hit_d, slope_d = hit_and_slope(p[0, rows], geoms.d2d, theta)
-        hit_s, slope_s = hit_and_slope(p[1, rows], geoms.sbs, theta)
-        d2d, sbs, mbs = _cascade(hit_d, hit_s, a, b, c_m)
-        cells[rows] = w[rows] * (d2d + sbs + mbs)
-        grad[0, rows] = w[rows] * slope_d * (a - hit_s * b - (1.0 - hit_s) * c_m)
-        grad[1, rows] = w[rows] * (1.0 - hit_d) * slope_s * (b - c_m)
+        cells[rows], hit, slope = model.cells(p, rows)
+        w = model.w[rows]
+        a, b, c_m = (cost[rows] for cost in model.costs)
+        grad[0, rows] = w * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m)
+        grad[1, rows] = w * (1.0 - hit[0]) * slope[1] * (b - c_m)
     return float(cells.sum()), grad
-
-
-def _resolve_initial(initial, lib, budgets):
-    if isinstance(initial, CachingPolicy):
-        return initial
-    return _STARTS[initial](lib, budgets)
 
 
 def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
@@ -237,13 +222,15 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     stops once the delay change drops below ``convergence_tol`` or the
     iteration budget runs out.  The 1/t step does not guarantee monotone
     descent, so the best iterate seen (including the start) is tracked
-    and returned.  The sizes are checked, and the weights and branch
-    costs built, once per solve; iterates stay plain arrays and only the
-    returned policy is a ``CachingPolicy``.
+    and returned.  The sizes are checked, and the delay model built, once
+    per solve; iterates stay plain arrays and only the returned policy is
+    a ``CachingPolicy``.
     """
     cfg = cfg or OptimizerConfig()
     sizes, signed, capacity = _size_terms(lib.super_layer_sizes)
-    start = _resolve_initial(cfg.initial_policy, lib, budgets)
+    start = cfg.initial_policy
+    if not isinstance(start, CachingPolicy):
+        start = _STARTS[start](lib, budgets)
     _check_shape(start, lib)
     column = np.array([[budgets.m_d], [budgets.m_s]], dtype=float)
     target_d, target_s = min(budgets.m_d, capacity), min(budgets.m_s, capacity)
@@ -257,7 +244,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
                            p_s=feasible(start.p_s, budgets.m_s, target_s))
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
-    terms = _solve_terms(lib, geoms, radio)
+    model = _Model.build(lib, geoms, radio)
     best_p = None  # None while the start is the best iterate
     result = OptimizerResult(
         best_policy=policy, best_delay=current, delay_trajectory=[current],
@@ -269,7 +256,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
         if not np.all(np.isfinite(raw)):
             raise ValueError(f"iterate {t} is not finite")
         p = _project(raw, signed, capacity, column)
-        new, grad = _objective(p, *terms, geoms, radio)
+        new, grad = _objective(p, model)
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)
         result.budget_residual_d.append(abs(float((p[0] * sizes).sum()) - target_d))
@@ -376,11 +363,10 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     n_values = int(round(1.0 / grid_step)) + 1
 
     theta = radio.sir_threshold
-    weights = preference_matrix(lib).ravel()
+    model = _Model.build(lib, geoms, radio)
     sizes = lib.super_layer_sizes.ravel()
-    useful = np.flatnonzero(weights > 0)
-    w = weights[useful]
-    a, b, c_m = branch_costs(sizes[useful], stp_mbs(geoms.mbs.pathloss, theta), radio)
+    useful = np.flatnonzero(model.w.ravel() > 0)
+    w, a, b, c_m = (term.ravel()[useful] for term in (model.w, *model.costs))
 
     rows_d, hit_d = _tier_candidates(geoms.d2d, theta, sizes, budgets.m_d,
                                      n_values, useful)

@@ -106,6 +106,15 @@ def test_config_errors_name_the_field(tmp_path, line, field):
     assert field.split(".")[-1] in str(err.value)
 
 
+def test_hash_inside_a_value_is_not_a_comment():
+    raw = parse_config_text("output.path = runs/a#b.csv   # trailing note\n"
+                            "  # indented comment\n"
+                            "sim.trials = 500\t# after a tab\n")
+    assert raw["output.path"] == "runs/a#b.csv"
+    assert raw["sim.trials"] == 500
+    assert default_config().hash() == "9263891552252f5f"
+
+
 def test_config_hash_stable_and_sensitive():
     a = default_config()
     b = default_config()

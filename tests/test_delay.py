@@ -13,14 +13,13 @@ from svcache import (
     mc_delay_end_to_end,
     objective_gradient,
     overall_delay,
-    partial_delay_d2d,
-    partial_delay_mbs,
-    partial_delay_sbs,
     preference_matrix,
     stp_mbs,
 )
-from svcache.delay import branch_delays
-from svcache.geometry import RadioConfig
+from svcache.content import ContentLibrary
+from svcache.delay import _cascade, _Model, branch_costs
+from svcache.geometry import RadioConfig, hit_and_slope
+from svcache.optimizer import _BLOCK_ROWS
 
 THETA = 10.0**0.5
 LOG_TERM = math.log2(1.0 + THETA)
@@ -29,14 +28,14 @@ LOG_TERM = math.log2(1.0 + THETA)
 def test_branch_kernel_d2d_arithmetic():
     # hand numbers: hit 0.18087 on a 50 Mbit item over 20 MHz
     radio = RadioConfig(THETA, 20e6, 20e6, 10e6, 100e6)
-    d2d, _, _ = branch_delays(0.18087, 0.0, 0.3469, 50e6, radio)
+    d2d, _, _ = _cascade(0.18087, 0.0, *branch_costs(50e6, 0.3469, radio))
     assert d2d == pytest.approx(0.18087 * 50e6 / (20e6 * LOG_TERM), rel=1e-12)
     assert d2d == pytest.approx(0.2198, abs=2e-4)
 
 
 def test_branch_kernel_sbs_arithmetic():
     radio = RadioConfig(THETA, 20e6, 20e6, 10e6, 100e6)
-    _, sbs, _ = branch_delays(0.18087, 0.5, 0.3469, 50e6, radio)
+    _, sbs, _ = _cascade(0.18087, 0.5, *branch_costs(50e6, 0.3469, radio))
     assert sbs == pytest.approx((1 - 0.18087) * 0.5 * 50e6 / (20e6 * LOG_TERM),
                                 rel=1e-12)
     assert sbs == pytest.approx(0.4977, abs=2e-4)
@@ -44,20 +43,29 @@ def test_branch_kernel_sbs_arithmetic():
 
 def test_branch_kernel_mbs_arithmetic():
     radio = RadioConfig(THETA, 20e6, 20e6, 10e6, 100e6)
-    _, _, mbs = branch_delays(0.0, 0.0, 0.3469, 50e6, radio)
+    _, _, mbs = _cascade(0.0, 0.0, *branch_costs(50e6, 0.3469, radio))
     expected = 50e6 / 100e6 + 0.3469 * 50e6 / (10e6 * LOG_TERM)
     assert mbs == pytest.approx(expected, rel=1e-12)
     assert mbs == pytest.approx(1.3432, abs=2e-4)
 
 
+def _cell(part, f, l, p_d, p_s, lib, geoms, radio):
+    """One cell of a partial-delay matrix of overall_delay, the cell's
+    caching probabilities set and every other cell at zero."""
+    pd, ps = np.zeros(lib.shape), np.zeros(lib.shape)
+    pd[f - 1, l - 1], ps[f - 1, l - 1] = p_d, p_s
+    breakdown = overall_delay(CachingPolicy(pd, ps), lib, geoms, radio)
+    return float(getattr(breakdown, part)[f - 1, l - 1])
+
+
 def test_partial_delays_zero_cases(lib, geoms, radio):
-    assert partial_delay_d2d(1, 2, 0.0, lib, geoms.d2d, radio) == 0.0
-    assert partial_delay_sbs(1, 2, 0.5, 0.0, lib, geoms.d2d, geoms.sbs, radio) == 0.0
+    assert _cell("d2d", 1, 2, 0.0, 0.0, lib, geoms, radio) == 0.0
+    assert _cell("sbs", 1, 2, 0.5, 0.0, lib, geoms, radio) == 0.0
 
 
 def test_partial_delay_scales_with_item_size(lib, geoms, radio):
-    one = partial_delay_d2d(4, 1, 0.5, lib, geoms.d2d, radio)
-    two = partial_delay_d2d(4, 2, 0.5, lib, geoms.d2d, radio)
+    one = _cell("d2d", 4, 1, 0.5, 0.0, lib, geoms, radio)
+    two = _cell("d2d", 4, 2, 0.5, 0.0, lib, geoms, radio)
     assert two == pytest.approx(2.0 * one, rel=1e-12)  # uniform layers: c doubles
 
 
@@ -66,9 +74,9 @@ def test_partial_delay_consistency_with_hit_terms(lib, geoms, radio):
     hs = hit_term(0.7, geoms.sbs, radio.sir_threshold)
     pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
     c = 50e6
-    assert partial_delay_sbs(2, 2, 0.4, 0.7, lib, geoms.d2d, geoms.sbs, radio) \
+    assert _cell("sbs", 2, 2, 0.4, 0.7, lib, geoms, radio) \
         == pytest.approx((1 - hd) * hs * c / (20e6 * LOG_TERM), rel=1e-12)
-    assert partial_delay_mbs(2, 2, 0.4, 0.7, lib, geoms, radio) == pytest.approx(
+    assert _cell("mbs", 2, 2, 0.4, 0.7, lib, geoms, radio) == pytest.approx(
         (1 - hd) * (1 - hs) * c * (1 / radio.backhaul_rate + pm / (10e6 * LOG_TERM)),
         rel=1e-12)
 
@@ -77,7 +85,7 @@ def test_mbs_delay_decreasing_in_backhaul_rate(lib, geoms):
     values = []
     for rate in (1e6, 5e6, 20e6, 100e6):
         radio = RadioConfig(THETA, 20e6, 20e6, 10e6, rate)
-        values.append(partial_delay_mbs(1, 2, 0.2, 0.2, lib, geoms, radio))
+        values.append(_cell("mbs", 1, 2, 0.2, 0.2, lib, geoms, radio))
     assert np.all(np.diff(values) < 0)
 
 
@@ -92,8 +100,9 @@ def test_overall_delay_breakdown(lib, geoms, radio):
     assert np.all(bd.d2d >= 0) and np.all(bd.sbs >= 0) and np.all(bd.mbs >= 0)
     # spot-check one cell against the scalar operations
     f, l = 5, 2
+    a, _, _ = branch_costs(lib.super_layer_sizes[f - 1, l - 1], 0.0, radio)
     assert bd.d2d[f - 1, l - 1] == pytest.approx(
-        partial_delay_d2d(f, l, policy.p_d[f - 1, l - 1], lib, geoms.d2d, radio),
+        hit_term(policy.p_d[f - 1, l - 1], geoms.d2d, radio.sir_threshold) * a,
         rel=1e-12)
 
 
@@ -137,6 +146,12 @@ def test_hit_rate_values_and_monotonicity(lib, geoms, radio):
     assert surface.min() >= 0.0 and surface.max() <= 1.0
 
 
+@pytest.mark.parametrize("f, l", [(999, 7), (0, 1), (21, 1), (1, 0), (1, 3)])
+def test_hit_rate_rejects_an_item_outside_the_catalog(lib, geoms, radio, f, l):
+    with pytest.raises(IndexError, match="out of range"):
+        hit_rate(f, l, 0.3, 0.4, lib, geoms, radio)
+
+
 def test_hand_computed_hit_rate():
     # 1 - (1 - 0.18087) * (1 - 0.5) with injected hit terms
     assert 1 - (1 - 0.18087) * 0.5 == pytest.approx(0.59044, abs=1e-5)
@@ -160,3 +175,25 @@ def test_cache_budgets_validation():
         CacheBudgets(m_d=0.0, m_s=1.0)
     with pytest.raises(ValueError):
         CacheBudgets(m_d=1.0, m_s=-5.0)
+
+
+@pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
+def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
+    # 5 000 files cross the gradient's row block; the model is read per block
+    if file_count != lib.file_count:
+        lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
+    model = _Model.build(lib, geoms, radio)
+    rng = np.random.default_rng(file_count)
+    stacks = [rng.random((2, *lib.shape)) for _ in range(3)]
+    stacks += [np.zeros((2, *lib.shape)), np.ones((2, *lib.shape))]
+    mixed = rng.random((2, *lib.shape))
+    mixed[:, ::3], mixed[:, 1::3] = 0.0, 1.0
+    stacks.append(mixed)
+    theta = radio.sir_threshold
+    for p in stacks:
+        for rows in (slice(None), slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)):
+            _, hit, slope = model.cells(p, rows)
+            for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
+                want_hit, want_slope = hit_and_slope(p[tier, rows], geom, theta)
+                assert np.array_equal(hit[tier], want_hit)
+                assert np.array_equal(slope[tier], want_slope)
