@@ -12,7 +12,10 @@ Everything reduces to the tail integral
     g_integral(a, b) = integral_b^inf dx / (1 + x^(a/2)),   a > 2,
 
 which has the closed form pi/2 - arctan(b) at a = 4 and is evaluated by
-adaptive quadrature plus an analytic tail series otherwise.
+adaptive quadrature plus an analytic tail series otherwise.  Only that
+quadrature needs scipy, so ``scipy.integrate`` is imported on the first
+non-quartic call; importing the package and working at a = 4 load numpy
+alone.
 
 All probability functions accept scalars or numpy arrays for the caching
 probability ``p`` and broadcast elementwise.  Thresholds are linear SIR
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "NetworkGeometry",
@@ -153,6 +155,8 @@ _TAIL_TERM_TOL = 1e-14
 
 def _g_quadrature(a: float, b: float) -> float:
     """Tail integral of 1/(1+x^(a/2)) from b, without the a=4 shortcut."""
+    from scipy import integrate  # the package's only scipy use; loads here
+
     s = a / 2.0
     cut = max(b, 10.0) * _TAIL_FACTOR
     head, _ = integrate.quad(lambda x: 1.0 / (1.0 + x**s), b, cut,
@@ -175,7 +179,8 @@ def g_integral(a: float, b: float) -> float:
 
     Returns the closed form pi/2 - arctan(b) when a == 4; otherwise
     adaptive quadrature on [b, cut] plus the analytic alternating tail
-    series, accurate to better than 1e-10 absolute.
+    series, accurate to better than 1e-10 absolute.  scipy is imported on
+    the first such non-quartic call, never at a == 4.
     """
     a = float(a)
     b = float(b)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary
-from .delay import _check_shape, _Model, branch_costs
+from .content import ContentLibrary, preference_matrix
+from .delay import _check_shape, branch_costs
 from .geometry import NetworkGeometry, RadioConfig, TierGeometry, _check_theta, _prob
 
 __all__ = [
@@ -168,23 +168,23 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     gain_rng = np.random.Generator(gain_bits)
     # one set of buffers per call, sized to the largest sub-chunk
     size = int(np.add.reduceat(counts, np.arange(0, idx_all.size, _SUB)).max())
-    u_buf, gain_buf, lo_buf, r_buf = (np.empty(size) for _ in range(4))
+    u_buf, gain_buf, r_buf = (np.empty(size) for _ in range(3))
     for s in range(0, idx_all.size, _SUB):
         e = min(s + _SUB, idx_all.size)
         c = counts[s:e]
         total = int(c.sum())
         u = rng.random(out=u_buf[:total])
         gains = gain_rng.standard_exponential(out=gain_buf[:total])
-        owner = np.repeat(np.arange(e - s), c)
         r = r_buf[:total]
         if lo_is_server:
-            lo = np.take(r0s[s:e], owner, out=lo_buf[:total])
+            lo = np.repeat(r0s[s:e], c)
             np.subtract(r_max_sq, lo, out=r)
             np.multiply(u, r, out=r)
             np.add(lo, r, out=r)
         else:
             np.multiply(r_max_sq, u, out=r)
         np.multiply(gains, _pow_neg_half(r, alpha, out=r), out=r)
+        owner = np.repeat(np.arange(e - s), c)
         out[idx_all[s:e]] = np.bincount(owner, weights=r, minlength=e - s)
     # advance() clears the buffered 32-bit half; keep the caller's
     state = rng.bit_generator.state
@@ -339,7 +339,7 @@ def mc_delay_end_to_end(policy, lib: ContentLibrary, geoms: NetworkGeometry,
     """
     _check_shape(policy, lib)
     theta = radio.sir_threshold
-    weights = _Model.build(lib, geoms, radio).w.ravel()
+    weights = preference_matrix(lib).ravel()
     sizes, pd_flat, ps_flat = (m.ravel() for m in (lib.super_layer_sizes,
                                                     policy.p_d, policy.p_s))
     radius_d, radius_s, radius_m = (sim.region_radius(g)

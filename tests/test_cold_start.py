@@ -1,0 +1,62 @@
+"""Both sides of the lazy scipy import, each in a fresh interpreter.
+
+The package loads numpy alone; ``scipy.integrate`` is imported by the
+first non-quartic ``g_integral`` call.  This suite's own process has
+scipy loaded already, so each check runs in a subprocess.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from svcache import TierGeometry, g_integral, stp_cache_tier
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(script, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_quartic_cli_runs_load_no_scipy(tmp_path):
+    lines = _run("""
+        import sys, time
+        start = time.perf_counter()
+        import svcache
+        import_s = time.perf_counter() - start
+        from svcache import cli
+        assert cli.main(["optimize", "--out", "optimize.csv"]) == 0
+        assert cli.main(["baselines", "--out", "baselines.csv"]) == 0
+        loaded = sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))
+        print(f"import svcache: {import_s:.3f} s")
+        print(loaded)
+    """, tmp_path)
+    print(lines[0])  # visible with -s; timing only, never asserted
+    assert lines[1] == "[]"
+    assert (tmp_path / "optimize.csv").exists()
+    assert (tmp_path / "baselines.csv").exists()
+
+
+def test_non_quartic_path_loads_scipy_on_demand(tmp_path):
+    lines = _run("""
+        import sys
+        from svcache import TierGeometry, g_integral, stp_cache_tier
+        print("scipy.integrate" in sys.modules)
+        print(float(g_integral(3.5, 2.0)).hex())
+        print(float(stp_cache_tier(0.5, TierGeometry(0.01, 20.0, 3.5), 3.0)).hex())
+        print("scipy.integrate" in sys.modules)
+    """, tmp_path)
+    assert lines == [
+        "False",
+        float(g_integral(3.5, 2.0)).hex(),
+        float(stp_cache_tier(0.5, TierGeometry(0.01, 20.0, 3.5), 3.0)).hex(),
+        "True",
+    ]
