@@ -95,31 +95,35 @@ def _cascade(hit_d, hit_s, a, b, c_m):
 class _Model:
     """What the delay of an instance reads besides the policy, built once
     from ``(lib, geoms, radio)``: the preference weights ``w``, the three
-    ``branch_costs`` matrices and, stacked d2d over sbs as (2, 1, 1)
-    columns, the ``_tier_terms`` of the two cached tiers."""
+    ``branch_costs`` matrices and the ``_tier_terms`` of the two cached
+    tiers, stacked d2d over sbs: the disk masses ``area`` as a (2, 1, 1)
+    column and the threshold ``terms`` as (2 terms, 2 tiers, 1, 1).  Only
+    ``cells`` reads the tier terms; ``build(..., tiers=False)`` leaves them
+    None for readers of ``w`` and ``costs`` alone."""
 
     w: np.ndarray
     costs: tuple
-    area: np.ndarray
-    t_x: np.ndarray
-    t_0: np.ndarray
+    area: np.ndarray | None = None
+    terms: np.ndarray | None = None
 
     @classmethod
     def build(cls, lib: ContentLibrary, geoms: NetworkGeometry,
-              radio: RadioConfig) -> _Model:
+              radio: RadioConfig, tiers: bool = True) -> _Model:
         theta = radio.sir_threshold
         pm = stp_mbs(geoms.mbs.pathloss, theta)
-        terms = np.array([_tier_terms(geoms.d2d, theta),
-                          _tier_terms(geoms.sbs, theta)]).T[:, :, None, None]
-        return cls(preference_matrix(lib),
-                   branch_costs(lib.super_layer_sizes, pm, radio), *terms)
+        read = (preference_matrix(lib), branch_costs(lib.super_layer_sizes, pm, radio))
+        if not tiers:
+            return cls(*read)
+        area, terms = zip(_tier_terms(geoms.d2d, theta), _tier_terms(geoms.sbs, theta))
+        return cls(*read, np.array(area)[:, None, None],
+                   np.stack(terms, axis=1)[:, :, None, None])
 
     def cells(self, p, rows=slice(None)):
         """Weighted per-cell delays of the stacked (2, F, L) matrices ``p``
         on ``rows``, and their stacked hits and slopes there.  Entries must
         lie in [0, 1] (policy matrices and projected iterates do); they are
         not checked here."""
-        hit, slope = _hit(p[:, rows], self.area, self.t_x, self.t_0)
+        hit, slope = _hit(p[:, rows], self.area, self.terms)
         d2d, sbs, mbs = _cascade(hit[0], hit[1], *(c[rows] for c in self.costs))
         return self.w[rows] * (d2d + sbs + mbs), hit, slope
 
@@ -156,7 +160,7 @@ def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
         sum_{f,l} p_{f,l} * (d2d + sbs + mbs).
     """
     _check_shape(policy, lib)
-    model = _Model.build(lib, geoms, radio)
+    model = _Model.build(lib, geoms, radio, tiers=False)
     d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, model, geoms, radio.sir_threshold)
     total = float((model.w * (d2d + sbs + mbs)).sum())
     return DelayBreakdown(d2d=d2d, sbs=sbs, mbs=mbs, total=total)
@@ -169,7 +173,7 @@ def cell_delay_matrix(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     The overall delay is the plain sum of this matrix, and each cell
     depends only on its own pair of caching probabilities.
     """
-    model = _Model.build(lib, geoms, radio)
+    model = _Model.build(lib, geoms, radio, tiers=False)
     d2d, sbs, mbs = _branches(p_d, p_s, model, geoms, radio.sir_threshold)
     return model.w * (d2d + sbs + mbs)
 
@@ -191,5 +195,5 @@ def all_miss_delay(lib: ContentLibrary, geoms: NetworkGeometry,
                    radio: RadioConfig) -> float:
     """Closed form of the overall delay when nothing is cached anywhere:
     every request pays backhaul retrieval plus macro downlink."""
-    model = _Model.build(lib, geoms, radio)
+    model = _Model.build(lib, geoms, radio, tiers=False)
     return float((model.w * model.costs[2]).sum())

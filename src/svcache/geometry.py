@@ -225,19 +225,21 @@ def _q(p, area, t):
 
 
 def _tier_terms(geom: TierGeometry, theta: float):
-    """The mean node count A in the disk and the threshold terms of the hit
-    term: t_x = theta^(2/a) * G(a, theta^(-2/a)) and t_0 = theta^(2/a) * G(a, 0)."""
+    """The mean node count A in the disk and, stacked in one array, the
+    threshold terms of the hit term: t_x = theta^(2/a) * G(a, theta^(-2/a))
+    over t_0 = theta^(2/a) * G(a, 0)."""
     t = theta ** (2.0 / geom.pathloss)
-    return (geom.mean_nodes_in_radius,
-            t * g_integral(geom.pathloss, theta ** (-2.0 / geom.pathloss)),
-            t * g_integral(geom.pathloss, 0.0))
+    return geom.mean_nodes_in_radius, np.array([
+        t * g_integral(geom.pathloss, theta ** (-2.0 / geom.pathloss)),
+        t * g_integral(geom.pathloss, 0.0)])
 
 
-def _hit(p, area, t_x, t_0):
+def _hit(p, area, terms):
     """Hit term p(p(q_x - q_0) + q_0) of a checked array and its slope
-    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'; ``_tier_terms`` broadcast."""
-    q_x, dq_x = _q(p, area, t_x)
-    q_0, dq_0 = _q(p, area, t_0)
+    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'.  ``terms`` stacks t_x
+    over t_0 on a leading axis that broadcasts against ``p``, so one ``_q``
+    call gives both factors."""
+    (q_x, q_0), (dq_x, dq_0) = _q(p, area, terms)
     gap = q_x - q_0
     return (p * (p * gap + q_0),
             2.0 * p * gap + p * p * (dq_x - dq_0) + q_0 + p * dq_0)
@@ -332,5 +334,7 @@ def hit_term(p, geom: TierGeometry, theta: float):
 def hit_and_slope(p, geom: TierGeometry, theta: float):
     """:func:`hit_term` and its exact slope in ``p``, elementwise (``_hit``)."""
     _check_theta(theta)
-    hit, slope = _hit(_prob(p, geom), *_tier_terms(geom, theta))
+    arr = _prob(p, geom)
+    area, terms = _tier_terms(geom, theta)
+    hit, slope = _hit(arr, area, terms.reshape((2,) + (1,) * arr.ndim))
     return _scalar(p, hit), _scalar(p, slope)

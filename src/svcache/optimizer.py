@@ -6,9 +6,13 @@ set; the two tiers are stacked and projected in one call against a
 column of their budgets.  The gradient is the closed form of
 ``objective_gradient``, not a difference quotient, and the same call
 returns the delay, so each iterate is evaluated once.  What a solve
-never changes is built once per solve: the sizes and their check here,
-and the instance's delay model (``delay._Model``: weights, branch costs
-and the hit terms' tier constants); iterates stay plain arrays.
+never changes is built once per solve: the projector (``_Projector``:
+the sizes and their check, the capacity, the budget levels, the rows
+whose budget leaves them at ones, and the work buffers the breakpoints
+are sorted and accumulated in) and the instance's delay model
+(``delay._Model``: weights, branch costs and the hit terms' tier
+constants, stacked so both threshold terms of both tiers go through one
+``_q`` call); iterates stay plain arrays.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
@@ -112,68 +116,134 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the root (the breakpoint method of Duchi et al., 2008, and Condat,
     2016).  When the budget is at least the whole catalog the equality is
     unattainable and the all-ones matrix is returned (budget non-binding).
-    The checks are made here; ``_project`` is the kernel behind them.
+    The checks are made here; ``_Projector`` is the kernel behind them.
     """
     if not budget > 0:
         raise ValueError("budget must be strictly positive")
-    sizes, signed, capacity = _size_terms(sizes)
+    project = _Projector(sizes, budget)
     p_hat = np.asarray(p_hat, dtype=float)
-    if p_hat.shape[p_hat.ndim - sizes.ndim:] != sizes.shape:
+    if p_hat.shape[p_hat.ndim - project.sizes.ndim:] != project.sizes.shape:
         raise ValueError("p_hat must end with the shape of sizes")
     if not np.all(np.isfinite(p_hat)):
         raise ValueError("p_hat must be finite")
-    return _project(p_hat, signed, capacity, budget)
+    return project(p_hat)
 
 
-def _size_terms(sizes):
-    """Checked ``sizes`` as floats, the signed usage slopes concat(-s, s)
-    of the 2n breakpoints, and the capacity sum(s)."""
-    sizes = np.asarray(sizes, dtype=float)
-    if not np.all((sizes > 0) & (sizes < np.inf)):
-        raise ValueError("sizes must be finite and strictly positive")
-    return sizes, np.concatenate((-sizes.ravel(), sizes.ravel())), sizes.sum()
+# Row blocks keep temporaries cache-resident: gradient cost linear in F*L,
+# and the projection's work buffers a bounded size.
+_BLOCK_ROWS = 4096
+# 0-d operands: cheaper in small ufunc calls than Python floats
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
-def _project(p_hat, signed, capacity, budget):
-    """The breakpoint projection of ``project_budget`` on checked input.
+class _Projector:
+    """The breakpoint projection of ``project_budget`` for one ``sizes`` and
+    one budget, applied to any number of batches of finite input.
 
     ``budget`` is a positive scalar shared by every trailing block, or a
-    column with one budget per block; a block whose budget is at least
-    ``capacity`` comes back as exact ones.
+    column with one budget per block; a block whose budget is at least the
+    capacity sum(sizes) comes back as exact ones.  The sizes are checked,
+    and what they and the budget fix is derived, once: the signed usage
+    slopes concat(-s, s) of the 2n breakpoints, the capacity, the budget
+    levels and the blocks left to solve.  Blocks are solved ``_BLOCK_ROWS``
+    at a time in work buffers that are reused across calls, through views
+    made only when the row count changes; every returned array is new.
     """
-    rows = p_hat.reshape(-1, signed.size // 2)
-    level = budget
-    if np.ndim(budget):
-        full = budget[:, 0] >= capacity
-        if full.any():
-            out = np.ones_like(rows)
-            out[~full] = _project(rows[~full], signed, capacity, budget[~full])
-            return out.reshape(p_hat.shape)
-        level = budget[:, 0]
-    elif budget >= capacity:
-        return np.ones_like(p_hat)
-    points = np.concatenate((rows - 1.0, rows), axis=1)
-    order = np.argsort(points, axis=1, kind="stable")
-    # row r starts at r*2n in the raveled arrays: gather through flat indices
-    offset = np.arange(0, points.size, points.shape[1])
-    points = points.ravel()[order + offset[:, None]].reshape(points.shape)
-    # usage slope after each breakpoint: -s_i once entry i leaves the cap,
-    # back up by s_i once it reaches zero
-    slope = np.cumsum(signed[order], axis=1)
-    usage = np.empty_like(points)
-    usage[:, 0] = capacity
-    usage[:, 1:] = capacity + np.cumsum(slope[:, :-1] * np.diff(points, axis=1), axis=1)
-    usage[:, -1] = 0.0  # exact at max(p_hat); pinned so rounding cannot skip it
-    # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
-    k = np.argmax(usage[:, 1:] <= budget, axis=1) + offset
-    points, usage = points.ravel(), usage.ravel()
-    lo, hi, above, below = points[k], points[k + 1], usage[k], usage[k + 1]
-    u = lo + (above - level) / (above - below) * (hi - lo)
-    return np.clip(rows - u[:, None], 0.0, 1.0).reshape(p_hat.shape)
 
+    def __init__(self, sizes, budget):
+        sizes = np.asarray(sizes, dtype=float)
+        if not np.all((sizes > 0) & (sizes < np.inf)):
+            raise ValueError("sizes must be finite and strictly positive")
+        self.sizes = sizes
+        self._signed = np.concatenate((-sizes.ravel(), sizes.ravel()))
+        self._capacity = np.asarray(sizes.sum())
+        # rows to solve: None for all of them; the rest are exact ones
+        self._solve, self._level = None, budget
+        if np.ndim(budget):
+            full = budget[:, 0] >= self._capacity
+            if full.any():
+                self._solve = np.flatnonzero(~full)
+            self._level = budget[~full]
+        elif budget >= self._capacity:
+            self._solve = np.empty(0, dtype=np.intp)
+        self._allocated = self._m = 0
 
-# Row blocks keep temporaries cache-resident: gradient cost linear in F*L.
-_BLOCK_ROWS = 4096
+    def __call__(self, p_hat):
+        rows = p_hat.reshape(-1, self.sizes.size)
+        if self._solve is None:
+            return self._project(rows).reshape(p_hat.shape)
+        out = np.ones_like(rows)
+        if self._solve.size:
+            out[self._solve] = self._project(rows[self._solve])
+        return out.reshape(p_hat.shape)
+
+    def _project(self, rows):
+        out = np.empty_like(rows)
+        if rows.shape[0] <= _BLOCK_ROWS:  # the solver's two rows: one block
+            self._kernel(rows, self._level, out)
+            return out
+        column = np.ndim(self._level) > 0
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            self._kernel(rows[block], self._level[block] if column else self._level,
+                         out[block])
+        return out
+
+    def _views(self, m):
+        """Aim the work views at the first ``m`` rows of the buffers, which
+        grow when no earlier block was as large."""
+        n = self.sizes.size
+        if m > self._allocated:
+            self._allocated = m
+            self._buffers = [np.empty((m, 2 * n)) for _ in range(4)]
+            self._buffers[3][:, 0] = self._capacity
+            # exact at max(p_hat); pinned so rounding cannot skip it
+            self._buffers[3][:, -1] = 0.0
+            self._buffers += [np.empty((m, 2 * n - 1), dtype=bool),
+                              # row r starts at r*2n in the raveled buffers
+                              np.arange(0, 2 * n * m, 2 * n)[:, None]]
+        (self._points, self._sorted, self._slope, usage, self._below,
+         self._offset) = (b[:m] for b in self._buffers)
+        self._low, self._high = self._points[:, :n], self._points[:, n:]
+        self._inner = self._sorted[:, 1:-1]
+        self._head = self._sorted[:, :-2]
+        self._head_slope = self._slope[:, :-2]
+        self._inner_usage, self._tail_usage = usage[:, 1:-1], usage[:, 1:]
+        self._flat_points, self._flat_sorted, self._flat_usage = (
+            self._points.ravel(), self._sorted.ravel(), usage.ravel())
+        self._m = m
+
+    def _kernel(self, rows, level, out):
+        """Project ``rows`` at budget ``level`` into ``out``."""
+        if rows.shape[0] != self._m:
+            self._views(rows.shape[0])
+        np.subtract(rows, _ONE, out=self._low)
+        np.copyto(self._high, rows)
+        order = self._points.argsort(axis=1, kind="stable")
+        # usage slope after each breakpoint: -s_i once entry i leaves the cap,
+        # back up by s_i once it reaches zero
+        self._signed.take(order, out=self._slope, mode="clip")
+        np.add.accumulate(self._slope, 1, out=self._slope)
+        # gather the sorted breakpoints through flat indices
+        order += self._offset
+        self._flat_points.take(order, out=self._sorted, mode="clip")
+        # the usage between the first and the last breakpoint, both fixed:
+        # capacity + cumsum(slope * diff(sorted))
+        usage = np.subtract(self._inner, self._head, out=self._inner_usage)
+        np.multiply(self._head_slope, usage, out=usage)
+        np.add.accumulate(usage, 1, out=usage)
+        np.add(usage, self._capacity, out=usage)
+        # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
+        np.less_equal(self._tail_usage, level, out=self._below)
+        k = self._below.argmax(axis=1, keepdims=True)
+        k += self._offset
+        k_next = k + 1
+        lo, hi = self._flat_sorted.take(k), self._flat_sorted.take(k_next)
+        above, below = self._flat_usage.take(k), self._flat_usage.take(k_next)
+        np.subtract(rows, lo + (above - level) / (above - below) * (hi - lo), out=out)
+        # np.clip(out, 0.0, 1.0) without its Python wrapper
+        np.maximum(_ZERO, out, out=out)
+        np.minimum(out, _ONE, out=out)
 
 
 def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
@@ -227,21 +297,21 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     a ``CachingPolicy``.
     """
     cfg = cfg or OptimizerConfig()
-    sizes, signed, capacity = _size_terms(lib.super_layer_sizes)
+    project = _Projector(lib.super_layer_sizes,
+                         np.array([[budgets.m_d], [budgets.m_s]], dtype=float))
+    sizes, capacity = project.sizes, project.sizes.sum()
     start = cfg.initial_policy
     if not isinstance(start, CachingPolicy):
         start = _STARTS[start](lib, budgets)
     _check_shape(start, lib)
-    column = np.array([[budgets.m_d], [budgets.m_s]], dtype=float)
     target_d, target_s = min(budgets.m_d, capacity), min(budgets.m_s, capacity)
-
-    def feasible(matrix, budget, target):
-        if abs(float((matrix * sizes).sum()) - target) <= 1e-9 * budget:
-            return matrix
-        return _project(matrix, signed, capacity, budget)
-
-    policy = CachingPolicy(p_d=feasible(start.p_d, budgets.m_d, target_d),
-                           p_s=feasible(start.p_s, budgets.m_s, target_s))
+    p = np.stack((start.p_d, start.p_s))
+    off = [abs(float((matrix * sizes).sum()) - target) > 1e-9 * budget
+           for matrix, budget, target in zip(p, (budgets.m_d, budgets.m_s),
+                                             (target_d, target_s))]
+    if any(off):  # project both tiers; a tier already on its budget keeps its start
+        p = np.where(np.reshape(off, (2, 1, 1)), project(p), p)
+    policy = CachingPolicy(p_d=p[0], p_s=p[1])
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
     model = _Model.build(lib, geoms, radio)
@@ -253,9 +323,9 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     for t in range(1, cfg.max_iterations + 1):
         eps = 1.0 / t
         raw = p - eps * grad
-        if not np.all(np.isfinite(raw)):
+        if not np.isfinite(raw).all():
             raise ValueError(f"iterate {t} is not finite")
-        p = _project(raw, signed, capacity, column)
+        p = project(raw)
         new, grad = _objective(p, model)
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)
@@ -329,8 +399,9 @@ def _tier_candidates(geom, theta, sizes_flat, budget, n_values, useful):
     for bit against the full grid at steps 0.05 and 0.02 (half budgets).
     """
     rows, keys = [], []
-    for raw in _grid_chunks(sizes_flat.size, n_values):
-        block = project_budget(raw, sizes_flat, budget)
+    # one projector for every block; its buffers go with the loop
+    for block in map(_Projector(sizes_flat, budget),
+                     _grid_chunks(sizes_flat.size, n_values)):
         key = np.rint(block[:, useful] * 1e9).astype(np.int64)
         keep = _first_of_each_key(key)
         # drop the full block before the next projection allocates its own

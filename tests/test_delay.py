@@ -197,3 +197,23 @@ def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
                 want_hit, want_slope = hit_and_slope(p[tier, rows], geom, theta)
                 assert np.array_equal(hit[tier], want_hit)
                 assert np.array_equal(slope[tier], want_slope)
+
+
+def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
+    # overall_delay, cell_delay_matrix and all_miss_delay read only the
+    # weights and branch costs of the model; its tier terms serve cells()
+    from svcache import delay
+
+    expected = (overall_delay(CachingPolicy.zeros(*lib.shape), lib, geoms, radio).total,
+                all_miss_delay(lib, geoms, radio))
+
+    def refused(*args):
+        raise AssertionError("tier terms built for a reader of w and costs")
+
+    monkeypatch.setattr(delay, "_tier_terms", refused)
+    zero = CachingPolicy.zeros(*lib.shape)
+    assert overall_delay(zero, lib, geoms, radio).total == expected[0]
+    assert delay.cell_delay_matrix(zero.p_d, zero.p_s, lib, geoms, radio).sum() == expected[0]
+    assert all_miss_delay(lib, geoms, radio) == expected[1]
+    with pytest.raises(AssertionError, match="tier terms"):
+        _Model.build(lib, geoms, radio)

@@ -14,6 +14,7 @@ from svcache import (
     CacheBudgets,
     CachingPolicy,
     ContentLibrary,
+    RadioConfig,
     all_miss_delay,
     epcp,
     grid_oracle,
@@ -156,10 +157,8 @@ def test_project_matches_take_along_axis_reference(lib, fraction):
 
 
 def _kernel(p_hat, sizes, budget):
-    """``optimizer._project`` on checked input, as ``optimize`` calls it."""
-    sizes, signed, capacity = optimizer._size_terms(sizes)
-    return optimizer._project(np.asarray(p_hat, dtype=float), signed,
-                              capacity, budget)
+    """``optimizer._Projector`` on checked input, as ``optimize`` calls it."""
+    return optimizer._Projector(sizes, budget)(np.asarray(p_hat, dtype=float))
 
 
 @pytest.mark.parametrize("duplicates", [False, True], ids=["random", "duplicates"])
@@ -202,6 +201,37 @@ def test_project_full_row_is_exact_ones(lib, factor):
                                           project_budget(pair[row], sizes, budget))
         assert np.array_equal(project_budget(pair[0], sizes, factor * capacity),
                               np.ones((20, 2)))
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["scalar", "column"])
+def test_projector_reused_matches_project_budget_row_by_row(lib, column):
+    # one projector, as optimize and the grid oracle build it, applied to
+    # seeded random stacked iterates; with a scalar budget the row counts
+    # vary and one batch spans two row blocks of the work buffers
+    rng = np.random.default_rng(13)
+    sizes = lib.super_layer_sizes
+    capacity = sizes.sum()
+    if column:  # the third row's budget is at the capacity: exact ones
+        budget = np.array([[0.2], [0.7], [1.0], [0.05]]) * capacity
+        counts = [4] * 4
+    else:
+        budget = 0.3 * capacity
+        counts = [2, 2, 7, 1, optimizer._BLOCK_ROWS + 3, 7]
+    project = optimizer._Projector(sizes, budget)
+    results = []
+    for count in counts:
+        stack = rng.uniform(-1.0, 2.0, (count, *sizes.shape))
+        got = project(stack)
+        assert got.shape == stack.shape
+        for row, matrix in enumerate(stack):
+            level = budget[row, 0] if column else budget
+            assert got[row].tobytes() == project_budget(matrix, sizes, level).tobytes()
+        results.append((got, got.copy()))
+    # no result aliases the reused buffers: later calls leave it alone
+    for got, kept in results:
+        assert got.tobytes() == kept.tobytes()
+    for (first, _), (second, _) in itertools.combinations(results, 2):
+        assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
@@ -420,23 +450,60 @@ def test_optimize_beats_or_matches_cold_start(lib, geoms, radio, budgets):
     assert warm.best_delay <= cold.best_delay + 1e-12
 
 
-@pytest.mark.parametrize("start, iterations, best_delay, trajectory_sha256", [
-    ("mpcp", 53, 6.278539072534185,
-     "a16b1af4798841dd8f85dd3efe5e4b9b88611f6acffdf49c4c6bc68cb26d1bb7"),
-    ("epcp", 100, 6.444817498211277,
-     "c93379bb0890b8142fd161517124d25a909e694fd489fcd374aa58d507cc073b"),
-], ids=["mpcp", "epcp"])
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+_STEPS_100 = "b870324e760284c19a67900e2a4ae68a1b99f987d9d89a1f643b132b14efa9b9"
+
+
+@pytest.mark.parametrize(
+    "start, theta_db, m_d_factor, iterations, best_delay, sha256", [
+        ("mpcp", 5.0, None, 53, 6.278539072534185, {
+            "trajectory": "a16b1af4798841dd8f85dd3efe5e4b9b88611f6acffdf49c4c6bc68cb26d1bb7",
+            "steps": "5c9abf652503581451c2f32cc282365a2ae616d21026035da8fbdc1e6a739047",
+            "residual_d": "26378f52882eb79913fb6d604d90ea5383a86724a7beb469ff1dfb9fec0cb4ce",
+            "residual_s": "9acb9dde4b82adb3771873d73668be9c6b989e7c5085b4f20645d48de394da3a"}),
+        ("epcp", 5.0, None, 100, 6.444817498211277, {
+            "trajectory": "c93379bb0890b8142fd161517124d25a909e694fd489fcd374aa58d507cc073b",
+            "steps": _STEPS_100,
+            "residual_d": "81849893c2e986940e090a760ae441bfa21382b66f382277d684d72a93927e53",
+            "residual_s": "82f7bb875c550f73c129cb9d5821a38aa98b27cd19de91356159b35dd94b39aa"}),
+        ("epcp", 3.0, None, 100, 6.299748535625987, {
+            "trajectory": "db632eca5e4d4b5375143c970fc25413a57bf34a552ef0983aba6db22b342d1d",
+            "steps": _STEPS_100,
+            "residual_d": "4a7a096ebc745baf143a17828edbe0899a2b4eae30283b2de26947ddebc71ee1",
+            "residual_s": "b934e4486335c75e34cd529ea1cb7a6b473ad8d8bf5c8e67920e72070c083809"}),
+        ("epcp", 5.0, 1.5, 100, 5.0604316526336355, {
+            "trajectory": "8f4b20a07a4944a98af74334f3ac2656e91e6e642f4ebc76b7c70ed288058c6e",
+            "steps": _STEPS_100,
+            "residual_d": "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+            "residual_s": "5e3bced8e3541d27542d8c3e05fe623f6282f42310c527df7c536f84d22753bb"}),
+    ], ids=["mpcp", "epcp", "epcp-3dB", "epcp-d2d-above-capacity"])
 def test_optimize_pinned_at_default_instance(lib, geoms, radio, budgets, start,
-                                             iterations, best_delay,
-                                             trajectory_sha256):
+                                             theta_db, m_d_factor, iterations,
+                                             best_delay, sha256):
     # pinned bit for bit: each iterate's delay comes from the call that
-    # gives its gradient and must equal overall_delay's exactly
+    # gives its gradient and must equal overall_delay's exactly; the step
+    # sizes and budget residuals are printed by the convergence CSV.  The
+    # last instance's d2d budget is above the capacity, so every d2d row
+    # takes the projection's exact-ones branch.
+    if theta_db != 5.0:
+        radio = RadioConfig.from_db(sir_threshold_db=theta_db,
+                                    bandwidth_d2d=radio.bandwidth_d2d,
+                                    bandwidth_sbs=radio.bandwidth_sbs,
+                                    bandwidth_mbs=radio.bandwidth_mbs,
+                                    backhaul_rate=radio.backhaul_rate)
+    if m_d_factor is not None:
+        budgets = CacheBudgets(m_d_factor * lib.super_layer_sizes.sum(), budgets.m_s)
     result = optimize(lib, geoms, radio, budgets,
                       OptimizerConfig(initial_policy=start))
     assert result.iterations_run == iterations
     assert result.best_delay == best_delay
-    trajectory = np.asarray(result.delay_trajectory, dtype=float).tobytes()
-    assert hashlib.sha256(trajectory).hexdigest() == trajectory_sha256
+    assert {"trajectory": _sha256(result.delay_trajectory),
+            "steps": _sha256(result.step_sizes),
+            "residual_d": _sha256(result.budget_residual_d),
+            "residual_s": _sha256(result.budget_residual_s)} == sha256
 
 
 def test_optimize_rejects_unknown_start(lib, geoms, radio, budgets):
