@@ -7,8 +7,8 @@ The library has six parts:
     Video catalog, Mandelbrot-Zipf request popularity and per-quality
     preference, cumulative super-layer sizes.
 ``geometry``
-    Closed-form / quadrature evaluation of the success probabilities of a
-    transmission from each tier, and the association probabilities.
+    Closed-form success probabilities of a transmission from each tier,
+    and the association probabilities.
 ``delay``
     Per-item d2d / sbs / macro branch delays, the popularity-weighted
     overall delay, and the content hit rate for a caching policy.

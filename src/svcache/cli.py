@@ -135,10 +135,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -142,17 +142,19 @@ COMPARE_FIELDS = ("sweep_var", "value", "delay_optimized", "delay_mpcp",
                   "delay_epcp", "delay_icp")
 
 
+def _baseline_policies(cfg: ExperimentConfig):
+    """The three baselines by name, ICP seeded by the master seed."""
+    return {"mpcp": mpcp(cfg.library, cfg.budgets),
+            "epcp": epcp(cfg.library, cfg.budgets),
+            "icp": icp(cfg.library, cfg.budgets, seed=cfg.sim.master_seed)}
+
+
 def _policy_delays(cfg: ExperimentConfig):
-    lib, geoms, radio, budgets = (cfg.library, cfg.geometry, cfg.radio,
-                                  cfg.budgets)
-    result = optimize(lib, geoms, radio, budgets, cfg.optimizer)
+    lib, geoms, radio = cfg.library, cfg.geometry, cfg.radio
+    result = optimize(lib, geoms, radio, cfg.budgets, cfg.optimizer)
     delays = {"delay_optimized": result.best_delay}
-    for name, policy in (
-        ("delay_mpcp", mpcp(lib, budgets)),
-        ("delay_epcp", epcp(lib, budgets)),
-        ("delay_icp", icp(lib, budgets, seed=cfg.sim.master_seed)),
-    ):
-        delays[name] = overall_delay(policy, lib, geoms, radio).total
+    for name, policy in _baseline_policies(cfg).items():
+        delays[f"delay_{name}"] = overall_delay(policy, lib, geoms, radio).total
     return delays
 
 
@@ -204,11 +206,7 @@ def run_baselines(cfg: ExperimentConfig):
     """
     lib, geoms, radio, budgets = (cfg.library, cfg.geometry, cfg.radio,
                                   cfg.budgets)
-    policies = {
-        "mpcp": mpcp(lib, budgets),
-        "epcp": epcp(lib, budgets),
-        "icp": icp(lib, budgets, seed=cfg.sim.master_seed),
-    }
+    policies = _baseline_policies(cfg)
     rows = []
     for name, policy in policies.items():
         report = validate_policy(policy, lib, budgets)

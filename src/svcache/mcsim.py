@@ -25,6 +25,7 @@ block at once gives (see ``_interference``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,12 @@ class SimConfig:
     mbs_region_radius: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.master_seed, numbers.Integral)
+                and self.master_seed >= 0):
+            raise ValueError("master_seed must be an integer >= 0, "
+                             f"got {self.master_seed!r}")
         if not 5 <= self.window_multiplier < math.inf:
             raise ValueError("window_multiplier must be finite and >= 5 to "
                              "keep the truncated-interference bias negligible")

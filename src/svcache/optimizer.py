@@ -32,6 +32,7 @@ literal pair enumeration, astronomically large already at step 0.02.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ _STARTS = {"mpcp": mpcp, "epcp": epcp}
 class OptimizerConfig:
     """Iteration budget, stopping tolerance and starting policy.
 
-    ``max_iterations`` must be at least 1 and ``convergence_tol`` positive.
+    ``max_iterations`` must be an integer >= 1, ``convergence_tol`` positive.
     ``initial_policy`` is either an explicit policy or the name of a
     baseline ("mpcp" or "epcp"); any other name is rejected here, at
     construction, not when ``optimize`` runs.  Each check raises
@@ -73,8 +74,10 @@ class OptimizerConfig:
     initial_policy: CachingPolicy | str = "mpcp"
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive, "
                              f"got {self.convergence_tol!r}")

@@ -38,7 +38,7 @@ from svcache import (
 )
 from svcache.config import SweepSpec, default_config
 from svcache.experiments import run_optimize_and_compare
-from svcache.geometry import _g_quadrature
+from svcache.geometry import _g_general
 from svcache.mcsim import SimConfig
 
 P_POINTS = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -89,8 +89,8 @@ def test_criterion_2_special_function():
     for b in np.arange(0.0, 5.0 + 1e-9, 0.25):
         closed = math.pi / 2 - math.atan(b)
         assert abs(g_integral(4.0, float(b)) - closed) <= 1e-9
-        # the generic quadrature path must agree with the shortcut
-        assert abs(_g_quadrature(4.0, float(b)) - closed) <= 1e-9
+        # the generic closed-form path must agree with the shortcut
+        assert abs(_g_general(4.0, float(b)) - closed) <= 1e-9
     for a in (3.0, 3.5, 4.0, 5.0):
         identity = (2 * math.pi / a) / math.sin(2 * math.pi / a)
         assert abs(g_integral(a, 0.0) - identity) <= 1e-8
@@ -98,13 +98,13 @@ def test_criterion_2_special_function():
 
 
 def test_criterion_3_mbs_probability(theta):
-    """Macro success probability: closed form, quadrature cross-check, and
+    """Macro success probability: arccot form, generic-path cross-check, and
     density independence of the Monte-Carlo estimate."""
     value = stp_mbs(4.0, theta)
     arccot_form = 1.0 / (1.0 + theta**0.5 * (math.pi / 2 - math.atan(theta**-0.5)))
-    quad_form = 1.0 / (1.0 + theta**0.5 * _g_quadrature(4.0, theta**-0.5))
+    general_form = 1.0 / (1.0 + theta**0.5 * _g_general(4.0, theta**-0.5))
     assert abs(value - arccot_form) <= 5e-4
-    assert abs(value - quad_form) <= 5e-4
+    assert abs(value - general_form) <= 5e-4
     assert value == pytest.approx(0.3469, abs=5e-4)
     for density, seed in ((1e-5, 101), (5e-5, 202)):
         est = mc_stp_mbs(density, 4.0, theta,

@@ -17,7 +17,7 @@ from svcache import (
     stp_nearest_cached,
     stp_nearest_uncached,
 )
-from svcache.geometry import _g_quadrature, hit_and_slope
+from svcache.geometry import _g_general, hit_and_slope
 
 # Frozen against a 30-digit mpmath evaluation of the closed forms, each
 # cross-checked by quadrature of the radial integral they came from.
@@ -53,11 +53,11 @@ def test_g_at_zero_matches_sine_identity(a):
     assert g_integral(a, 0.0) == pytest.approx(expected, abs=1e-10)
 
 
-def test_g_quartic_matches_quadrature_path():
-    # the a=4 shortcut must agree with the generic quadrature evaluation
+def test_g_quartic_matches_general_path():
+    # the a=4 shortcut must agree with the generic closed-form evaluation
     for b in np.arange(0.0, 5.01, 0.1):
         closed = g_integral(4.0, float(b))
-        assert abs(closed - _g_quadrature(4.0, float(b))) <= 1e-9
+        assert abs(closed - _g_general(4.0, float(b))) <= 1e-9
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.3), (3.3, 1.7), (6.0, 0.0), (4.8, 12.0)])
@@ -74,6 +74,27 @@ def test_g_domain_errors():
         g_integral(1.5, 1.0)
     with pytest.raises(ValueError):
         g_integral(4.0, -0.1)
+    for a, b in ((math.nan, 1.0), (3.0, math.nan), (4.0, math.nan),
+                 (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            g_integral(a, b)
+    assert g_integral(4.0, math.inf) == 0.0
+    assert g_integral(3.0, math.inf) == 0.0
+
+
+# 60-digit mpmath references (mpmath is not a dependency, so frozen here).
+@pytest.mark.parametrize("a,b,expected", [
+    (200.0, 0.3, 0.70016451234931273),     # head branch, steep exponent
+    (20.0, 1e30, 1.1111111111111109e-271),  # tail branch, tiny value
+    (2.001, 0.0, 2000.0008216456394),       # sine reflection near a = 2
+    (2.0000001, 0.0, 20000000.03273166),    # plain sin(pi/s) is 1.7e-10 off
+])
+def test_g_matches_high_precision_reference(a, b, expected):
+    assert g_integral(a, b) == pytest.approx(expected, rel=1e-12)
+
+
+def test_stp_mbs_steep_exponent_reference():
+    assert stp_mbs(200.0, 10**0.5) == pytest.approx(0.9857417870544482, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

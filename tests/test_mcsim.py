@@ -23,7 +23,9 @@ from svcache import (
     stp_nearest_cached,
     stp_nearest_uncached,
 )
+from svcache.config import ConfigError
 from svcache.mcsim import _interference, _pow_neg_half
+from svcache.optimizer import OptimizerConfig
 
 
 def _z(est, target):
@@ -363,6 +365,26 @@ def test_sim_config_validation():
     assert SimConfig(mbs_region_radius=500.0).mbs_region_radius == 500.0
     with pytest.raises(ValueError, match="^master_seed"):
         SimConfig(master_seed=-1)
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (SimConfig, "trials", 2.5),
+    (SimConfig, "trials", 4096.0),
+    (SimConfig, "master_seed", math.nan),
+    (SimConfig, "master_seed", 7.5),
+    (OptimizerConfig, "max_iterations", 2.5),
+])
+def test_integer_fields_rejected_at_construction(cls, field, value):
+    # caught here, naming the field, not later inside numpy or range()
+    with pytest.raises(ValueError, match=f"^{field} "):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("key", ["sim.trials", "sim.master_seed",
+                                 "optimizer.max_iterations"])
+def test_integer_config_overrides_name_the_key(key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        default_config(**{key: 2.5})
 
 
 def test_region_radius_rules(geom_d, geom_m):
