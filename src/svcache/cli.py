@@ -97,6 +97,9 @@ def main(argv=None) -> int:
                 print("validation gate FAILED: an analytic value misses its "
                       "Monte-Carlo estimate by more than 3 standard errors",
                       file=sys.stderr)
+                for row, z in experiments.gate_failures(rows):
+                    print(f"  {row['sweep_var']} = {row['value']:g}: z = {z:+.2f}",
+                          file=sys.stderr)
                 return EXIT_GATE
             return EXIT_OK
 

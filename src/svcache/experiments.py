@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .optimizer import optimize
 from .policies import CachingPolicy, epcp, icp, mpcp, validate_policy
 
 __all__ = [
+    "gate_failures",
     "render_csv",
     "run_baselines",
     "run_convergence",
@@ -110,14 +112,24 @@ def run_probability_validation(cfg: ExperimentConfig):
         rows.append({"sweep_var": "theta_db_mbs", "value": theta_db,
                      "analytic": analytic, "mc_mean": est.mean,
                      "mc_stderr": est.stderr, "trials": est.trials_used})
-    return rows, not any(_misses_gate(row) for row in rows if row["mc_mean"] != _NA)
+    return rows, not gate_failures(rows)
 
 
-def _misses_gate(row) -> bool:
-    """The validation gate: the row's analytic value misses its Monte-Carlo
-    estimate by more than three standard errors (and by more than 1e-12)."""
-    gap = abs(row["analytic"] - row["mc_mean"])
-    return gap > 3.0 * row["mc_stderr"] and gap > 1e-12
+def gate_failures(rows):
+    """The validation gate: the rows whose analytic value misses its
+    Monte-Carlo estimate by more than three standard errors (and by more
+    than 1e-12), each paired with its z-score (analytic - mc_mean) /
+    mc_stderr, infinite at zero stderr.  Rows without an estimate pass."""
+    failed = []
+    for row in rows:
+        if row["mc_mean"] == _NA:
+            continue
+        diff = row["analytic"] - row["mc_mean"]
+        if abs(diff) > 3.0 * row["mc_stderr"] and abs(diff) > 1e-12:
+            z = (diff / row["mc_stderr"] if row["mc_stderr"] > 0
+                 else math.copysign(math.inf, diff))
+            failed.append((row, z))
+    return failed
 
 
 SURFACE_FIELDS = ("p_d", "p_s", "delay_s")

@@ -11,21 +11,25 @@ runs the same pieces and prices each trial with ``delay.branch_costs``.
 Distances enter only through their squares, so fields are sampled
 radially; no angles are needed.
 
-Reproducibility: trials are processed in fixed blocks of ``_BLOCK``
+Reproducibility: trials are processed in fixed blocks of ``_BLOCK`` (1024)
 trials, each block drawing from its own counter-derived substream of the
-master seed (``numpy.random.SeedSequence(master_seed).spawn``).  Results
-are therefore bit-identical for a given master seed regardless of how
-blocks are scheduled.  Within a block, interferers are drawn ``_SUB``
-trials at a time so the temporaries stay cache-sized; the fading gains
-come from a jump-ahead copy of the block stream (``PCG64.advance``), so
-the stream layout, and every output, is exactly what drawing the whole
-block at once gives (see ``_interference``).
+master seed (``numpy.random.SeedSequence(master_seed).spawn``).  The
+blocks of one estimate run on up to ``_MAX_WORKERS`` (4) threads, never
+more than the CPUs the process may use; a block reads only its own stream
+and the values are joined in block order, so results are bit-identical
+for a given master seed at any thread count (see ``_over_blocks``).
+Within a block, interferers are drawn ``_SUB`` (16) trials at a time so
+the temporaries stay cache-sized; the fading gains come from a
+jump-ahead copy of the block stream (``PCG64.advance``), so the stream
+layout, and every output, is exactly what drawing the whole block at once
+gives (see ``_interference``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +49,14 @@ __all__ = [
     "sample_serving_distance",
 ]
 
-_BLOCK = 4096
-_SUB = 64  # trials per interference sub-chunk (see _interference)
+_BLOCK = 1024
+_SUB = 16  # trials per interference sub-chunk (see _interference)
+_MAX_WORKERS = 4  # threads per estimate (see _over_blocks)
+
+
+def _is_count(value) -> bool:
+    """An integer that is not a bool (``bool`` is a ``numbers.Integral``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,9 @@ class SimConfig:
     mbs_region_radius: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        if not (_is_count(self.trials) and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.master_seed, numbers.Integral)
-                and self.master_seed >= 0):
+        if not (_is_count(self.master_seed) and self.master_seed >= 0):
             raise ValueError("master_seed must be an integer >= 0, "
                              f"got {self.master_seed!r}")
         if not 5 <= self.window_multiplier < math.inf:
@@ -208,10 +217,36 @@ def _block_streams(sim: SimConfig):
         yield np.random.Generator(np.random.PCG64(child)), n
 
 
-def _over_blocks(sim: SimConfig, fn) -> EstimatorResult:
-    """``_estimate`` of the per-trial values ``fn(rng, n)`` returns for each
-    block stream, concatenated in block order."""
-    return _estimate(np.concatenate([fn(rng, n) for rng, n in _block_streams(sim)]))
+def _max_workers() -> int:
+    """Threads one estimate may use: the CPUs this process may run on,
+    capped at ``_MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _over_blocks(sim: SimConfig, serve, draw=lambda rng, n: ()) -> EstimatorResult:
+    """``_estimate`` of the per-trial values ``serve(rng, n, *drawn)``
+    returns for each block stream, concatenated in block order.
+
+    ``draw(rng, n)`` returns the tuple ``drawn`` (empty by default); it
+    runs for every block first, in block order on the calling thread, so
+    callers can keep functions that must see one thread (tracing,
+    profiling) in it.  The serve calls then run on up to ``_max_workers()`` threads;
+    numpy's generators and ufuncs release the GIL.  A block reads only its
+    own stream, so the result does not depend on the thread count.
+    """
+    jobs = [(rng, n, *draw(rng, n)) for rng, n in _block_streams(sim)]
+    workers = min(_max_workers(), len(jobs))
+    if workers == 1:
+        values = [serve(*job) for job in jobs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            values = list(pool.map(lambda job: serve(*job), jobs))
+    return _estimate(np.concatenate(values))
 
 
 def _estimate(values) -> EstimatorResult:
@@ -242,13 +277,15 @@ def _stp_trials(p, geom, theta, sim, nearest_serves=None):
     with probability p per trial."""
     radius = sim.region_radius(geom)
 
-    def block(rng, n):
+    def draw(rng, n):
         near = (rng.random(n) < p if nearest_serves is None
                 else np.full(n, nearest_serves))
-        r0 = sample_serving_distance(p, geom, rng, size=n)
+        return near, sample_serving_distance(p, geom, rng, size=n)
+
+    def serve(rng, n, near, r0):
         return _served(rng, r0 * r0, near, ~near, geom, radius, theta)
 
-    return _over_blocks(sim, block)
+    return _over_blocks(sim, serve, draw)
 
 
 def _check_tier_args(p, geom, theta):

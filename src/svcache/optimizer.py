@@ -75,6 +75,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not (isinstance(self.max_iterations, numbers.Integral)
+                and not isinstance(self.max_iterations, bool)
                 and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")

@@ -1,8 +1,10 @@
-"""Both sides of the lazy scipy import, each in a fresh interpreter.
+"""Both sides of the lazy imports, each in a fresh interpreter.
 
 The package loads numpy alone; ``scipy.special`` is imported by the
-first non-quartic ``g_integral`` call.  This suite's own process has
-scipy loaded already, so each check runs in a subprocess.
+first non-quartic ``g_integral`` call, and ``concurrent.futures`` by the
+first Monte-Carlo estimate with more than one block to map.  Other
+tests load both into this suite's own process, so each check runs in a
+subprocess.
 """
 
 import os
@@ -60,3 +62,18 @@ def test_non_quartic_path_loads_scipy_on_demand(tmp_path):
         float(stp_cache_tier(0.5, TierGeometry(0.01, 20.0, 3.5), 3.0)).hex(),
         "True False",
     ]
+
+
+def test_single_block_estimates_start_no_thread_pool(tmp_path):
+    lines = _run("""
+        import sys
+        from svcache import SimConfig, default_config, mc_stp_cache_tier, mcsim
+        cfg = default_config()
+        args = (0.5, cfg.geometry.d2d, cfg.radio.sir_threshold)
+        mc_stp_cache_tier(*args, SimConfig(trials=mcsim._BLOCK))
+        print("concurrent.futures" in sys.modules)
+        mcsim._max_workers = lambda: 2
+        mc_stp_cache_tier(*args, SimConfig(trials=mcsim._BLOCK + 1))
+        print("concurrent.futures" in sys.modules)
+    """, tmp_path)
+    assert lines == ["False", "True"]

@@ -242,15 +242,33 @@ def test_cli_validate_passes_at_moderate_trials(tmp_path):
 
 
 def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
+    rows = [{"sweep_var": "p_d2d_cache_tier", "value": 0.5,
+             "analytic": 0.5, "mc_mean": 0.4, "mc_stderr": 0.001,
+             "trials": 100},
+            {"sweep_var": "p_sbs_cache_tier", "value": 0.7,
+             "analytic": 0.5, "mc_mean": 0.501, "mc_stderr": 0.001,
+             "trials": 100},
+            {"sweep_var": "theta_db_mbs", "value": 9.0,
+             "analytic": 0.2, "mc_mean": 0.25, "mc_stderr": 0.0,
+             "trials": 100}]
+
     def biased(cfg):
-        return [{"sweep_var": "p_d2d_cache_tier", "value": 0.5,
-                 "analytic": 0.5, "mc_mean": 0.4, "mc_stderr": 0.001,
-                 "trials": 100}], False
+        return rows, False
 
     monkeypatch.setattr(experiments, "run_probability_validation", biased)
-    code = cli.main(["validate", "--out", str(tmp_path / "x.csv")])
+    out = tmp_path / "x.csv"
+    code = cli.main(["validate", "--out", str(out)])
     assert code == 3
-    assert "3 standard errors" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "3 standard errors" in err
+    # each failing row is named with its z-score; the passing row is not
+    assert "p_d2d_cache_tier = 0.5: z = +100.00" in err
+    assert "theta_db_mbs = 9: z = -inf" in err
+    assert "p_sbs_cache_tier" not in err
+    # the message goes to stderr only: the CSV is the rows as rendered
+    expected = experiments.render_csv(experiments.VALIDATE_FIELDS, rows,
+                                      default_config())
+    assert out.read_text() == expected
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from svcache import (
     stp_nearest_cached,
     stp_nearest_uncached,
 )
+from svcache import mcsim
 from svcache.config import ConfigError
 from svcache.mcsim import _interference, _pow_neg_half
 from svcache.optimizer import OptimizerConfig
@@ -163,8 +166,10 @@ def test_seed_determinism(geom_d, theta):
     assert other != first
 
 
-# Pinned bits: the shared SIR kernel and serving-distance formula must keep
-# every draw of the standalone estimators.  Never re-record these to pass.
+# Pinned bits at 4096-trial blocks, the block size these were recorded
+# at: the shared SIR kernel and serving-distance formula must keep every
+# draw of the standalone estimators, so only the block partition may move
+# them.  Never re-record these to pass.
 _PINNED = {
     ("cached", 0.3): (0.1402, 0.004910561548636224),
     ("uncached", 0.3): (0.0984, 0.004212723276869903),
@@ -173,23 +178,51 @@ _PINNED = {
     ("uncached", 0.7): (0.1966, 0.005621032574308771),
     ("tier", 0.7): (0.2486, 0.0061128619660747495),
 }
+# The same estimates at the shipped 1024-trial blocks.  Never re-record
+# these to pass.
+_PINNED_1024 = {
+    ("cached", 0.3): (0.1376, 0.004872165391191049),
+    ("uncached", 0.3): (0.097, 0.004185893493732034),
+    ("tier", 0.3): (0.1136, 0.0044880994426729735),
+    ("cached", 0.7): (0.2758, 0.006320985917765875),
+    ("uncached", 0.7): (0.2032, 0.00569108334905905),
+    ("tier", 0.7): (0.2578, 0.006186718604997279),
+}
 _PINNED_R0 = ["0x1.40268d488489cp+3", "0x1.dcba091fd9340p+3",
               "0x1.88831b00525b2p+3", "0x1.489e1fa4c0c75p+2",
               "0x1.8460ce0ebf845p+2"]
 
 
-@pytest.mark.parametrize("family, p", sorted(_PINNED))
-def test_estimator_streams_pinned(family, p, geom_d, theta):
+def _pinned_estimate(family, p, geom_d, theta):
     estimator = {"cached": mc_stp_nearest_cached,
                  "uncached": mc_stp_nearest_uncached,
                  "tier": mc_stp_cache_tier}[family]
-    est = estimator(p, geom_d, theta, SimConfig(trials=5_000, master_seed=5))
+    return estimator(p, geom_d, theta, SimConfig(trials=5_000, master_seed=5))
+
+
+@pytest.mark.parametrize("family, p", sorted(_PINNED))
+def test_estimator_streams_pinned(family, p, geom_d, theta, monkeypatch):
+    monkeypatch.setattr(mcsim, "_BLOCK", 4096)
+    est = _pinned_estimate(family, p, geom_d, theta)
     assert est == EstimatorResult(*_PINNED[family, p], trials_used=5_000)
 
 
-def test_mbs_stream_pinned():
+@pytest.mark.parametrize("family, p", sorted(_PINNED_1024))
+def test_estimator_streams_pinned_at_1024(family, p, geom_d, theta):
+    assert mcsim._BLOCK == 1024
+    est = _pinned_estimate(family, p, geom_d, theta)
+    assert est == EstimatorResult(*_PINNED_1024[family, p], trials_used=5_000)
+
+
+def test_mbs_stream_pinned(monkeypatch):
+    monkeypatch.setattr(mcsim, "_BLOCK", 4096)
     est = mc_stp_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
     assert est == EstimatorResult(0.363, 0.006801136014682991, 5_000)
+
+
+def test_mbs_stream_pinned_at_1024():
+    est = mc_stp_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
+    assert est == EstimatorResult(0.353, 0.006759240894323377, 5_000)
 
 
 def test_serving_distance_stream_pinned(geom_d):
@@ -309,7 +342,7 @@ def test_interference_keeps_buffered_32_bit_half():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_interference_memory_stays_cache_sized():
+def _estimate_peak_bytes():
     cfg = default_config()
     sim = SimConfig(trials=4096)
     tracemalloc.start()
@@ -319,7 +352,64 @@ def test_interference_memory_stays_cache_sized():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def test_interference_memory_stays_cache_sized():
+    assert _estimate_peak_bytes() < 16 * 2**20
+
+
+def test_interference_memory_stays_cache_sized_at_four_workers(monkeypatch):
+    monkeypatch.setattr(mcsim, "_max_workers", lambda: 4)
+    assert _estimate_peak_bytes() < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# block-parallel map: the thread count changes nothing
+# ---------------------------------------------------------------------------
+
+def _every_estimator(lib, geoms, radio, theta):
+    sim = SimConfig(trials=4_500, master_seed=41)  # 5 blocks, the last short
+    policy = CachingPolicy(np.full(lib.shape, 0.3), np.full(lib.shape, 0.6))
+    return (mc_stp_nearest_cached(0.4, geoms.d2d, theta, sim),
+            mc_stp_nearest_uncached(0.4, geoms.d2d, theta, sim),
+            mc_stp_cache_tier(0.4, geoms.sbs, theta, sim),
+            mc_stp_mbs(geoms.mbs.density, geoms.mbs.pathloss, theta, sim),
+            mc_delay_end_to_end(policy, lib, geoms, radio, sim))
+
+
+def test_worker_count_changes_nothing(monkeypatch, lib, geoms, radio, theta):
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(mcsim, "_max_workers", lambda: workers)
+            results[workers] = _every_estimator(lib, geoms, radio, theta)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[2] == results[3] == results[4]
+
+
+def test_serving_distance_is_drawn_on_the_calling_thread(monkeypatch, geom_d,
+                                                          theta):
+    threads = {"draw": set(), "serve": set()}
+
+    def recorded(kind, fn):
+        def wrapper(*args, **kwargs):
+            threads[kind].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mcsim, "sample_serving_distance",
+                        recorded("draw", mcsim.sample_serving_distance))
+    monkeypatch.setattr(mcsim, "_served", recorded("serve", mcsim._served))
+    monkeypatch.setattr(mcsim, "_max_workers", lambda: 4)
+    sim = SimConfig(trials=4_096, master_seed=8)
+    for estimator in _CACHED_ESTIMATORS:
+        estimator(0.5, geom_d, theta, sim)
+    assert threads["draw"] == {threading.get_ident()}
+    assert threads["serve"] - threads["draw"]  # the SIR tests ran on workers
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +463,9 @@ def test_sim_config_validation():
     (SimConfig, "master_seed", math.nan),
     (SimConfig, "master_seed", 7.5),
     (OptimizerConfig, "max_iterations", 2.5),
+    (SimConfig, "trials", True),
+    (SimConfig, "master_seed", False),
+    (OptimizerConfig, "max_iterations", True),
 ])
 def test_integer_fields_rejected_at_construction(cls, field, value):
     # caught here, naming the field, not later inside numpy or range()
@@ -383,8 +476,9 @@ def test_integer_fields_rejected_at_construction(cls, field, value):
 @pytest.mark.parametrize("key", ["sim.trials", "sim.master_seed",
                                  "optimizer.max_iterations"])
 def test_integer_config_overrides_name_the_key(key):
-    with pytest.raises(ConfigError, match=f"^{key}: "):
-        default_config(**{key: 2.5})
+    for value in (2.5, True):  # bool is an Integral, but no count
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            default_config(**{key: value})
 
 
 def test_region_radius_rules(geom_d, geom_m):
