@@ -41,8 +41,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CacheBudgets:
     """Per-node cache sizes in bits: every d2d helper stores at most
-    ``m_d`` bits and every small cell at most ``m_s`` bits.  A non-positive
-    budget raises ``ValueError`` naming its field."""
+    ``m_d`` bits and every small cell at most ``m_s`` bits.  A budget that
+    is not finite and positive raises ``ValueError`` naming its field."""
 
     m_d: float
     m_s: float
@@ -50,8 +50,9 @@ class CacheBudgets:
     def __post_init__(self):
         for name in ("m_d", "m_s"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def _branches(p_d, p_s, model: _Model, geoms: NetworkGeometry, theta):
 
 
 def _check_shape(policy, lib: ContentLibrary):
-    """Reject a policy whose matrices do not have the catalog's shape; every
-    entry point that reads a policy cell by cell calls this first."""
+    """Reject a policy, or one of its matrices, not shaped like the catalog;
+    every entry point that reads a policy cell by cell calls this first."""
     if policy.shape != lib.shape:
         raise ValueError(
             f"policy shape {policy.shape} does not match catalog {lib.shape}")
@@ -171,8 +172,11 @@ def cell_delay_matrix(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     """Popularity-weighted per-cell delay contributions, shape (F, L).
 
     The overall delay is the plain sum of this matrix, and each cell
-    depends only on its own pair of caching probabilities.
+    depends only on its own pair of caching probabilities.  Matrices not
+    shaped like the catalog raise ``ValueError``; none is broadcast.
     """
+    for matrix in (p_d, p_s):
+        _check_shape(np.asarray(matrix), lib)
     model = _Model.build(lib, geoms, radio, tiers=False)
     d2d, sbs, mbs = _branches(p_d, p_s, model, geoms, radio.sir_threshold)
     return model.w * (d2d + sbs + mbs)

@@ -60,10 +60,10 @@ _STARTS = {"mpcp": mpcp, "epcp": epcp}
 class OptimizerConfig:
     """Iteration budget, stopping tolerance and starting policy.
 
-    ``max_iterations`` must be an integer >= 1, ``convergence_tol`` positive.
-    ``initial_policy`` is either an explicit policy or the name of a
-    baseline ("mpcp" or "epcp"); any other name is rejected here, at
-    construction, not when ``optimize`` runs.  Each check raises
+    ``max_iterations`` must be an integer >= 1, ``convergence_tol`` finite
+    and positive.  ``initial_policy`` is either an explicit policy or the
+    name of a baseline ("mpcp" or "epcp"); any other name is rejected here,
+    at construction, not when ``optimize`` runs.  Each check raises
     ``ValueError`` naming its field first.  The default warm-starts from
     MPCP: the 1/t step schedule refines a good feasible point well but
     moves too slowly to cross the whole box from a cold uniform start.
@@ -79,8 +79,8 @@ class OptimizerConfig:
                 and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive, "
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError("convergence_tol must be finite and positive, "
                              f"got {self.convergence_tol!r}")
         if not (isinstance(self.initial_policy, CachingPolicy)
                 or self.initial_policy in _STARTS):
@@ -145,7 +145,8 @@ class _Projector:
     one budget, applied to any number of batches of finite input.
 
     ``budget`` is a positive scalar shared by every trailing block, or a
-    column with one budget per block; a block whose budget is at least the
+    column with one budget per block of a batch of at most ``_BLOCK_ROWS``
+    blocks (``optimize`` passes two); a block whose budget is at least the
     capacity sum(sizes) comes back as exact ones.  The sizes are checked,
     and what they and the budget fix is derived, once: the signed usage
     slopes concat(-s, s) of the 2n breakpoints, the capacity, the budget
@@ -183,14 +184,9 @@ class _Projector:
 
     def _project(self, rows):
         out = np.empty_like(rows)
-        if rows.shape[0] <= _BLOCK_ROWS:  # the solver's two rows: one block
-            self._kernel(rows, self._level, out)
-            return out
-        column = np.ndim(self._level) > 0
         for start in range(0, rows.shape[0], _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            self._kernel(rows[block], self._level[block] if column else self._level,
-                         out[block])
+            self._kernel(rows[block], self._level, out[block])
         return out
 
     def _views(self, m):
@@ -373,46 +369,21 @@ def _grid_chunks(n_cells, n_values, chunk=65_536):
         yield np.column_stack([values[c[canonical]] for c in coords])
 
 
-def _first_of_each_key(key):
-    """Indices of the first row of each distinct ``key`` row, in key order.
-
-    A stable lexsort (first column primary) puts equal rows next to each
-    other in their original order, so the first row of every run is the
-    first occurrence of its key."""
-    order = np.lexsort(key.T[::-1])
-    sorted_key = key[order]
-    first = np.empty(order.size, dtype=bool)
-    first[:1] = True
-    first[1:] = np.any(sorted_key[1:] != sorted_key[:-1], axis=1)
-    return order[first]
-
-
 def _tier_candidates(geom, theta, sizes_flat, budget, n_values, useful):
-    """Enumerate, project and dedupe one tier's grid of the 2x2 catalog.
+    """Enumerate and project one tier's grid of the 2x2 catalog.
 
-    Returns (full_rows, hit): one representative projected matrix per
-    distinct useful-cell combination (the zero-popularity cells cannot
-    change the delay) and its hit-term values on the useful cells.  Rows
-    are keyed by the exact integers rint(row[useful] * 1e9), the partition
-    of rounding to 9 decimals on [0, 1].  Each block keeps the first row
-    of each of its keys; the survivors, at most 515 201 rows at step 0.02,
-    are merged once, keeping each key's first occurrence in grid order.
-    Only rows with a zero entry are projected (``_grid_chunks``): as u
-    absorbs any uniform shift c, P(r + c*1) = P(r), so every key first
-    occurs on a row with a zero.  Exact in real arithmetic; checked bit
-    for bit against the full grid at steps 0.05 and 0.02 (half budgets).
+    Returns (rows, hit): every canonical grid row (one with a zero entry,
+    ``_grid_chunks``) projected to budget equality, in grid order, and its
+    hit-term values on the useful cells (the zero-popularity cells cannot
+    change the delay).  Every other grid row is a uniform shift c of a
+    canonical one, and u absorbs the shift, P(r + c*1) = P(r), so its
+    projection is already here.  Rows that project to the same matrix are
+    all kept: the sbs Pareto scan keeps one of equal points, and the
+    oracle's argmin keeps the first minimum in grid order.
     """
-    rows, keys = [], []
-    # one projector for every block; its buffers go with the loop
-    for block in map(_Projector(sizes_flat, budget),
-                     _grid_chunks(sizes_flat.size, n_values)):
-        key = np.rint(block[:, useful] * 1e9).astype(np.int64)
-        keep = _first_of_each_key(key)
-        # drop the full block before the next projection allocates its own
-        block, key = block[keep], key[keep]
-        rows.append(block)
-        keys.append(key)
-    rows = np.concatenate(rows)[np.sort(_first_of_each_key(np.concatenate(keys)))]
+    # one projector for every block; its buffers go with the call
+    rows = np.concatenate(list(map(_Projector(sizes_flat, budget),
+                                   _grid_chunks(sizes_flat.size, n_values))))
     return rows, hit_term(rows[:, useful], geom, theta)
 
 
@@ -429,7 +400,10 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     sbs hit vectors (all components of V share one sign, fixed by
     whether the small-cell transmission beats the backhaul-plus-macro
     path).  Only the 2x2 catalog is served: any other shape raises
-    ``ValueError`` at once.
+    ``ValueError`` at once.  ``_PAIR_FLOP_GUARD`` bounds d2d rows, counted
+    with their duplicates, times frontier points times useful cells: at
+    step 0.02 (515 201 canonical rows) it trips only for an sbs frontier
+    above about 38 800 points.
     """
     if lib.shape != (2, 2):
         raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")

@@ -94,13 +94,21 @@ def test_config_file_loading(tmp_path):
     ("budgets.sbs_bits = 0", "budgets.sbs_bits"),
     ("radio.backhaul_rate_bps = inf", "radio.backhaul_rate_bps"),
     ("radio.bandwidth_d2d_hz = inf", "radio.bandwidth_d2d_hz"),
+    ("optimizer.convergence_tol_s = inf", "optimizer.convergence_tol_s"),
+    ("budgets.d2d_bits = inf", "budgets.d2d_bits"),
+    ("budgets.sbs_bits = inf", "budgets.sbs_bits"),
+    ("content.skewness = abc", "content.skewness"),
+    ("content.skewness 1.0", "line 1"),
+    ("sweep.start = abc", "sweep.start"),
+    ("sweep.steps = 2.5", "sweep.steps"),
 ])
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
     extra = ""
-    if line.startswith("sweep.variable"):
-        extra = "sweep.start = 0\nsweep.stop = 1\nsweep.steps = 2\n"
-    path.write_text(line + "\n" + extra)
+    if line.startswith("sweep."):  # a valid sweep that the line overrides
+        extra = ("sweep.variable = content.skewness\nsweep.start = 0\n"
+                 "sweep.stop = 1\nsweep.steps = 2\n")
+    path.write_text(extra + line + "\n")
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert field.split(".")[-1] in str(err.value)
@@ -288,10 +296,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "surface.csv").exists()
     for line in ("optimizer.max_iterations = 0", "tiers.sbs.radius_m = inf",
                  "content.layer_size_bits = inf", "tiers.d2d.density = inf",
-                 "radio.backhaul_rate_bps = inf", "radio.bandwidth_d2d_hz = inf"):
+                 "radio.backhaul_rate_bps = inf", "radio.bandwidth_d2d_hz = inf",
+                 "optimizer.convergence_tol_s = inf", "budgets.d2d_bits = inf",
+                 "budgets.sbs_bits = inf", "content.skewness = abc"):
         bad.write_text(line + "\n")
         assert cli.main(["validate", "--config", str(bad)]) == 2
         assert f"config error: {line.split(' = ')[0]}: " in capsys.readouterr().err
+    for text, named in (("content.skewness 1.0\n", "line 1: "),
+                        ("sweep.variable = content.skewness\nsweep.start = abc\n",
+                         "sweep.start/")):
+        bad.write_text(text)
+        assert cli.main(["convergence", "--config", str(bad)]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
 
 
 def test_cli_optimize_with_sweep(tmp_path):

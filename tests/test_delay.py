@@ -17,7 +17,7 @@ from svcache import (
     stp_mbs,
 )
 from svcache.content import ContentLibrary
-from svcache.delay import _cascade, _Model, branch_costs
+from svcache.delay import _cascade, _Model, branch_costs, cell_delay_matrix
 from svcache.geometry import RadioConfig, hit_and_slope
 from svcache.optimizer import _BLOCK_ROWS
 
@@ -170,11 +170,29 @@ def test_overall_delay_shape_mismatch(lib, geoms, radio, evaluate, shape):
         evaluate(bad, lib, geoms, radio)
 
 
+@pytest.mark.parametrize("p_d,p_s", [
+    (np.full((1, 2), 0.3), np.full((1, 2), 0.3)),
+    (0.3, 0.3),
+    (np.full((2, 20), 0.3), np.full((2, 20), 0.3)),
+    (np.full((20, 2), 0.3), np.full((1, 2), 0.3)),
+], ids=["1x2", "scalar", "2x20", "sbs-1x2"])
+def test_cell_delay_matrix_rejects_mis_shaped_matrices(lib, geoms, radio, p_d, p_s):
+    # broadcasting a (1, 2) matrix or a scalar over the 20x2 catalog would
+    # price a full 0.3 policy; a (2, 20) one would fail inside numpy
+    with pytest.raises(ValueError, match="^policy shape .* does not match catalog"):
+        cell_delay_matrix(p_d, p_s, lib, geoms, radio)
+
+
 def test_cache_budgets_validation():
     with pytest.raises(ValueError):
         CacheBudgets(m_d=0.0, m_s=1.0)
     with pytest.raises(ValueError):
         CacheBudgets(m_d=1.0, m_s=-5.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^m_d must be finite"):
+            CacheBudgets(m_d=bad, m_s=1.0)
+        with pytest.raises(ValueError, match="^m_s must be finite"):
+            CacheBudgets(m_d=1.0, m_s=bad)
 
 
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])

@@ -514,6 +514,12 @@ def test_optimize_rejects_unknown_start(lib, geoms, radio, budgets):
         OptimizerConfig(initial_policy="greedy")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_optimizer_config_rejects_a_non_finite_or_non_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="^convergence_tol must be finite"):
+        OptimizerConfig(convergence_tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------
@@ -570,38 +576,47 @@ def _useful_and_sizes(lib):
     return useful, lib.super_layer_sizes.ravel()
 
 
-def _first_rows_by_rounded_key(lib, budget, n_values):
-    """The whole grid projected in one call; the first row of each
-    distinct rounded useful-cell combination, keyed by that combination."""
-    useful, sizes = _useful_and_sizes(lib)
+def _whole_grid(n_cells, n_values):
+    """Every row of {0, ..., 1}^n_cells in grid order, as one block."""
     values = np.linspace(0.0, 1.0, n_values)
-    grid = np.array(list(itertools.product(values, repeat=sizes.size)))
-    rows = project_budget(grid, sizes, budget)
-    first = {}
-    for row, key in zip(rows, np.round(rows[:, useful], 9).tolist()):
-        first.setdefault(tuple(key), row)
-    return first
+    yield np.array(list(itertools.product(values, repeat=n_cells)))
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8)],
                          ids=["criterion-6", "toy-0.3-0.8"])
-def test_tier_candidates_match_first_occurrence_reference(toy_lib, geoms,
-                                                          radio, fractions):
+def test_tier_candidates_are_the_projected_canonical_grid_rows(toy_lib, geoms,
+                                                               radio, fractions):
+    # every grid row with a zero entry, projected, in grid order: rows that
+    # project to the same matrix are all kept
     useful, sizes = _useful_and_sizes(toy_lib)
+    grid = next(_whole_grid(sizes.size, 21))
+    canonical = grid[grid.min(axis=1) == 0.0]
     total = total_catalog_bits(toy_lib)
     for geom, fraction in zip((geoms.d2d, geoms.sbs), fractions):
         budget = fraction * total
-        reference = _first_rows_by_rounded_key(toy_lib, budget, 21)
         rows, hit = _tier_candidates(geom, radio.sir_threshold,
                                      sizes, budget, 21, useful)
-        got = {tuple(k): row
-               for k, row in zip(np.round(rows[:, useful], 9).tolist(), rows)}
-        assert len(got) == rows.shape[0] == len(reference)
-        assert got.keys() == reference.keys()
-        for key, row in reference.items():
-            assert np.array_equal(got[key], row)
+        expected = project_budget(canonical, sizes, budget)
+        assert rows.shape == expected.shape == (21**4 - 20**4, 4)
+        assert rows.tobytes() == expected.tobytes()
         assert np.array_equal(hit, hit_term(rows[:, useful], geom,
                                             radio.sir_threshold))
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8), (0.15, 0.6)],
+                         ids=["criterion-6", "toy-0.3-0.8", "toy-0.15-0.6"])
+def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
+                                                       fractions, monkeypatch):
+    # projecting the canonical rows only loses no candidate
+    total = total_catalog_bits(toy_lib)
+    budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
+    policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
+    monkeypatch.setattr(optimizer, "_grid_chunks", _whole_grid)
+    full_policy, full_value = grid_oracle(toy_lib, geoms, radio, budgets,
+                                          grid_step=0.05)
+    assert value == pytest.approx(full_value, rel=1e-12)
+    assert np.array_equal(policy.p_d, full_policy.p_d)
+    assert np.array_equal(policy.p_s, full_policy.p_s)
 
 
 @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])

@@ -191,3 +191,13 @@ def test_policy_roundtrip(tmp_path, lib, budgets):
         path.write_text(bad_d2d + sbs)
         with pytest.raises(ValueError, match="d2d"):
             load_policy(path)
+
+
+def test_load_policy_rejects_a_missing_header_or_tier(tmp_path):
+    path = tmp_path / "bad.policy"
+    path.write_text("0.5,0.5\n0.5,0.5\n")
+    with pytest.raises(ValueError, match="start with a '# tier=' header"):
+        load_policy(path)
+    path.write_text("# tier=d2d F=2 L=2\n0.5,0.5\n0.5,0.5\n")
+    with pytest.raises(ValueError, match="must hold d2d and sbs matrices"):
+        load_policy(path)
