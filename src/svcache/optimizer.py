@@ -2,25 +2,25 @@
 
 The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
-set; the two tiers are stacked and projected in one call against a
-column of their budgets.  The gradient is the closed form of
-``objective_gradient``, not a difference quotient, and the same call
-returns the delay, so each iterate is evaluated once.  What a solve
-never changes is built once per solve: the projector (``_Projector``:
-the sizes and their check, the capacity, the budget levels, the rows
-whose budget leaves them at ones, and the work buffers the breakpoints
-are sorted and accumulated in) and the instance's delay model
-(``delay._Model``: weights, branch costs and the hit terms' tier
-constants, stacked so both threshold terms of both tiers go through one
-``_q`` call); iterates stay plain arrays.
+set.  The gradient is the closed form of ``objective_gradient``, not a
+difference quotient, and the same call returns the delay, so each
+iterate is evaluated once.  What a solve never changes is built once per
+solve: the projector and the instance's delay model (``delay._Model``:
+weights, branch costs and the hit terms' tier constants, stacked so both
+threshold terms of both tiers go through one ``_q`` call); iterates stay
+plain arrays.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
 full utilization is optimal because the delay is non-increasing in
-every caching probability.  Note this uniform shift is
-the operator used throughout here and in the baselines; it is not the
-Euclidean projection onto the size-weighted budget polytope (that one
-would shift each entry proportionally to its size).
+every caching probability.  This uniform shift is the operator used
+throughout here and in the baselines, not the Euclidean projection onto
+the size-weighted budget polytope (that one would shift each entry
+proportionally to its size).  Its one form, ``_Projector``, takes a
+column with one budget per block of a batch and sizes its work buffers
+for that batch when built: the solver builds one per solve for its two
+stacked tiers, ``project_budget`` one per call (the ICP baseline, and
+each grid block of the oracle).
 
 A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
@@ -32,6 +32,7 @@ literal pair enumeration, astronomically large already at step 0.02.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -120,21 +121,24 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the root (the breakpoint method of Duchi et al., 2008, and Condat,
     2016).  When the budget is at least the whole catalog the equality is
     unattainable and the all-ones matrix is returned (budget non-binding).
-    The checks are made here; ``_Projector`` is the kernel behind them.
+    The checks are made here; ``_Projector`` is the kernel behind them,
+    built on a column of the budget with one row per trailing block.
     """
     if not budget > 0:
         raise ValueError("budget must be strictly positive")
-    project = _Projector(sizes, budget)
+    sizes = np.asarray(sizes, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
-    if p_hat.shape[p_hat.ndim - project.sizes.ndim:] != project.sizes.shape:
+    batch = p_hat.shape[:p_hat.ndim - sizes.ndim]
+    if p_hat.shape[len(batch):] != sizes.shape:
         raise ValueError("p_hat must end with the shape of sizes")
     if not np.all(np.isfinite(p_hat)):
         raise ValueError("p_hat must be finite")
-    return project(p_hat)
+    column = np.full((math.prod(batch), 1), budget, dtype=float)
+    return _Projector(sizes, column)(p_hat)
 
 
-# Row blocks keep temporaries cache-resident: gradient cost linear in F*L,
-# and the projection's work buffers a bounded size.
+# Row blocks keep the gradient's temporaries cache-resident: its cost
+# stays linear in F*L.
 _BLOCK_ROWS = 4096
 # 0-d operands: cheaper in small ufunc calls than Python floats
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
@@ -142,17 +146,15 @@ _ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 class _Projector:
     """The breakpoint projection of ``project_budget`` for one ``sizes`` and
-    one budget, applied to any number of batches of finite input.
+    one (m, 1) column of budgets, applied to batches of m finite blocks.
 
-    ``budget`` is a positive scalar shared by every trailing block, or a
-    column with one budget per block of a batch of at most ``_BLOCK_ROWS``
-    blocks (``optimize`` passes two); a block whose budget is at least the
-    capacity sum(sizes) comes back as exact ones.  The sizes are checked,
-    and what they and the budget fix is derived, once: the signed usage
-    slopes concat(-s, s) of the 2n breakpoints, the capacity, the budget
-    levels and the blocks left to solve.  Blocks are solved ``_BLOCK_ROWS``
-    at a time in work buffers that are reused across calls, through views
-    made only when the row count changes; every returned array is new.
+    Block r is projected at budget r, or comes back as exact ones if that
+    budget is at least the capacity sum(sizes).  All that the sizes and
+    budgets fix is made here, once: the sizes check, the signed usage
+    slopes concat(-s, s) of the 2n breakpoints, the capacity, the blocks
+    left to solve with their levels, and the work buffers and views for
+    exactly those blocks (extra memory linear in m).  A call solves them
+    in one kernel pass and returns a new array.
     """
 
     def __init__(self, sizes, budget):
@@ -160,50 +162,21 @@ class _Projector:
         if not np.all((sizes > 0) & (sizes < np.inf)):
             raise ValueError("sizes must be finite and strictly positive")
         self.sizes = sizes
+        n = sizes.size
         self._signed = np.concatenate((-sizes.ravel(), sizes.ravel()))
         self._capacity = np.asarray(sizes.sum())
+        full = budget[:, 0] >= self._capacity
         # rows to solve: None for all of them; the rest are exact ones
-        self._solve, self._level = None, budget
-        if np.ndim(budget):
-            full = budget[:, 0] >= self._capacity
-            if full.any():
-                self._solve = np.flatnonzero(~full)
-            self._level = budget[~full]
-        elif budget >= self._capacity:
-            self._solve = np.empty(0, dtype=np.intp)
-        self._allocated = self._m = 0
-
-    def __call__(self, p_hat):
-        rows = p_hat.reshape(-1, self.sizes.size)
-        if self._solve is None:
-            return self._project(rows).reshape(p_hat.shape)
-        out = np.ones_like(rows)
-        if self._solve.size:
-            out[self._solve] = self._project(rows[self._solve])
-        return out.reshape(p_hat.shape)
-
-    def _project(self, rows):
-        out = np.empty_like(rows)
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            self._kernel(rows[block], self._level, out[block])
-        return out
-
-    def _views(self, m):
-        """Aim the work views at the first ``m`` rows of the buffers, which
-        grow when no earlier block was as large."""
-        n = self.sizes.size
-        if m > self._allocated:
-            self._allocated = m
-            self._buffers = [np.empty((m, 2 * n)) for _ in range(4)]
-            self._buffers[3][:, 0] = self._capacity
-            # exact at max(p_hat); pinned so rounding cannot skip it
-            self._buffers[3][:, -1] = 0.0
-            self._buffers += [np.empty((m, 2 * n - 1), dtype=bool),
-                              # row r starts at r*2n in the raveled buffers
-                              np.arange(0, 2 * n * m, 2 * n)[:, None]]
-        (self._points, self._sorted, self._slope, usage, self._below,
-         self._offset) = (b[:m] for b in self._buffers)
+        self._solve = np.flatnonzero(~full) if full.any() else None
+        self._level = budget[~full]
+        m = self._level.shape[0]
+        self._points, self._sorted, self._slope, usage = np.empty((4, m, 2 * n))
+        usage[:, 0] = self._capacity
+        # exact at max(p_hat); pinned so rounding cannot skip it
+        usage[:, -1] = 0.0
+        self._below = np.empty((m, 2 * n - 1), dtype=bool)
+        # row r starts at r*2n in the raveled buffers
+        self._offset = np.arange(0, 2 * n * m, 2 * n)[:, None]
         self._low, self._high = self._points[:, :n], self._points[:, n:]
         self._inner = self._sorted[:, 1:-1]
         self._head = self._sorted[:, :-2]
@@ -211,12 +184,17 @@ class _Projector:
         self._inner_usage, self._tail_usage = usage[:, 1:-1], usage[:, 1:]
         self._flat_points, self._flat_sorted, self._flat_usage = (
             self._points.ravel(), self._sorted.ravel(), usage.ravel())
-        self._m = m
 
-    def _kernel(self, rows, level, out):
-        """Project ``rows`` at budget ``level`` into ``out``."""
-        if rows.shape[0] != self._m:
-            self._views(rows.shape[0])
+    def __call__(self, p_hat):
+        rows = p_hat.reshape(-1, self.sizes.size)
+        if self._solve is None:
+            return self._kernel(rows).reshape(p_hat.shape)
+        out = np.ones_like(rows)
+        out[self._solve] = self._kernel(rows[self._solve])
+        return out.reshape(p_hat.shape)
+
+    def _kernel(self, rows):
+        """Project the m ``rows`` left to solve at their budget levels."""
         np.subtract(rows, _ONE, out=self._low)
         np.copyto(self._high, rows)
         order = self._points.argsort(axis=1, kind="stable")
@@ -234,16 +212,17 @@ class _Projector:
         np.add.accumulate(usage, 1, out=usage)
         np.add(usage, self._capacity, out=usage)
         # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
-        np.less_equal(self._tail_usage, level, out=self._below)
+        np.less_equal(self._tail_usage, self._level, out=self._below)
         k = self._below.argmax(axis=1, keepdims=True)
         k += self._offset
         k_next = k + 1
         lo, hi = self._flat_sorted.take(k), self._flat_sorted.take(k_next)
         above, below = self._flat_usage.take(k), self._flat_usage.take(k_next)
-        np.subtract(rows, lo + (above - level) / (above - below) * (hi - lo), out=out)
+        out = rows - (lo + (above - self._level) / (above - below) * (hi - lo))
         # np.clip(out, 0.0, 1.0) without its Python wrapper
         np.maximum(_ZERO, out, out=out)
         np.minimum(out, _ONE, out=out)
+        return out
 
 
 def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
@@ -355,10 +334,11 @@ _GRID_STEPS = (0.05, 0.02)
 _PAIR_FLOP_GUARD = 4e10
 
 
-def _grid_chunks(n_cells, n_values, chunk=65_536):
+def _grid_chunks(n_cells, n_values, chunk=16_384):
     """Yield the grid rows of {0, ..., 1}^n_cells with a zero entry, in grid
     order, in blocks of at most ``chunk``, without materializing the full
-    enumeration: n^k - (n-1)^k rows instead of n^k."""
+    enumeration: n^k - (n-1)^k rows instead of n^k.  A block is the only
+    batch the projection sees, so ``chunk`` bounds its work buffers."""
     values = np.linspace(0.0, 1.0, n_values)
     total = n_values**n_cells
     shape = (n_values,) * n_cells
@@ -379,11 +359,11 @@ def _tier_candidates(geom, theta, sizes_flat, budget, n_values, useful):
     canonical one, and u absorbs the shift, P(r + c*1) = P(r), so its
     projection is already here.  Rows that project to the same matrix are
     all kept: the sbs Pareto scan keeps one of equal points, and the
-    oracle's argmin keeps the first minimum in grid order.
+    oracle's argmin keeps the first minimum in grid order.  Each block of
+    ``_grid_chunks`` goes through ``project_budget`` in one call.
     """
-    # one projector for every block; its buffers go with the call
-    rows = np.concatenate(list(map(_Projector(sizes_flat, budget),
-                                   _grid_chunks(sizes_flat.size, n_values))))
+    rows = np.concatenate([project_budget(chunk, sizes_flat, budget)
+                           for chunk in _grid_chunks(sizes_flat.size, n_values)])
     return rows, hit_term(rows[:, useful], geom, theta)
 
 

@@ -200,17 +200,25 @@ def save_policy(path, policy: CachingPolicy):
 
 def load_policy(path) -> CachingPolicy:
     """Read a policy written by :func:`save_policy`; each matrix must have
-    the F rows of L entries its header declares."""
+    the F rows of L entries its header declares, and a malformed header or
+    entry raises ``ValueError`` naming its line."""
     blocks = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("#"):
-                blocks.append((dict(part.split("=") for part in line[1:].split()), []))
+                fields = [part.split("=") for part in line[1:].split()]
+                if any(len(field) != 2 for field in fields):
+                    raise ValueError(f"policy file line {number}: header fields must "
+                                     f"be key=value, got {line!r}")
+                blocks.append((dict(fields), []))
             elif line:
                 if not blocks:
                     raise ValueError("policy file must start with a '# tier=' header")
-                blocks[-1][1].append([float(v) for v in line.split(",")])
+                try:
+                    blocks[-1][1].append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"policy file line {number}: {exc}") from None
     matrices = {}
     for fields, rows in blocks:
         tier, n_f, n_l = (fields.get(key, "") for key in ("tier", "F", "L"))

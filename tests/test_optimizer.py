@@ -203,35 +203,43 @@ def test_project_full_row_is_exact_ones(lib, factor):
                               np.ones((20, 2)))
 
 
-@pytest.mark.parametrize("column", [False, True], ids=["scalar", "column"])
-def test_projector_reused_matches_project_budget_row_by_row(lib, column):
-    # one projector, as optimize and the grid oracle build it, applied to
-    # seeded random stacked iterates; with a scalar budget the row counts
-    # vary and one batch spans two row blocks of the work buffers
+@pytest.mark.parametrize("fractions", [(0.2, 0.7, 1.0, 0.05)], ids=["column"])
+def test_projector_reused_matches_project_budget_row_by_row(lib, fractions):
+    # one projector, as optimize builds it, applied to seeded random
+    # stacked iterates; the third row's budget is at the capacity: exact ones
     rng = np.random.default_rng(13)
     sizes = lib.super_layer_sizes
-    capacity = sizes.sum()
-    if column:  # the third row's budget is at the capacity: exact ones
-        budget = np.array([[0.2], [0.7], [1.0], [0.05]]) * capacity
-        counts = [4] * 4
-    else:
-        budget = 0.3 * capacity
-        counts = [2, 2, 7, 1, optimizer._BLOCK_ROWS + 3, 7]
+    budget = np.array(fractions)[:, None] * sizes.sum()
     project = optimizer._Projector(sizes, budget)
     results = []
-    for count in counts:
-        stack = rng.uniform(-1.0, 2.0, (count, *sizes.shape))
+    for _ in range(4):
+        stack = rng.uniform(-1.0, 2.0, (len(fractions), *sizes.shape))
         got = project(stack)
         assert got.shape == stack.shape
-        for row, matrix in enumerate(stack):
-            level = budget[row, 0] if column else budget
-            assert got[row].tobytes() == project_budget(matrix, sizes, level).tobytes()
+        for matrix, level, projected in zip(stack, budget[:, 0], got):
+            assert projected.tobytes() == project_budget(matrix, sizes, level).tobytes()
         results.append((got, got.copy()))
     # no result aliases the reused buffers: later calls leave it alone
     for got, kept in results:
         assert got.tobytes() == kept.tobytes()
     for (first, _), (second, _) in itertools.combinations(results, 2):
         assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("factor", [0.3, 1.0, 3.0], ids=["binding", "at-capacity", "above"])
+def test_project_budget_empty_and_all_full_batches(lib, factor):
+    # a projector's buffers are sized for the rows left to solve: none in
+    # an empty batch, nor in a batch whose budget leaves every row full
+    sizes = lib.super_layer_sizes
+    budget = factor * sizes.sum()
+    empty = project_budget(np.empty((0, *sizes.shape)), sizes, budget)
+    assert empty.shape == (0, *sizes.shape)
+    if factor >= 1.0:
+        stack = np.random.default_rng(5).uniform(-1.0, 2.0, (3, *sizes.shape))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert np.array_equal(project_budget(stack, sizes, budget),
+                                  np.ones(stack.shape))
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
@@ -619,12 +627,28 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
     assert np.array_equal(policy.p_s, full_policy.p_s)
 
 
+def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
+        toy_lib, geoms, radio, toy_budgets, monkeypatch):
+    calls = []
+
+    def counted(p_hat, sizes, budget):
+        calls.append((p_hat.shape[0], budget))
+        return project_budget(p_hat, sizes, budget)
+
+    monkeypatch.setattr(optimizer, "project_budget", counted)
+    grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
+    chunks = [block.shape[0] for block in optimizer._grid_chunks(4, 21)]
+    assert len(chunks) > 1
+    assert calls == ([(rows, toy_budgets.m_d) for rows in chunks]
+                     + [(rows, toy_budgets.m_s) for rows in chunks])
+
+
 @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
 @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
 def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk):
     kwargs = {} if chunk is None else {"chunk": chunk}
     blocks = list(optimizer._grid_chunks(n_cells, 21, **kwargs))
-    assert all(b.shape[0] <= (chunk or 65_536) for b in blocks)
+    assert all(b.shape[0] <= (chunk or 16_384) for b in blocks)
     got = np.concatenate(blocks)
     values = np.linspace(0.0, 1.0, 21)
     full = np.array(list(itertools.product(values, repeat=n_cells)))

@@ -201,3 +201,14 @@ def test_load_policy_rejects_a_missing_header_or_tier(tmp_path):
     path.write_text("# tier=d2d F=2 L=2\n0.5,0.5\n0.5,0.5\n")
     with pytest.raises(ValueError, match="must hold d2d and sbs matrices"):
         load_policy(path)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("# saved by hand\n# tier=d2d F=1 L=2\n0.5,0.5\n", 1, "key=value"),
+    ("# tier=d2d F=1 L=2\n0.5,abc\n", 2, "could not convert string to float: 'abc'"),
+], ids=["free-text-header", "non-numeric-entry"])
+def test_load_policy_names_the_offending_line(tmp_path, text, line, reason):
+    path = tmp_path / "bad.policy"
+    path.write_text(text + "# tier=sbs F=1 L=2\n0.5,0.5\n")
+    with pytest.raises(ValueError, match=f"^policy file line {line}: .*{reason}"):
+        load_policy(path)
