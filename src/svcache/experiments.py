@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import ExperimentConfig, SweepSpec
+from .config import ConfigError, ExperimentConfig, SweepSpec
 from .delay import all_miss_delay, overall_delay
 from .geometry import stp_cache_tier, stp_mbs, stp_nearest_cached, stp_nearest_uncached
 from .mcsim import (
@@ -78,8 +78,12 @@ def run_probability_validation(cfg: ExperimentConfig):
     Returns (rows, ok): ok is False when any point misses its estimate by
     more than three standard errors.  Zero caching probability has no
     conditional Monte-Carlo law, so those rows carry the analytic zero
-    and not-applicable MC columns.
+    and not-applicable MC columns.  The gate needs a standard error, so
+    fewer than two trials raise ``ConfigError``.
     """
+    if cfg.sim.trials < 2:
+        raise ConfigError("sim.trials: validation needs at least 2 trials "
+                          f"for a standard error, got {cfg.sim.trials}")
     theta = cfg.radio.sir_threshold
     rows = []
 

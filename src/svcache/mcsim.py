@@ -22,7 +22,8 @@ Within a block, interferers are drawn ``_SUB`` (16) trials at a time so
 the temporaries stay cache-sized; the fading gains come from a
 jump-ahead copy of the block stream (``PCG64.advance``), so the stream
 layout, and every output, is exactly what drawing the whole block at once
-gives (see ``_interference``).
+gives; each trial's interference is one segment sum (``np.add.reduceat``,
+pairwise) of its contiguous interferers (see ``_interference``).
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     largest sub-chunk, so the working set stays cache-sized.
     ``Generator.random`` takes exactly one 64-bit output per float, so the
     gains come from a copy of the stream jumped ahead by the interferer
-    count, and the caller's stream resumes where the gains end.  Per-trial
-    sums keep their order (``np.bincount``).
+    count, and the caller's stream resumes where the gains end.  Each
+    trial's interferers are one contiguous segment of its sub-chunk, summed
+    pairwise by ``np.add.reduceat``; trials without interferers start no
+    segment and keep a zero sum.
     """
     n = r0_sq.shape[0]
     out = np.zeros(n)
@@ -174,17 +177,25 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     else:
         mu = np.full(idx_all.size, density * math.pi * r_max_sq)
     counts = rng.poisson(mu)
+    edges = list(range(0, idx_all.size, _SUB)) + [idx_all.size]
+    totals = np.add.reduceat(counts, edges[:-1]).tolist()
     gain_bits = np.random.PCG64(0)  # seed irrelevant: the state is replaced
     gain_bits.state = rng.bit_generator.state
-    gain_bits.advance(int(counts.sum()))
+    gain_bits.advance(sum(totals))
     gain_rng = np.random.Generator(gain_bits)
     # one set of buffers per call, sized to the largest sub-chunk
-    size = int(np.add.reduceat(counts, np.arange(0, idx_all.size, _SUB)).max())
-    u_buf, gain_buf, r_buf = (np.empty(size) for _ in range(3))
-    for s in range(0, idx_all.size, _SUB):
-        e = min(s + _SUB, idx_all.size)
+    u_buf, gain_buf, r_buf = (np.empty(max(totals)) for _ in range(3))
+    # each trial's first interferer within its sub-chunk; only trials that
+    # hold one start a segment (an empty segment would cut its neighbour's)
+    first = np.cumsum(counts) - counts
+    first -= first[edges[:-1]].repeat(_SUB)[:idx_all.size]
+    held = np.flatnonzero(counts)
+    seg_starts = first[held]
+    seg_edges = np.searchsorted(held, edges).tolist()
+    seg_sums = np.empty(held.size)
+    for k, total in enumerate(totals):
+        s, e = edges[k], edges[k + 1]
         c = counts[s:e]
-        total = int(c.sum())
         u = rng.random(out=u_buf[:total])
         gains = gain_rng.standard_exponential(out=gain_buf[:total])
         r = r_buf[:total]
@@ -196,8 +207,9 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
         else:
             np.multiply(r_max_sq, u, out=r)
         np.multiply(gains, _pow_neg_half(r, alpha, out=r), out=r)
-        owner = np.repeat(np.arange(e - s), c)
-        out[idx_all[s:e]] = np.bincount(owner, weights=r, minlength=e - s)
+        a, b = seg_edges[k], seg_edges[k + 1]
+        np.add.reduceat(r, seg_starts[a:b], out=seg_sums[a:b])
+    out[idx_all[held]] = seg_sums
     # advance() clears the buffered 32-bit half; keep the caller's
     state = rng.bit_generator.state
     state["state"] = gain_bits.state["state"]

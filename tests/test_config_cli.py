@@ -249,6 +249,14 @@ def test_cli_validate_passes_at_moderate_trials(tmp_path):
     assert len(lines) > 30
 
 
+def test_cli_validate_rejects_a_single_trial(tmp_path, capsys):
+    # one trial has no standard error: a config error, not a gate failure
+    out = tmp_path / "validate.csv"
+    assert cli.main(["validate", "--trials", "1", "--out", str(out)]) == 2
+    assert "config error: sim.trials:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
     rows = [{"sweep_var": "p_d2d_cache_tier", "value": 0.5,
              "analytic": 0.5, "mc_mean": 0.4, "mc_stderr": 0.001,

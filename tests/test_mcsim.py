@@ -305,7 +305,9 @@ def _interference_whole_block(rng, r0_sq, lo_is_server, density, alpha,
     else:
         r_sq = r_max_sq * u
     contrib = gains * _pow_neg_half(r_sq, alpha)
-    out[idx_all] = np.bincount(pos, weights=contrib, minlength=idx_all.size)
+    held = np.flatnonzero(counts)
+    starts = np.cumsum(counts) - counts
+    out[idx_all[held]] = np.add.reduceat(contrib, starts[held])
     return out
 
 
@@ -325,6 +327,46 @@ def test_interference_matches_whole_block_draw(n, alpha, mask_kind,
     out = _interference(rng, r0_sq, lo_is_server, 0.01, alpha, radius, mask)
     ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
                                     alpha, radius, mask)
+    assert np.array_equal(out, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("lo_is_server", [True, False])
+def test_interference_sums_within_pairwise_bound_of_fsum(lo_is_server):
+    # redraw the call's interferers and sum each trial's terms exactly
+    n, density, radius = 300, 0.05, 60.0  # 280 to 570 interferers a trial
+    r0_sq = np.random.default_rng(3).uniform(0.0, 0.5 * radius**2, n)
+    out = _interference(np.random.default_rng(12), r0_sq, lo_is_server,
+                        density, 4.0, radius)
+    rng = np.random.default_rng(12)
+    r_max_sq = radius**2
+    lo = r0_sq if lo_is_server else np.zeros(n)
+    counts = rng.poisson(density * math.pi * (r_max_sq - lo))
+    u = rng.random(int(counts.sum()))
+    gains = rng.standard_exponential(u.size)
+    lo_each = np.repeat(lo, counts)
+    terms = gains * _pow_neg_half(lo_each + u * (r_max_sq - lo_each), 4.0)
+    exact = np.array([math.fsum(t) for t in
+                      np.split(terms, np.cumsum(counts)[:-1])])
+    bound = 4.0 * np.log2(counts + 1.0) * np.finfo(float).eps
+    assert counts.min() > 128  # numpy's pairwise sum splits such runs
+    assert np.all(np.abs(out - exact) <= bound * exact)
+
+
+@pytest.mark.parametrize("empty", [[5], [28, 29, 30, 31], list(range(32, 48))],
+                         ids=["mid_sub_chunk", "sub_chunk_tail",
+                              "whole_sub_chunk"])
+def test_interference_empty_trials_match_whole_block_draw(empty):
+    # a server at or beyond the window radius leaves no interferers
+    radius = 60.0
+    r0_sq = np.random.default_rng(4).uniform(0.0, 0.9 * radius**2, 64)
+    r0_sq[empty] = radius**2 * np.linspace(1.0, 1.2, len(empty))
+    rng = np.random.default_rng(6)
+    ref_rng = np.random.default_rng(6)
+    out = _interference(rng, r0_sq, True, 0.01, 4.0, radius)
+    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, radius)
+    assert np.all(out[empty] == 0.0)
+    assert np.all(np.delete(out, empty) > 0.0)
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
