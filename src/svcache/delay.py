@@ -24,8 +24,7 @@ import numpy as np
 
 from .content import (ContentLibrary, _check_file_index, _check_layer_index,
                       preference_matrix)
-from .geometry import (NetworkGeometry, RadioConfig, _hit, _tier_terms, hit_term,
-                       stp_mbs)
+from .geometry import NetworkGeometry, RadioConfig, _tier_terms, hit_term, stp_mbs
 
 __all__ = [
     "CacheBudgets",
@@ -98,9 +97,11 @@ class _Model:
     from ``(lib, geoms, radio)``: the preference weights ``w``, the three
     ``branch_costs`` matrices and the ``_tier_terms`` of the two cached
     tiers, stacked d2d over sbs: the disk masses ``area`` as a (2, 1, 1)
-    column and the threshold ``terms`` as (2 terms, 2 tiers, 1, 1).  Only
-    ``cells`` reads the tier terms; ``build(..., tiers=False)`` leaves them
-    None for readers of ``w`` and ``costs`` alone."""
+    column and the threshold ``terms`` as (2 terms, 2 tiers, 1, 1), the
+    operands of ``geometry._hit``.  Only the solver's gradient
+    (``optimizer._objective``) reads the tier terms; ``build(...,
+    tiers=False)`` leaves them None for readers of ``w`` and ``costs`` alone:
+    the delay readers here and the grid oracle."""
 
     w: np.ndarray
     costs: tuple
@@ -118,15 +119,6 @@ class _Model:
         area, terms = zip(_tier_terms(geoms.d2d, theta), _tier_terms(geoms.sbs, theta))
         return cls(*read, np.array(area)[:, None, None],
                    np.stack(terms, axis=1)[:, :, None, None])
-
-    def cells(self, p, rows=slice(None)):
-        """Weighted per-cell delays of the stacked (2, F, L) matrices ``p``
-        on ``rows``, and their stacked hits and slopes there.  Entries must
-        lie in [0, 1] (policy matrices and projected iterates do); they are
-        not checked here."""
-        hit, slope = _hit(p[:, rows], self.area, self.terms)
-        d2d, sbs, mbs = _cascade(hit[0], hit[1], *(c[rows] for c in self.costs))
-        return self.w[rows] * (d2d + sbs + mbs), hit, slope
 
 
 def _branches(p_d, p_s, model: _Model, geoms: NetworkGeometry, theta):

@@ -4,8 +4,8 @@ The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
 set.  The gradient is the closed form of ``objective_gradient``, not a
 difference quotient, and the same call returns the delay, so each
-iterate is evaluated once.  What a solve never changes is built once per
-solve: the projector and the instance's delay model (``delay._Model``:
+iterate is evaluated once.  What the iterates never change is built once
+per solve: the projector and the loop's delay model (``delay._Model``:
 weights, branch costs and the hit terms' tier constants, stacked so both
 threshold terms of both tiers go through one ``_q`` call); iterates stay
 plain arrays.
@@ -26,21 +26,22 @@ A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
 to budget equality; only grid rows with a zero entry are projected, as
 every other row is a uniform shift of one.  It evaluates the cross
-product through an exact bilinear split of the objective rather than
-literal pair enumeration, astronomically large already at step 0.02.
+product through an exact bilinear split of the objective, scoring every
+d2d row against one sbs Pareto-frontier point at a time.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .content import ContentLibrary
-from .delay import CacheBudgets, _check_shape, _Model, cell_delay_matrix, overall_delay
-from .geometry import NetworkGeometry, RadioConfig, hit_term
+from .delay import (CacheBudgets, _cascade, _check_shape, _Model, cell_delay_matrix,
+                    overall_delay)
+from .geometry import NetworkGeometry, RadioConfig, _hit, hit_term
+from .mcsim import _is_count
 from .policies import CachingPolicy, epcp, mpcp
 
 __all__ = [
@@ -75,9 +76,7 @@ class OptimizerConfig:
     initial_policy: CachingPolicy | str = "mpcp"
 
     def __post_init__(self):
-        if not (isinstance(self.max_iterations, numbers.Integral)
-                and not isinstance(self.max_iterations, bool)
-                and self.max_iterations >= 1):
+        if not (_is_count(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")
         if not 0 < self.convergence_tol < np.inf:
@@ -252,9 +251,11 @@ def _objective(p, model):
     cells, grad = np.empty(model.w.shape), np.empty(p.shape)
     for start in range(0, p.shape[1], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        cells[rows], hit, slope = model.cells(p, rows)
         w = model.w[rows]
         a, b, c_m = (cost[rows] for cost in model.costs)
+        hit, slope = _hit(p[:, rows], model.area, model.terms)
+        d2d, sbs, mbs = _cascade(hit[0], hit[1], a, b, c_m)
+        cells[rows] = w * (d2d + sbs + mbs)
         grad[0, rows] = w * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m)
         grad[1, rows] = w * (1.0 - hit[0]) * slope[1] * (b - c_m)
     return float(cells.sum()), grad
@@ -271,9 +272,9 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     stops once the delay change drops below ``convergence_tol`` or the
     iteration budget runs out.  The 1/t step does not guarantee monotone
     descent, so the best iterate seen (including the start) is tracked
-    and returned.  The sizes are checked, and the delay model built, once
-    per solve; iterates stay plain arrays and only the returned policy is
-    a ``CachingPolicy``.
+    and returned.  The sizes are checked once per solve and the loop reads
+    one delay model; the start's ``objective_gradient`` and the final
+    ``cell_delay_matrix`` build their own.  Iterates stay plain arrays.
     """
     cfg = cfg or OptimizerConfig()
     project = _Projector(lib.super_layer_sizes,
@@ -331,7 +332,6 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
 # ---------------------------------------------------------------------------
 
 _GRID_STEPS = (0.05, 0.02)
-_PAIR_FLOP_GUARD = 4e10
 
 
 def _grid_chunks(n_cells, n_values, chunk=16_384):
@@ -375,15 +375,13 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     Enumerates every per-tier matrix on the grid {0, step, ..., 1},
     projects each to budget equality, and minimizes the overall delay
     over all cross-tier pairs.  The pair minimum is computed exactly via
-    the split D = u(p_d) + V(p_d) . hit_s(p_s): per d2d candidate the
-    inner minimum is a dot product against the Pareto frontier of the
-    sbs hit vectors (all components of V share one sign, fixed by
-    whether the small-cell transmission beats the backhaul-plus-macro
-    path).  Only the 2x2 catalog is served: any other shape raises
-    ``ValueError`` at once.  ``_PAIR_FLOP_GUARD`` bounds d2d rows, counted
-    with their duplicates, times frontier points times useful cells: at
-    step 0.02 (515 201 canonical rows) it trips only for an sbs frontier
-    above about 38 800 points.
+    the split D = u(p_d) + V(p_d) . hit_s(p_s): only the Pareto frontier
+    of the sbs hit vectors can attain the inner minimum (all components of
+    V share one sign, fixed by whether the small-cell transmission beats
+    the backhaul-plus-macro path), and each frontier point scores every
+    d2d row in one product.  Ties go to the first frontier point in
+    ``_pareto_indices`` order, then the first d2d row in grid order.  Only
+    the 2x2 catalog is served: any other shape raises ``ValueError`` at once.
     """
     if lib.shape != (2, 2):
         raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")
@@ -392,7 +390,7 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     n_values = int(round(1.0 / grid_step)) + 1
 
     theta = radio.sir_threshold
-    model = _Model.build(lib, geoms, radio)
+    model = _Model.build(lib, geoms, radio, tiers=False)
     sizes = lib.super_layer_sizes.ravel()
     useful = np.flatnonzero(model.w.ravel() > 0)
     w, a, b, c_m = (term.ravel()[useful] for term in (model.w, *model.costs))
@@ -406,22 +404,12 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)
     v_mat = w * (b - c_m) * (1.0 - hit_d)
 
-    frontier_idx = _pareto_indices(hit_s, maximize=(b - c_m)[0] < 0)
-    h_front = hit_s[frontier_idx]
-    if v_mat.shape[0] * h_front.shape[0] * useful.size > _PAIR_FLOP_GUARD:
-        raise ValueError("grid_oracle search space too large for this instance")
-
-    best_val = np.inf
-    best_i = best_j = 0
-    block = int(2e7 // h_front.shape[0])
-    for start in range(0, v_mat.shape[0], block):
-        sl = slice(start, start + block)
-        scores = v_mat[sl] @ h_front.T + base[sl, None]
-        i_loc, j_loc = divmod(int(np.argmin(scores)), h_front.shape[0])
-        if scores[i_loc, j_loc] < best_val:
-            best_val = float(scores[i_loc, j_loc])
-            best_i = start + i_loc
-            best_j = int(frontier_idx[j_loc])
+    best_val, best_i, best_j = np.inf, 0, 0
+    for j in _pareto_indices(hit_s, maximize=(b - c_m)[0] < 0):
+        scores = v_mat @ hit_s[j] + base
+        i = scores.argmin()
+        if scores[i] < best_val:
+            best_val, best_i, best_j = scores[i], i, j
 
     policy = CachingPolicy(p_d=rows_d[best_i].reshape(lib.shape),
                            p_s=rows_s[best_j].reshape(lib.shape))

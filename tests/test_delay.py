@@ -8,6 +8,7 @@ from svcache import (
     CachingPolicy,
     SimConfig,
     all_miss_delay,
+    grid_oracle,
     hit_rate,
     hit_term,
     mc_delay_end_to_end,
@@ -15,10 +16,11 @@ from svcache import (
     overall_delay,
     preference_matrix,
     stp_mbs,
+    total_catalog_bits,
 )
 from svcache.content import ContentLibrary
 from svcache.delay import _cascade, _Model, branch_costs, cell_delay_matrix
-from svcache.geometry import RadioConfig, hit_and_slope
+from svcache.geometry import RadioConfig, _hit, hit_and_slope
 from svcache.optimizer import _BLOCK_ROWS
 
 THETA = 10.0**0.5
@@ -197,7 +199,8 @@ def test_cache_budgets_validation():
 
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
 def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
-    # 5 000 files cross the gradient's row block; the model is read per block
+    # 5 000 files cross the gradient's row block; the gradient reads the
+    # model's tier terms per block
     if file_count != lib.file_count:
         lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
     model = _Model.build(lib, geoms, radio)
@@ -210,7 +213,7 @@ def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
     theta = radio.sir_threshold
     for p in stacks:
         for rows in (slice(None), slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)):
-            _, hit, slope = model.cells(p, rows)
+            hit, slope = _hit(p[:, rows], model.area, model.terms)
             for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
                 want_hit, want_slope = hit_and_slope(p[tier, rows], geom, theta)
                 assert np.array_equal(hit[tier], want_hit)
@@ -218,12 +221,17 @@ def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
 
 
 def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
-    # overall_delay, cell_delay_matrix and all_miss_delay read only the
-    # weights and branch costs of the model; its tier terms serve cells()
+    # overall_delay, cell_delay_matrix, all_miss_delay and grid_oracle read
+    # only the weights and branch costs of the model; its tier terms serve
+    # the gradient
     from svcache import delay
 
+    toy = ContentLibrary.uniform(2, 2, 25e6, skewness=1.0, plateau=5.0)
+    half = total_catalog_bits(toy) / 2
+    toy_budgets = CacheBudgets(m_d=half, m_s=half)
     expected = (overall_delay(CachingPolicy.zeros(*lib.shape), lib, geoms, radio).total,
-                all_miss_delay(lib, geoms, radio))
+                all_miss_delay(lib, geoms, radio),
+                grid_oracle(toy, geoms, radio, toy_budgets, grid_step=0.05)[1])
 
     def refused(*args):
         raise AssertionError("tier terms built for a reader of w and costs")
@@ -233,5 +241,6 @@ def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
     assert overall_delay(zero, lib, geoms, radio).total == expected[0]
     assert delay.cell_delay_matrix(zero.p_d, zero.p_s, lib, geoms, radio).sum() == expected[0]
     assert all_miss_delay(lib, geoms, radio) == expected[1]
+    assert grid_oracle(toy, geoms, radio, toy_budgets, grid_step=0.05)[1] == expected[2]
     with pytest.raises(AssertionError, match="tier terms"):
         _Model.build(lib, geoms, radio)

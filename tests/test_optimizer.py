@@ -579,6 +579,26 @@ def test_grid_oracle_pinned_at_criterion_6_instance(toy_lib, geoms, radio,
     assert policy.p_s.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+def test_grid_oracle_pinned_on_a_multi_point_frontier(toy_lib, geoms, radio,
+                                                      monkeypatch):
+    # the criterion-6 instance has a one-point sbs frontier; a smaller sbs
+    # budget spreads it, so the pair minimum scores many frontier points
+    frontiers, pareto = [], optimizer._pareto_indices
+
+    def recorded(points, maximize):
+        frontiers.append(pareto(points, maximize))
+        return frontiers[-1]
+
+    monkeypatch.setattr(optimizer, "_pareto_indices", recorded)
+    total = total_catalog_bits(toy_lib)
+    budgets = CacheBudgets(m_d=0.5 * total, m_s=0.2 * total)
+    policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
+    assert len(frontiers) == 1 and frontiers[0].size >= 20
+    assert value == pytest.approx(5.040945928885067, rel=1e-12)
+    assert policy.p_d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert policy.p_s.tolist() == [[0.0, 0.6000000000000001], [0.0, 0.0]]
+
+
 def _useful_and_sizes(lib):
     useful = np.flatnonzero(preference_matrix(lib).ravel() > 0)
     return useful, lib.super_layer_sizes.ravel()
