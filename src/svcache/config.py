@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary
+from .content import ContentLibrary, _is_count
 from .delay import CacheBudgets
 from .geometry import NetworkGeometry, RadioConfig, TierGeometry
 from .mcsim import SimConfig
@@ -118,8 +118,8 @@ class SweepSpec:
         if self.variable not in SWEEPABLE:
             raise ValueError(f"variable {self.variable!r} is not sweepable; "
                              f"choose from {SWEEPABLE}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps!r}")
+        if not (_is_count(self.steps) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -184,6 +184,13 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
+def _sweep_bounds(start, stop, steps):
+    """Sweep bounds from text or numbers: ``float`` start and stop, and
+    ``steps`` parsed when it is text but otherwise passed unchanged, so
+    ``SweepSpec`` rejects a non-integer count instead of truncating it."""
+    return float(start), float(stop), int(steps) if isinstance(steps, str) else steps
+
+
 def _named(build, *args, tier="", **kwargs):
     """Call a constructor; re-raise its ``ValueError`` as a ``ConfigError``
     led by the dotted key of the field its message names first (``tier``
@@ -236,8 +243,8 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
     sweep = None
     if str(raw["sweep.variable"]).strip():
         try:
-            bounds = (float(raw["sweep.start"]), float(raw["sweep.stop"]),
-                      int(raw["sweep.steps"]))
+            bounds = _sweep_bounds(raw["sweep.start"], raw["sweep.stop"],
+                                   raw["sweep.steps"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 "sweep.start/sweep.stop/sweep.steps must be numeric") from exc
@@ -271,7 +278,7 @@ def parse_sweep_flag(text: str) -> SweepSpec:
     try:
         variable, rest = text.split("=", 1)
         start, stop, steps = rest.split(":")
-        bounds = (float(start), float(stop), int(steps))
+        bounds = _sweep_bounds(start, stop, steps)
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec {text!r}; expected VAR=start:stop:steps") from exc
     return _named(SweepSpec, variable.strip(), *bounds)

@@ -13,6 +13,7 @@ the usual ranked-catalog convention; storage is 0-based internally.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    """An integer that is not a bool (``bool`` is a ``numbers.Integral``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ContentLibrary:
     """Immutable catalog of ``file_count`` files times ``layer_count`` layers.
@@ -36,9 +42,9 @@ class ContentLibrary:
     Parameters
     ----------
     file_count : int
-        Number of files F, at least 2 (the preference split divides by F-1).
+        Number of files F, an integer >= 2 (the preference split divides by F-1).
     layer_count : int
-        Number of layers L per file, at least 2 (the split divides by L-1).
+        Number of layers L per file, an integer >= 2 (the split divides by L-1).
     layer_sizes : ndarray, shape (F, L)
         Size of each individual layer in bits, finite and strictly positive.
     skewness : float
@@ -57,13 +63,11 @@ class ContentLibrary:
     plateau: float = 5.0
 
     def __post_init__(self):
-        if self.file_count < 2:
-            raise ValueError("file_count must be >= 2")
-        if self.layer_count < 2:
-            raise ValueError(
-                "layer_count must be >= 2; the quality preference split is "
-                "undefined for a single layer"
-            )
+        for name in ("file_count", "layer_count"):
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= 2):
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}; "
+                                 "the quality preference split divides by it minus 1")
         sizes = np.asarray(self.layer_sizes, dtype=float)
         if sizes.shape != (self.file_count, self.layer_count):
             raise ValueError(
@@ -84,9 +88,10 @@ class ContentLibrary:
     def uniform(cls, file_count, layer_count, layer_size_bits=25e6,
                 skewness=1.0, plateau=5.0):
         """Catalog with one common size for every layer of every file."""
-        # a negative count yields an empty array, so the constructor's own
-        # count check reports it rather than numpy's shape error
-        sizes = np.full((max(file_count, 0), max(layer_count, 0)),
+        # a count that is not a positive integer yields an empty array, so
+        # the constructor's own count checks report it, not numpy's errors
+        shape = (file_count, layer_count)
+        sizes = np.full(shape if all(_is_count(n) and n > 0 for n in shape) else (0, 0),
                         float(layer_size_bits))
         return cls(file_count, layer_count, sizes, skewness, plateau)
 
@@ -124,13 +129,15 @@ class ContentLibrary:
 
 
 def _check_file_index(lib, f):
-    if not 1 <= f <= lib.file_count:
-        raise IndexError(f"file index {f} out of range 1..{lib.file_count}")
+    if not (_is_count(f) and 1 <= f <= lib.file_count):
+        raise IndexError(f"file index {f} out of range: expected an integer "
+                         f"in 1..{lib.file_count}")
 
 
 def _check_layer_index(lib, l):
-    if not 1 <= l <= lib.layer_count:
-        raise IndexError(f"layer index {l} out of range 1..{lib.layer_count}")
+    if not (_is_count(l) and 1 <= l <= lib.layer_count):
+        raise IndexError(f"layer index {l} out of range: expected an integer "
+                         f"in 1..{lib.layer_count}")
 
 
 def request_distribution(lib: ContentLibrary) -> np.ndarray:

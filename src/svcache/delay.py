@@ -11,9 +11,10 @@ Delays are expected-time surrogates: success probability times
 transmission time, not a conditional waiting time.  Units are bits, Hz,
 bit/s and seconds throughout.
 
-What the delay reads besides the policy (preference weights, branch
-costs, the hit terms' tier constants) is built in one place, ``_Model``,
-which this module, the solver and the grid oracle read.
+What the delay reads besides the policy, the preference weights and the
+branch costs, is built in one place, ``_weights_and_costs``, which this
+module, the solver and the grid oracle read; the hit terms' tier
+constants belong to ``geometry``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .content import (ContentLibrary, _check_file_index, _check_layer_index,
                       preference_matrix)
-from .geometry import NetworkGeometry, RadioConfig, _tier_terms, hit_term, stp_mbs
+from .geometry import NetworkGeometry, RadioConfig, hit_term, stp_mbs
 
 __all__ = [
     "CacheBudgets",
@@ -91,40 +92,21 @@ def _cascade(hit_d, hit_s, a, b, c_m):
             (1.0 - hit_d) * (1.0 - hit_s) * c_m)
 
 
-@dataclass(frozen=True)
-class _Model:
-    """What the delay of an instance reads besides the policy, built once
-    from ``(lib, geoms, radio)``: the preference weights ``w``, the three
-    ``branch_costs`` matrices and the ``_tier_terms`` of the two cached
-    tiers, stacked d2d over sbs: the disk masses ``area`` as a (2, 1, 1)
-    column and the threshold ``terms`` as (2 terms, 2 tiers, 1, 1), the
-    operands of ``geometry._hit``.  Only the solver's gradient
-    (``optimizer._objective``) reads the tier terms; ``build(...,
-    tiers=False)`` leaves them None for readers of ``w`` and ``costs`` alone:
-    the delay readers here and the grid oracle."""
-
-    w: np.ndarray
-    costs: tuple
-    area: np.ndarray | None = None
-    terms: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, lib: ContentLibrary, geoms: NetworkGeometry,
-              radio: RadioConfig, tiers: bool = True) -> _Model:
-        theta = radio.sir_threshold
-        pm = stp_mbs(geoms.mbs.pathloss, theta)
-        read = (preference_matrix(lib), branch_costs(lib.super_layer_sizes, pm, radio))
-        if not tiers:
-            return cls(*read)
-        area, terms = zip(_tier_terms(geoms.d2d, theta), _tier_terms(geoms.sbs, theta))
-        return cls(*read, np.array(area)[:, None, None],
-                   np.stack(terms, axis=1)[:, :, None, None])
+def _weights_and_costs(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig):
+    """What the delay of an instance reads besides the policy: the
+    preference weights ``w`` and the three ``branch_costs`` matrices, the
+    macro success from ``stp_mbs``, as ``(w, (a, b, c_m))``."""
+    pm = stp_mbs(geoms.mbs.pathloss, radio.sir_threshold)
+    return preference_matrix(lib), branch_costs(lib.super_layer_sizes, pm, radio)
 
 
-def _branches(p_d, p_s, model: _Model, geoms: NetworkGeometry, theta):
-    """The three per-cell branch delays, hits through the checked ``hit_term``."""
-    return _cascade(hit_term(p_d, geoms.d2d, theta), hit_term(p_s, geoms.sbs, theta),
-                    *model.costs)
+def _branches(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig):
+    """The weights and the three per-cell branch delays, hits through the
+    checked ``hit_term``."""
+    w, costs = _weights_and_costs(lib, geoms, radio)
+    theta = radio.sir_threshold
+    return w, _cascade(hit_term(p_d, geoms.d2d, theta), hit_term(p_s, geoms.sbs, theta),
+                       *costs)
 
 
 def _check_shape(policy, lib: ContentLibrary):
@@ -153,9 +135,8 @@ def overall_delay(policy, lib: ContentLibrary, geoms: NetworkGeometry,
         sum_{f,l} p_{f,l} * (d2d + sbs + mbs).
     """
     _check_shape(policy, lib)
-    model = _Model.build(lib, geoms, radio, tiers=False)
-    d2d, sbs, mbs = _branches(policy.p_d, policy.p_s, model, geoms, radio.sir_threshold)
-    total = float((model.w * (d2d + sbs + mbs)).sum())
+    w, (d2d, sbs, mbs) = _branches(policy.p_d, policy.p_s, lib, geoms, radio)
+    total = float((w * (d2d + sbs + mbs)).sum())
     return DelayBreakdown(d2d=d2d, sbs=sbs, mbs=mbs, total=total)
 
 
@@ -169,9 +150,8 @@ def cell_delay_matrix(p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
     """
     for matrix in (p_d, p_s):
         _check_shape(np.asarray(matrix), lib)
-    model = _Model.build(lib, geoms, radio, tiers=False)
-    d2d, sbs, mbs = _branches(p_d, p_s, model, geoms, radio.sir_threshold)
-    return model.w * (d2d + sbs + mbs)
+    w, (d2d, sbs, mbs) = _branches(p_d, p_s, lib, geoms, radio)
+    return w * (d2d + sbs + mbs)
 
 
 def hit_rate(f, l, p_d, p_s, lib: ContentLibrary, geoms: NetworkGeometry,
@@ -191,5 +171,5 @@ def all_miss_delay(lib: ContentLibrary, geoms: NetworkGeometry,
                    radio: RadioConfig) -> float:
     """Closed form of the overall delay when nothing is cached anywhere:
     every request pays backhaul retrieval plus macro downlink."""
-    model = _Model.build(lib, geoms, radio, tiers=False)
-    return float((model.w * model.costs[2]).sum())
+    w, (_, _, c_m) = _weights_and_costs(lib, geoms, radio)
+    return float((w * c_m).sum())

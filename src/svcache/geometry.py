@@ -230,6 +230,14 @@ def _tier_terms(geom: TierGeometry, theta: float):
         t * g_integral(geom.pathloss, 0.0)])
 
 
+def _stacked_terms(geoms: NetworkGeometry, theta: float):
+    """The ``_tier_terms`` of the two cached tiers stacked d2d over sbs, as
+    ``_hit`` reads them for stacked (2, F, L) matrices: the disk masses as a
+    (2, 1, 1) column and the threshold terms as (2 terms, 2 tiers, 1, 1)."""
+    area, terms = zip(_tier_terms(geoms.d2d, theta), _tier_terms(geoms.sbs, theta))
+    return np.array(area)[:, None, None], np.stack(terms, axis=1)[:, :, None, None]
+
+
 def _hit(p, area, terms):
     """Hit term p(p(q_x - q_0) + q_0) of a checked array and its slope
     2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'.  ``terms`` stacks t_x

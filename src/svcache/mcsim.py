@@ -29,13 +29,12 @@ pairwise) of its contiguous interferers (see ``_interference``).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary, preference_matrix
+from .content import ContentLibrary, _is_count, preference_matrix
 from .delay import _check_shape, branch_costs
 from .geometry import NetworkGeometry, RadioConfig, TierGeometry, _check_theta, _prob
 
@@ -53,11 +52,6 @@ __all__ = [
 _BLOCK = 1024
 _SUB = 16  # trials per interference sub-chunk (see _interference)
 _MAX_WORKERS = 4  # threads per estimate (see _over_blocks)
-
-
-def _is_count(value) -> bool:
-    """An integer that is not a bool (``bool`` is a ``numbers.Integral``)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ iteration t) with a projection of each tier's matrix onto its budget
 set.  The gradient is the closed form of ``objective_gradient``, not a
 difference quotient, and the same call returns the delay, so each
 iterate is evaluated once.  What the iterates never change is built once
-per solve: the projector and the loop's delay model (``delay._Model``:
-weights, branch costs and the hit terms' tier constants, stacked so both
-threshold terms of both tiers go through one ``_q`` call); iterates stay
-plain arrays.
+per solve: the projector, the weights and branch costs
+(``delay._weights_and_costs``) and the hit terms' tier constants
+(``geometry._stacked_terms``, stacked so both threshold terms of both
+tiers go through one ``_q`` call); iterates stay plain arrays.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .content import ContentLibrary
-from .delay import (CacheBudgets, _cascade, _check_shape, _Model, cell_delay_matrix,
-                    overall_delay)
-from .geometry import NetworkGeometry, RadioConfig, _hit, hit_term
-from .mcsim import _is_count
+from .content import ContentLibrary, _is_count
+from .delay import (CacheBudgets, _cascade, _check_shape, _weights_and_costs,
+                    cell_delay_matrix, overall_delay)
+from .geometry import NetworkGeometry, RadioConfig, _hit, _stacked_terms, hit_term
 from .policies import CachingPolicy, epcp, mpcp
 
 __all__ = [
@@ -240,20 +239,21 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
     """
     _check_shape(policy, lib)
     delay, grad = _objective(np.stack((policy.p_d, policy.p_s)),
-                             _Model.build(lib, geoms, radio))
+                             *_weights_and_costs(lib, geoms, radio),
+                             *_stacked_terms(geoms, radio.sir_threshold))
     return delay, grad[0], grad[1]
 
 
-def _objective(p, model):
+def _objective(p, weights, costs, area, terms):
     """``objective_gradient`` of the stacked (2, F, L) matrices ``p``,
-    entries in [0, 1], on the instance's ``_Model``: the delay and the
-    stacked gradient."""
-    cells, grad = np.empty(model.w.shape), np.empty(p.shape)
+    entries in [0, 1], from the instance's ``_weights_and_costs`` and
+    ``_stacked_terms``: the delay and the stacked gradient."""
+    cells, grad = np.empty(weights.shape), np.empty(p.shape)
     for start in range(0, p.shape[1], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        w = model.w[rows]
-        a, b, c_m = (cost[rows] for cost in model.costs)
-        hit, slope = _hit(p[:, rows], model.area, model.terms)
+        w = weights[rows]
+        a, b, c_m = (cost[rows] for cost in costs)
+        hit, slope = _hit(p[:, rows], area, terms)
         d2d, sbs, mbs = _cascade(hit[0], hit[1], a, b, c_m)
         cells[rows] = w * (d2d + sbs + mbs)
         grad[0, rows] = w * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m)
@@ -272,8 +272,8 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     stops once the delay change drops below ``convergence_tol`` or the
     iteration budget runs out.  The 1/t step does not guarantee monotone
     descent, so the best iterate seen (including the start) is tracked
-    and returned.  The sizes are checked once per solve and the loop reads
-    one delay model; the start's ``objective_gradient`` and the final
+    and returned.  Sizes are checked and the loop's constants built once
+    per solve; the start's ``objective_gradient`` and the final
     ``cell_delay_matrix`` build their own.  Iterates stay plain arrays.
     """
     cfg = cfg or OptimizerConfig()
@@ -294,7 +294,8 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     policy = CachingPolicy(p_d=p[0], p_s=p[1])
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
-    model = _Model.build(lib, geoms, radio)
+    weights, costs = _weights_and_costs(lib, geoms, radio)
+    area, terms = _stacked_terms(geoms, radio.sir_threshold)
     best_p = None  # None while the start is the best iterate
     result = OptimizerResult(
         best_policy=policy, best_delay=current, delay_trajectory=[current],
@@ -306,7 +307,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
         if not np.isfinite(raw).all():
             raise ValueError(f"iterate {t} is not finite")
         p = project(raw)
-        new, grad = _objective(p, model)
+        new, grad = _objective(p, weights, costs, area, terms)
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)
         result.budget_residual_d.append(abs(float((p[0] * sizes).sum()) - target_d))
@@ -390,10 +391,10 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     n_values = int(round(1.0 / grid_step)) + 1
 
     theta = radio.sir_threshold
-    model = _Model.build(lib, geoms, radio, tiers=False)
+    weights, costs = _weights_and_costs(lib, geoms, radio)
     sizes = lib.super_layer_sizes.ravel()
-    useful = np.flatnonzero(model.w.ravel() > 0)
-    w, a, b, c_m = (term.ravel()[useful] for term in (model.w, *model.costs))
+    useful = np.flatnonzero(weights.ravel() > 0)
+    w, a, b, c_m = (term.ravel()[useful] for term in (weights, *costs))
 
     rows_d, hit_d = _tier_candidates(geoms.d2d, theta, sizes, budgets.m_d,
                                      n_values, useful)

@@ -150,6 +150,27 @@ def test_parse_sweep_flag():
         SweepSpec("budgets.d2d_bits", 0, 1, 0)
 
 
+@pytest.mark.parametrize("steps", [2.5, True, np.float64(3.0)], ids=["half", "bool", "numpy-float"])
+def test_sweep_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError, match="^steps must be an integer"):
+        SweepSpec("budgets.d2d_bits", 0, 1, steps)
+    sweep = {"sweep.variable": "content.skewness", "sweep.start": 0.0, "sweep.stop": 1.0}
+    with pytest.raises(ConfigError, match="^sweep.steps: steps must be an integer"):
+        default_config(**sweep, **{"sweep.steps": steps})
+    # text is parsed, so the CLI flag, a config file and an override agree
+    assert default_config(**sweep, **{"sweep.steps": "3"}).sweep.steps == 3
+    assert parse_sweep_flag("content.skewness=0:1:3").steps == 3
+    with pytest.raises(ConfigError, match="bad sweep spec"):
+        parse_sweep_flag(f"content.skewness=0:1:{steps}")
+
+
+@pytest.mark.parametrize("count", [3.0, True], ids=["float", "bool"])
+def test_catalog_counts_must_be_integers(count):
+    for key in ("content.file_count", "content.layer_count"):
+        with pytest.raises(ConfigError, match=f"^{key}: {key.split('.')[1]} must be an integer"):
+            default_config(**{key: count})
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from svcache import (
     ContentLibrary,
+    hit_rate,
     preference_matrix,
     quality_preference,
     request_distribution,
@@ -114,6 +115,38 @@ def test_construction_errors():
         ContentLibrary.uniform(5, 2, 1.0, plateau=math.inf)
     with pytest.raises(ValueError, match="^layer_sizes"):
         ContentLibrary(2, 2, np.array([[1.0, math.inf], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("counts, field", [
+    ((3.0, 2), "file_count"), ((True, 2), "file_count"),
+    ((3, 2.0), "layer_count"), ((3, np.float64(2)), "layer_count"),
+], ids=["float-files", "bool-files", "float-layers", "numpy-float-layers"])
+def test_counts_must_be_integers(counts, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ContentLibrary(*counts, np.ones((3, 2)))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ContentLibrary.uniform(*counts)
+    assert ContentLibrary.uniform(np.int64(3), np.int64(2)).shape == (3, 2)
+
+
+@pytest.mark.parametrize("f, l, bad", [
+    (1.5, 1, "file index 1.5"), (True, 2, "file index True"), (2.0, 1, "file index 2.0"),
+    (2, 1.5, "layer index 1.5"), (1, False, "layer index False"),
+], ids=["float-file", "bool-file", "integral-float-file", "float-layer", "bool-layer"])
+def test_index_must_be_an_integer(lib, geoms, radio, f, l, bad):
+    count = 20 if bad.startswith("file") else 2
+    message = rf"^{bad} out of range: expected an integer in 1\.\.{count}$"
+    for read in (quality_preference, super_layer_size):
+        with pytest.raises(IndexError, match=message):
+            read(lib, f, l)
+    with pytest.raises(IndexError, match=message):
+        hit_rate(f, l, 0.5, 0.5, lib, geoms, radio)
+    if bad.startswith("file"):
+        with pytest.raises(IndexError, match=message):
+            request_probability(lib, f)
+    assert super_layer_size(lib, np.int64(2), np.int64(1)) == super_layer_size(lib, 2, 1)
+    assert hit_rate(np.int64(2), np.int64(1), 0.5, 0.5, lib, geoms, radio) == hit_rate(
+        2, 1, 0.5, 0.5, lib, geoms, radio)
 
 
 def test_library_immutable(lib):

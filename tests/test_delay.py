@@ -19,8 +19,8 @@ from svcache import (
     total_catalog_bits,
 )
 from svcache.content import ContentLibrary
-from svcache.delay import _cascade, _Model, branch_costs, cell_delay_matrix
-from svcache.geometry import RadioConfig, _hit, hit_and_slope
+from svcache.delay import _cascade, branch_costs, cell_delay_matrix
+from svcache.geometry import RadioConfig, _hit, _stacked_terms, hit_and_slope
 from svcache.optimizer import _BLOCK_ROWS
 
 THETA = 10.0**0.5
@@ -200,20 +200,19 @@ def test_cache_budgets_validation():
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
 def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
     # 5 000 files cross the gradient's row block; the gradient reads the
-    # model's tier terms per block
+    # stacked tier terms per block
     if file_count != lib.file_count:
         lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
-    model = _Model.build(lib, geoms, radio)
+    theta = radio.sir_threshold
     rng = np.random.default_rng(file_count)
     stacks = [rng.random((2, *lib.shape)) for _ in range(3)]
     stacks += [np.zeros((2, *lib.shape)), np.ones((2, *lib.shape))]
     mixed = rng.random((2, *lib.shape))
     mixed[:, ::3], mixed[:, 1::3] = 0.0, 1.0
     stacks.append(mixed)
-    theta = radio.sir_threshold
     for p in stacks:
         for rows in (slice(None), slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)):
-            hit, slope = _hit(p[:, rows], model.area, model.terms)
+            hit, slope = _hit(p[:, rows], *_stacked_terms(geoms, theta))
             for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
                 want_hit, want_slope = hit_and_slope(p[tier, rows], geom, theta)
                 assert np.array_equal(hit[tier], want_hit)
@@ -222,9 +221,8 @@ def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
 
 def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
     # overall_delay, cell_delay_matrix, all_miss_delay and grid_oracle read
-    # only the weights and branch costs of the model; its tier terms serve
-    # the gradient
-    from svcache import delay
+    # only the weights and branch costs; the tier terms serve the gradient
+    from svcache import delay, geometry, optimizer
 
     toy = ContentLibrary.uniform(2, 2, 25e6, skewness=1.0, plateau=5.0)
     half = total_catalog_bits(toy) / 2
@@ -236,11 +234,12 @@ def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
     def refused(*args):
         raise AssertionError("tier terms built for a reader of w and costs")
 
-    monkeypatch.setattr(delay, "_tier_terms", refused)
+    monkeypatch.setattr(geometry, "_tier_terms", refused)
+    monkeypatch.setattr(optimizer, "_stacked_terms", refused)
     zero = CachingPolicy.zeros(*lib.shape)
     assert overall_delay(zero, lib, geoms, radio).total == expected[0]
     assert delay.cell_delay_matrix(zero.p_d, zero.p_s, lib, geoms, radio).sum() == expected[0]
     assert all_miss_delay(lib, geoms, radio) == expected[1]
     assert grid_oracle(toy, geoms, radio, toy_budgets, grid_step=0.05)[1] == expected[2]
     with pytest.raises(AssertionError, match="tier terms"):
-        _Model.build(lib, geoms, radio)
+        objective_gradient(zero, lib, geoms, radio)
