@@ -4,8 +4,8 @@ the names of rejected fields.
 A config file is plain ``key = value`` lines with ``#`` comments, which
 start at a ``#`` that begins the line or follows whitespace; keys
 use dotted section names (``content.file_count``, ``tiers.d2d.density``,
-``radio.sir_threshold_db``, ...).  Unknown keys are rejected so typos
-fail loudly.  The committed defaults encode the reference parameter set;
+``radio.sir_threshold_db``, ...).  Unknown and repeated keys are rejected
+so typos fail loudly.  The committed defaults encode the reference set;
 values the reference table does not pin down (serving radii, macro
 density, bandwidths, backhaul rate) are invented defaults, labelled as
 such in the template, and freely overridable.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -84,8 +85,8 @@ _SCHEMA: list[tuple[str, object, bool, str]] = [
     ("optimizer.convergence_tol_s", 1e-6, False, "convergence_tol"),
     ("optimizer.initial_policy", "mpcp", True, "initial_policy"),
     ("sweep.variable", "", False, "variable"),
-    ("sweep.start", "", False, ""),
-    ("sweep.stop", "", False, ""),
+    ("sweep.start", "", False, "start"),
+    ("sweep.stop", "", False, "stop"),
     ("sweep.steps", "", False, "steps"),
     ("output.path", "", False, ""),
 ]
@@ -105,9 +106,9 @@ SWEEPABLE = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """``steps`` evenly spaced values of one ``SWEEPABLE`` key from
-    ``start`` to ``stop``; each check raises ``ValueError`` naming its
-    field first."""
+    """``steps`` evenly spaced values of one ``SWEEPABLE`` key from a finite
+    ``start`` to a finite ``stop``; each check raises ``ValueError`` naming
+    its field first."""
 
     variable: str
     start: float
@@ -120,6 +121,10 @@ class SweepSpec:
                              f"choose from {SWEEPABLE}")
         if not (_is_count(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        for name, value in (("start", self.start), ("stop", self.stop)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -169,8 +174,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a resolved key map over defaults."""
-    raw = dict(_DEFAULTS)
+    """Parse ``key = value`` lines, each key once, into a key map over defaults."""
+    raw, set_on = dict(_DEFAULTS), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
@@ -180,15 +185,18 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
         raw[key] = _parse_value(key, value)
     return raw
 
 
 def _sweep_bounds(start, stop, steps):
-    """Sweep bounds from text or numbers: ``float`` start and stop, and
-    ``steps`` parsed when it is text but otherwise passed unchanged, so
-    ``SweepSpec`` rejects a non-integer count instead of truncating it."""
-    return float(start), float(stop), int(steps) if isinstance(steps, str) else steps
+    """Sweep bounds from text or numbers: text is parsed (``float`` start and
+    stop, ``int`` steps) and anything else passed unchanged, so ``SweepSpec``
+    rejects a bool or a non-integer count instead of converting it."""
+    return tuple(parse(value) if isinstance(value, str) else value
+                 for parse, value in ((float, start), (float, stop), (int, steps)))
 
 
 def _named(build, *args, tier="", **kwargs):
@@ -245,7 +253,7 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
         try:
             bounds = _sweep_bounds(raw["sweep.start"], raw["sweep.stop"],
                                    raw["sweep.steps"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(
                 "sweep.start/sweep.stop/sweep.steps must be numeric") from exc
         sweep = _named(SweepSpec, raw["sweep.variable"], *bounds)

@@ -38,7 +38,6 @@ __all__ = [
     "TierGeometry",
     "association_probability",
     "g_integral",
-    "hit_and_slope",
     "hit_term",
     "q_factor",
     "stp_cache_tier",
@@ -220,21 +219,17 @@ def _q(p, area, t):
     return q, (area * np.exp(z) - q) / den
 
 
-def _tier_terms(geom: TierGeometry, theta: float):
-    """The mean node count A in the disk and, stacked in one array, the
-    threshold terms of the hit term: t_x = theta^(2/a) * G(a, theta^(-2/a))
-    over t_0 = theta^(2/a) * G(a, 0)."""
-    t = theta ** (2.0 / geom.pathloss)
-    return geom.mean_nodes_in_radius, np.array([
-        t * g_integral(geom.pathloss, theta ** (-2.0 / geom.pathloss)),
-        t * g_integral(geom.pathloss, 0.0)])
-
-
 def _stacked_terms(geoms: NetworkGeometry, theta: float):
-    """The ``_tier_terms`` of the two cached tiers stacked d2d over sbs, as
-    ``_hit`` reads them for stacked (2, F, L) matrices: the disk masses as a
-    (2, 1, 1) column and the threshold terms as (2 terms, 2 tiers, 1, 1)."""
-    area, terms = zip(_tier_terms(geoms.d2d, theta), _tier_terms(geoms.sbs, theta))
+    """The constants ``_hit`` reads for stacked (2, F, L) matrices, d2d over
+    sbs: the mean node counts A in the serving disks as a (2, 1, 1) column
+    and the threshold terms t_x = theta^(2/a) * G(a, theta^(-2/a)) over
+    t_0 = theta^(2/a) * G(a, 0) as (2 terms, 2 tiers, 1, 1)."""
+    area, terms = [], []
+    for geom in (geoms.d2d, geoms.sbs):
+        t = theta ** (2.0 / geom.pathloss)
+        area.append(geom.mean_nodes_in_radius)
+        terms.append((t * g_integral(geom.pathloss, theta ** (-2.0 / geom.pathloss)),
+                      t * g_integral(geom.pathloss, 0.0)))
     return np.array(area)[:, None, None], np.stack(terms, axis=1)[:, :, None, None]
 
 
@@ -334,11 +329,3 @@ def hit_term(p, geom: TierGeometry, theta: float):
     q_0 = q_factor(arr, geom, theta, 0.0)
     return _scalar(p, arr * (arr * (q_x - q_0) + q_0))
 
-
-def hit_and_slope(p, geom: TierGeometry, theta: float):
-    """:func:`hit_term` and its exact slope in ``p``, elementwise (``_hit``)."""
-    _check_theta(theta)
-    arr = _prob(p, geom)
-    area, terms = _tier_terms(geom, theta)
-    hit, slope = _hit(arr, area, terms.reshape((2,) + (1,) * arr.ndim))
-    return _scalar(p, hit), _scalar(p, slope)

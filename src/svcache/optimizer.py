@@ -232,7 +232,7 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
     preference weight and (a, b, c_m) its ``branch_costs``; ``delay`` sums
     the cells as ``cell_delay_matrix`` does, equal to ``overall_delay``'s
     total bit for bit.  Each cell depends on its own entry pair only, so
-    with the exact hit slopes of ``hit_and_slope``, on the box edges too,
+    with the exact hit slopes of ``geometry._hit``, on the box edges too,
 
         dD/dp_d = w * hit_d' * (a - hit_s*b - (1 - hit_s)*c_m)
         dD/dp_s = w * (1 - hit_d) * hit_s' * (b - c_m)

@@ -201,7 +201,7 @@ def save_policy(path, policy: CachingPolicy):
 def load_policy(path) -> CachingPolicy:
     """Read a policy written by :func:`save_policy`; each matrix must have
     the F rows of L entries its header declares, and a malformed header or
-    entry raises ``ValueError`` naming its line."""
+    entry, or a second block of a tier, raises ``ValueError`` naming its line."""
     blocks = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -211,7 +211,11 @@ def load_policy(path) -> CachingPolicy:
                 if any(len(field) != 2 for field in fields):
                     raise ValueError(f"policy file line {number}: header fields must "
                                      f"be key=value, got {line!r}")
-                blocks.append((dict(fields), []))
+                header = dict(fields)
+                if header.get("tier") in [seen.get("tier") for seen, _ in blocks]:
+                    raise ValueError(f"policy file line {number}: repeated tier "
+                                     f"block {line!r}")
+                blocks.append((header, []))
             elif line:
                 if not blocks:
                     raise ValueError("policy file must start with a '# tier=' header")

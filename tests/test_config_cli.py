@@ -105,13 +105,21 @@ def test_config_file_loading(tmp_path):
 def test_config_errors_name_the_field(tmp_path, line, field):
     path = tmp_path / "bad.cfg"
     extra = ""
-    if line.startswith("sweep."):  # a valid sweep that the line overrides
-        extra = ("sweep.variable = content.skewness\nsweep.start = 0\n"
-                 "sweep.stop = 1\nsweep.steps = 2\n")
+    if line.startswith("sweep."):  # a valid sweep, less the key the line sets
+        sweep = {"sweep.variable": "content.skewness", "sweep.start": 0,
+                 "sweep.stop": 1, "sweep.steps": 2}
+        sweep.pop(line.split(" = ")[0])
+        extra = "".join(f"{key} = {value}\n" for key, value in sweep.items())
     path.write_text(extra + line + "\n")
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert field.split(".")[-1] in str(err.value)
+
+
+def test_config_key_given_twice_names_both_lines():
+    text = "budgets.d2d_bits = 1e8\n# a comment\nbudgets.d2d_bits = 3e8\n"
+    with pytest.raises(ConfigError, match="^line 3: 'budgets.d2d_bits' is already set on line 1$"):
+        parse_config_text(text)
 
 
 def test_hash_inside_a_value_is_not_a_comment():
@@ -144,6 +152,10 @@ def test_parse_sweep_flag():
         parse_sweep_flag("budgets.d2d_bits=1:2")
     with pytest.raises(ConfigError):
         parse_sweep_flag("bogus=1:2:3")
+    with pytest.raises(ConfigError, match="^sweep.start: start must be a finite"):
+        parse_sweep_flag("content.skewness=nan:1:3")
+    with pytest.raises(ConfigError, match="^sweep.stop: stop must be a finite"):
+        parse_sweep_flag("content.skewness=0:-inf:3")
     with pytest.raises(ValueError, match="^variable"):
         SweepSpec("radio.nope", 0, 1, 2)
     with pytest.raises(ValueError, match="^steps"):
@@ -162,6 +174,26 @@ def test_sweep_steps_must_be_an_integer(steps):
     assert parse_sweep_flag("content.skewness=0:1:3").steps == 3
     with pytest.raises(ConfigError, match="bad sweep spec"):
         parse_sweep_flag(f"content.skewness=0:1:{steps}")
+
+
+@pytest.mark.parametrize("field, bound", [("start", math.nan), ("start", True),
+                                          ("stop", math.inf), ("stop", None)],
+                         ids=["nan-start", "bool-start", "inf-stop", "none-stop"])
+def test_sweep_bounds_must_be_finite_numbers(field, bound):
+    bounds = {"start": 0.0, "stop": 1.0, field: bound}
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        SweepSpec("content.skewness", bounds["start"], bounds["stop"], 3)
+    # an override reaches SweepSpec unconverted: True is not read as 1.0
+    sweep = {"sweep.variable": "content.skewness", "sweep.steps": 3,
+             **{f"sweep.{key}": value for key, value in bounds.items()}}
+    with pytest.raises(ConfigError, match=f"^sweep.{field}: {field} must be a finite"):
+        default_config(**sweep)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_sweep_with_an_infinite_stop_is_a_config_error(capsys):
+    assert cli.main(["optimize", "--sweep", "content.skewness=0:inf:2"]) == 2
+    assert "config error: sweep.stop: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", [3.0, True], ids=["float", "bool"])

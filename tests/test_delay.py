@@ -20,7 +20,7 @@ from svcache import (
 )
 from svcache.content import ContentLibrary
 from svcache.delay import _cascade, branch_costs, cell_delay_matrix
-from svcache.geometry import RadioConfig, _hit, _stacked_terms, hit_and_slope
+from svcache.geometry import RadioConfig, _hit, _stacked_terms
 from svcache.optimizer import _BLOCK_ROWS
 
 THETA = 10.0**0.5
@@ -198,12 +198,14 @@ def test_cache_budgets_validation():
 
 
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
-def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
+def test_stacked_hits_equal_per_tier_hit_term(lib, geoms, radio, file_count):
     # 5 000 files cross the gradient's row block; the gradient reads the
-    # stacked tier terms per block
+    # stacked tier terms per block.  hit_term goes through q_factor, a path
+    # independent of the stacked constants
     if file_count != lib.file_count:
         lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
     theta = radio.sir_threshold
+    area, terms = _stacked_terms(geoms, theta)
     rng = np.random.default_rng(file_count)
     stacks = [rng.random((2, *lib.shape)) for _ in range(3)]
     stacks += [np.zeros((2, *lib.shape)), np.ones((2, *lib.shape))]
@@ -212,14 +214,14 @@ def test_model_hits_equal_per_tier_hit_and_slope(lib, geoms, radio, file_count):
     stacks.append(mixed)
     for p in stacks:
         for rows in (slice(None), slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)):
-            hit, slope = _hit(p[:, rows], *_stacked_terms(geoms, theta))
+            hit, slope = _hit(p[:, rows], area, terms)
             for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
-                want_hit, want_slope = hit_and_slope(p[tier, rows], geom, theta)
-                assert np.array_equal(hit[tier], want_hit)
-                assert np.array_equal(slope[tier], want_slope)
+                assert np.array_equal(hit[tier], hit_term(p[tier, rows], geom, theta))
+                want = _hit(p[tier, rows], area[tier], terms[:, tier])[1]
+                assert np.array_equal(slope[tier], want)
 
 
-def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
+def test_delay_readers_build_no_stacked_terms(lib, geoms, radio, monkeypatch):
     # overall_delay, cell_delay_matrix, all_miss_delay and grid_oracle read
     # only the weights and branch costs; the tier terms serve the gradient
     from svcache import delay, geometry, optimizer
@@ -234,7 +236,7 @@ def test_delay_readers_build_no_tier_terms(lib, geoms, radio, monkeypatch):
     def refused(*args):
         raise AssertionError("tier terms built for a reader of w and costs")
 
-    monkeypatch.setattr(geometry, "_tier_terms", refused)
+    monkeypatch.setattr(geometry, "_stacked_terms", refused)
     monkeypatch.setattr(optimizer, "_stacked_terms", refused)
     zero = CachingPolicy.zeros(*lib.shape)
     assert overall_delay(zero, lib, geoms, radio).total == expected[0]

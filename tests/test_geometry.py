@@ -17,7 +17,7 @@ from svcache import (
     stp_nearest_cached,
     stp_nearest_uncached,
 )
-from svcache.geometry import _g_general, hit_and_slope
+from svcache.geometry import _g_general
 
 # Frozen against a 30-digit mpmath evaluation of the closed forms, each
 # cross-checked by quadrature of the radial integral they came from.
@@ -315,8 +315,7 @@ def test_threshold_domain_checked(geom_d, bad):
         stp_mbs(4.0, bad)
     with pytest.raises(ValueError, match="^theta"):
         stp_cache_tier(0.5, geom_d, bad)
-    for fn in (q_factor, stp_nearest_cached, stp_nearest_uncached, hit_term,
-               hit_and_slope):
+    for fn in (q_factor, stp_nearest_cached, stp_nearest_uncached, hit_term):
         args = (0.5, geom_d, bad, 0.0) if fn is q_factor else (0.5, geom_d, bad)
         with pytest.raises(ValueError, match="^theta"):
             fn(*args)
