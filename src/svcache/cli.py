@@ -3,6 +3,7 @@
 Subcommands::
 
     svcache validate       analytic vs Monte-Carlo success probabilities
+                           and end-to-end delays
     svcache delay-surface  delay over a uniform (p_d, p_s) policy grid
     svcache optimize       optimizer vs baselines along a sweep
     svcache convergence    optimizer trajectories for several thresholds
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "delivery over a three-tier wireless network.")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser(
-        "validate", help="analytic vs Monte-Carlo success probabilities"))
+        "validate", help="analytic vs Monte-Carlo success probabilities "
+                         "and end-to-end delays"))
     surface = sub.add_parser(
         "delay-surface", help="delay over a uniform policy grid")
     _add_common(surface)
@@ -98,7 +100,8 @@ def main(argv=None) -> int:
                       "Monte-Carlo estimate by more than 3 standard errors",
                       file=sys.stderr)
                 for row, z in experiments.gate_failures(rows):
-                    print(f"  {row['sweep_var']} = {row['value']:g}: z = {z:+.2f}",
+                    value = experiments._fmt(row["value"])
+                    print(f"  {row['sweep_var']} = {value}: z = {z:+.2f}",
                           file=sys.stderr)
                 return EXIT_GATE
             return EXIT_OK

@@ -215,6 +215,12 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         if key not in raw:
             raise ConfigError(f"unknown config key {key!r}")
+        default = _DEFAULTS[key]
+        # a numeric key takes a number, as the file parser requires; the
+        # constructor then checks its range
+        if isinstance(default, (int, float)) and not isinstance(value, numbers.Real):
+            kind = "integer" if isinstance(default, int) else "number"
+            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
         raw[key] = value
 
     library = _named(ContentLibrary.uniform, raw["content.file_count"],

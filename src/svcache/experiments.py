@@ -3,7 +3,9 @@
 Each runner turns one experiment family into a list of row dicts:
 
 validate       analytic success probabilities against their Monte-Carlo
-               estimates over caching-probability and threshold sweeps;
+               estimates over caching-probability and threshold sweeps,
+               and the overall delay of the three baselines and the
+               optimized placement against its end-to-end estimate;
 delay surface  overall delay over a uniform (p_d, p_s) grid;
 compare        optimized policy against the three baselines along a
                parameter sweep;
@@ -28,6 +30,7 @@ from .config import ConfigError, ExperimentConfig, SweepSpec
 from .delay import all_miss_delay, overall_delay
 from .geometry import stp_cache_tier, stp_mbs, stp_nearest_cached, stp_nearest_uncached
 from .mcsim import (
+    mc_delay_end_to_end,
     mc_stp_cache_tier,
     mc_stp_mbs,
     mc_stp_nearest_cached,
@@ -73,13 +76,16 @@ VALIDATE_FIELDS = ("sweep_var", "value", "analytic", "mc_mean", "mc_stderr", "tr
 
 
 def run_probability_validation(cfg: ExperimentConfig):
-    """Sweep the analytic tier success probabilities against Monte Carlo.
+    """Sweep the analytic tier success probabilities against Monte Carlo,
+    then check the overall delay of MPCP, EPCP, ICP and the optimized
+    placement against ``mc_delay_end_to_end`` (``sweep_var``
+    ``delay_end_to_end``, the placement's name as ``value``).
 
     Returns (rows, ok): ok is False when any point misses its estimate by
-    more than three standard errors.  Zero caching probability has no
-    conditional Monte-Carlo law, so those rows carry the analytic zero
-    and not-applicable MC columns.  The gate needs a standard error, so
-    fewer than two trials raise ``ConfigError``.
+    more than three standard errors (``gate_failures``).  Zero caching
+    probability has no conditional Monte-Carlo law, so those rows carry
+    the analytic zero and not-applicable MC columns.  The gate needs a
+    standard error, so fewer than two trials raise ``ConfigError``.
     """
     if cfg.sim.trials < 2:
         raise ConfigError("sim.trials: validation needs at least 2 trials "
@@ -116,6 +122,17 @@ def run_probability_validation(cfg: ExperimentConfig):
         rows.append({"sweep_var": "theta_db_mbs", "value": theta_db,
                      "analytic": analytic, "mc_mean": est.mean,
                      "mc_stderr": est.stderr, "trials": est.trials_used})
+
+    lib, geoms, radio = cfg.library, cfg.geometry, cfg.radio
+    placements = _baseline_policies(cfg)
+    placements["optimized"] = optimize(lib, geoms, radio, cfg.budgets,
+                                       cfg.optimizer).best_policy
+    for name, policy in placements.items():
+        est = mc_delay_end_to_end(policy, lib, geoms, radio, cfg.sim)
+        rows.append({"sweep_var": "delay_end_to_end", "value": name,
+                     "analytic": overall_delay(policy, lib, geoms, radio).total,
+                     "mc_mean": est.mean, "mc_stderr": est.stderr,
+                     "trials": est.trials_used})
     return rows, not gate_failures(rows)
 
 

@@ -146,23 +146,28 @@ class RadioConfig:
         return 10.0 * math.log10(self.sir_threshold)
 
 
-def _g_general(a: float, b: float) -> float:
-    """g_integral without the a=4 shortcut, in closed form (DLMF 8.17).
+def _g_general(a: float, b):
+    """g_integral without the a=4 shortcut, in closed form (DLMF 8.17),
+    elementwise over a scalar or array ``b >= 0`` (a float for a scalar).
 
     With s = a/2 the whole integral is W = (pi/s)/sin(pi/s).  Below b = 1
     the head integral_0^b is b*2F1(1, 1/s; 1 + 1/s; -b^s); from b = 1 on
     the tail is W times the regularized incomplete beta
     I_{t/(1+t)}(1 - 1/s, 1/s) with t = b^-s.  sin(pi/s) = sin(pi(s-1)/s)
-    keeps the sine exact as a -> 2+.
+    keeps the sine exact as a -> 2+.  Each branch sees only its own
+    entries (the other's are replaced by 0 and 1), so no entry warns.
     """
     from scipy.special import betainc, hyp2f1  # the package's only scipy use
 
     s = a / 2.0
     whole = math.pi / (s * math.sin(math.pi * min(s - 1.0, 1.0) / s))
-    if b < 1.0:
-        return whole - b * float(hyp2f1(1.0, 1.0 / s, 1.0 + 1.0 / s, -b**s))
-    t = b**-s
-    return whole * float(betainc(1.0 - 1.0 / s, 1.0 / s, t / (1.0 + t)))
+    arr = np.asarray(b, dtype=float)
+    head = arr < 1.0
+    lo = np.where(head, arr, 0.0)
+    t = np.where(head, 1.0, arr) ** -s
+    out = np.where(head, whole - lo * hyp2f1(1.0, 1.0 / s, 1.0 + 1.0 / s, -lo**s),
+                   whole * betainc(1.0 - 1.0 / s, 1.0 / s, t / (1.0 + t)))
+    return _scalar(b, out)
 
 
 @lru_cache(maxsize=512)
@@ -175,7 +180,7 @@ def g_integral(a: float, b: float) -> float:
     relative) on (2, 2.1], where G(a, 0) grows like 2/(a - 2).
     ``b = inf`` gives 0.  scipy is imported on the first non-quartic
     call, never at a == 4.  A NaN or out-of-range argument raises
-    ``ValueError``.
+    ``ValueError``.  ``_g_general`` is the same formula over arrays.
     """
     a = float(a)
     b = float(b)

@@ -49,6 +49,21 @@ def test_committed_template_matches_package():
     assert parse_config_text(committed) == default_config().resolved
 
 
+@pytest.mark.parametrize("key,value,kind", [
+    ("content.skewness", "1.0", "number"),
+    ("sim.window_multiplier", "10", "number"),
+    ("budgets.d2d_bits", None, "number"),
+    ("sim.trials", "5", "integer"),
+])
+def test_library_overrides_reject_text_and_none(key, value, kind):
+    # typed overrides are checked like file values, never a bare TypeError
+    message = f"^{key}: expected {kind}, got {value!r}$"
+    with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
+        default_config(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        default_config().with_values(**{key: value})
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("content.file_count = 5\nradio.sir_threshold_db = 3\n"
@@ -219,6 +234,17 @@ def test_validation_rows_have_na_at_zero(monkeypatch):
     assert "theta_db_mbs" in families
 
 
+def test_validation_checks_end_to_end_delay_of_four_placements():
+    cfg = default_config(**FAST_OVERRIDES)
+    rows, ok = experiments.run_probability_validation(cfg)
+    e2e = [r for r in rows if r["sweep_var"] == "delay_end_to_end"]
+    assert [r["value"] for r in e2e] == ["mpcp", "epcp", "icp", "optimized"]
+    assert all(r["trials"] == 2000 and r["mc_stderr"] > 0 for r in e2e)
+    assert ok and not experiments.gate_failures(rows)
+    far = dict(e2e[1], mc_mean=e2e[1]["analytic"] + 4.0 * e2e[1]["mc_stderr"])
+    assert experiments.gate_failures([far]) == [(far, pytest.approx(-4.0))]
+
+
 def test_validation_gate_fails_on_a_far_off_estimate(monkeypatch):
     def far_off(density, pathloss, theta, sim):
         return EstimatorResult(mean=0.0, stderr=1e-3, trials_used=sim.trials)
@@ -319,6 +345,9 @@ def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
              "trials": 100},
             {"sweep_var": "theta_db_mbs", "value": 9.0,
              "analytic": 0.2, "mc_mean": 0.25, "mc_stderr": 0.0,
+             "trials": 100},
+            {"sweep_var": "delay_end_to_end", "value": "icp",
+             "analytic": 7.0, "mc_mean": 7.1, "mc_stderr": 0.02,
              "trials": 100}]
 
     def biased(cfg):
@@ -333,6 +362,7 @@ def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
     # each failing row is named with its z-score; the passing row is not
     assert "p_d2d_cache_tier = 0.5: z = +100.00" in err
     assert "theta_db_mbs = 9: z = -inf" in err
+    assert "delay_end_to_end = icp: z = -5.00" in err
     assert "p_sbs_cache_tier" not in err
     # the message goes to stderr only: the CSV is the rows as rendered
     expected = experiments.render_csv(experiments.VALIDATE_FIELDS, rows,

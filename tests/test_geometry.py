@@ -60,6 +60,17 @@ def test_g_quartic_matches_general_path():
         assert abs(closed - _g_general(4.0, float(b))) <= 1e-9
 
 
+def test_g_array_form_matches_scalar_bit_for_bit():
+    # both branches, the switch at b = 1, the far tail and b = inf at once
+    b = np.concatenate([np.linspace(0.0, 3.0, 61), [0.999999, 1.0, 1e3, 1e30,
+                                                     math.inf]])
+    array_form = _g_general(3.5, b.reshape(6, 11))
+    assert array_form.shape == (6, 11)
+    scalar = np.array([g_integral(3.5, float(x)) for x in b])
+    assert np.array_equal(array_form.ravel(), scalar)
+    assert isinstance(_g_general(3.5, 0.5), float)
+
+
 @pytest.mark.parametrize("a,b", [(2.5, 0.3), (3.3, 1.7), (6.0, 0.0), (4.8, 12.0)])
 def test_g_matches_scipy_tail_quadrature(a, b):
     expected, _ = integrate.quad(lambda x: 1 / (1 + x ** (a / 2)), b, np.inf,

@@ -27,12 +27,68 @@ from svcache import (
 )
 from svcache import mcsim
 from svcache.config import ConfigError
-from svcache.mcsim import _interference, _pow_neg_half
+from svcache.geometry import TierGeometry
+from svcache.mcsim import _interference, _over_blocks, _pow_neg_half
 from svcache.optimizer import OptimizerConfig
 
 
 def _z(est, target):
     return abs(est.mean - target) / max(est.stderr, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the full-window 0/1 sampler the conditional estimators replace
+# ---------------------------------------------------------------------------
+
+def _served_01(rng, r0_sq, nearest, geom, radius, theta):
+    """Reference SIR test: interferers over the whole window, beyond the
+    server for the ``nearest`` trials and over the whole disk otherwise,
+    then the serving link's fading gain; 0/1 threshold crossings."""
+    alpha = geom.pathloss
+    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius,
+                           mask=nearest)
+    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius,
+                            mask=~nearest)
+    signal = rng.standard_exponential(r0_sq.size) * _pow_neg_half(r0_sq, alpha)
+    return signal >= theta * interf
+
+
+def _reference_cached(p, geom, theta, sim, nearest_serves=None):
+    """Reference 0/1 estimate of a cached tier's success probability;
+    ``nearest_serves`` as in ``mcsim._stp_trials``."""
+    radius = sim.region_radius(geom)
+
+    def draw(rng, n):
+        nearest = (rng.random(n) < p if nearest_serves is None
+                   else np.full(n, nearest_serves))
+        return nearest, sample_serving_distance(p, geom, rng, size=n)
+
+    def serve(rng, n, nearest, r0):
+        return _served_01(rng, r0 * r0, nearest, geom, radius, theta)
+
+    return _over_blocks(sim, serve, draw)
+
+
+def _reference_mbs(density, pathloss, theta, sim):
+    """Reference 0/1 estimate of the macro-tier success probability."""
+    geom = TierGeometry(density=density, serving_radius=math.inf,
+                        pathloss=pathloss)
+    radius = sim.region_radius(geom)
+
+    def serve(rng, n):
+        r0_sq = rng.standard_exponential(n) / (density * math.pi)
+        return _served_01(rng, r0_sq, np.ones(n, dtype=bool), geom, radius,
+                          theta)
+
+    return _over_blocks(sim, serve)
+
+
+_REFERENCE = {"cached": lambda p, g, t, s: _reference_cached(p, g, t, s, True),
+              "uncached": lambda p, g, t, s: _reference_cached(p, g, t, s, False),
+              "tier": _reference_cached}
+_CONDITIONAL = {"cached": mc_stp_nearest_cached,
+                "uncached": mc_stp_nearest_uncached,
+                "tier": mc_stp_cache_tier}
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +161,10 @@ def test_case_ordering_observed(geom_d, theta, fast_sim):
 
 
 def test_tiny_threshold_always_succeeds(geom_d, fast_sim):
+    ref = _reference_cached(0.5, geom_d, 1e-12, fast_sim, nearest_serves=True)
+    assert ref.mean == 1.0 and ref.stderr == 0.0
     est = mc_stp_nearest_cached(0.5, geom_d, 1e-12, fast_sim)
-    assert est.mean == 1.0 and est.stderr == 0.0
+    assert est.mean >= 1.0 - 1e-9
 
 
 def test_mbs_agrees_and_density_independent(theta):
@@ -166,10 +224,11 @@ def test_seed_determinism(geom_d, theta):
     assert other != first
 
 
-# Pinned bits at 4096-trial blocks, the block size these were recorded
-# at: the shared SIR kernel and serving-distance formula must keep every
-# draw of the standalone estimators, so only the block partition may move
-# them.  Never re-record these to pass.
+# Pinned bits of the full-window 0/1 reference at 4096-trial blocks, the
+# block size these were recorded at: the interference kernel, the block
+# streams and the serving-distance formula the reference is built from
+# must keep every draw, so only the block partition may move them.
+# Never re-record these to pass.
 _PINNED = {
     ("cached", 0.3): (0.1402, 0.004910561548636224),
     ("uncached", 0.3): (0.0984, 0.004212723276869903),
@@ -178,8 +237,8 @@ _PINNED = {
     ("uncached", 0.7): (0.1966, 0.005621032574308771),
     ("tier", 0.7): (0.2486, 0.0061128619660747495),
 }
-# The same estimates at the shipped 1024-trial blocks.  Never re-record
-# these to pass.
+# The same reference estimates at the shipped 1024-trial blocks.  Never
+# re-record these to pass.
 _PINNED_1024 = {
     ("cached", 0.3): (0.1376, 0.004872165391191049),
     ("uncached", 0.3): (0.097, 0.004185893493732034),
@@ -193,11 +252,22 @@ _PINNED_R0 = ["0x1.40268d488489cp+3", "0x1.dcba091fd9340p+3",
               "0x1.8460ce0ebf845p+2"]
 
 
+# The conditional estimators at 1024-trial blocks, recorded once when
+# they replaced the 0/1 count.  Never re-record these to pass.
+_PINNED_CONDITIONAL = {
+    ("cached", 0.3): (0.14085862551843717, 0.0038230716010185005),
+    ("uncached", 0.3): (0.09773207678905342, 0.003488320232180974),
+    ("tier", 0.3): (0.11264802559540524, 0.0036426569049188146),
+    ("cached", 0.7): (0.27200475959716125, 0.004798406861143962),
+    ("uncached", 0.7): (0.20062161005128795, 0.004689483349553892),
+    ("tier", 0.7): (0.24973959460496317, 0.0047908183321730404),
+    ("mbs", 3.0): (0.358471077057298, 0.005052760182528997),
+}
+
+
 def _pinned_estimate(family, p, geom_d, theta):
-    estimator = {"cached": mc_stp_nearest_cached,
-                 "uncached": mc_stp_nearest_uncached,
-                 "tier": mc_stp_cache_tier}[family]
-    return estimator(p, geom_d, theta, SimConfig(trials=5_000, master_seed=5))
+    return _REFERENCE[family](p, geom_d, theta,
+                              SimConfig(trials=5_000, master_seed=5))
 
 
 @pytest.mark.parametrize("family, p", sorted(_PINNED))
@@ -216,13 +286,77 @@ def test_estimator_streams_pinned_at_1024(family, p, geom_d, theta):
 
 def test_mbs_stream_pinned(monkeypatch):
     monkeypatch.setattr(mcsim, "_BLOCK", 4096)
-    est = mc_stp_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
+    est = _reference_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
     assert est == EstimatorResult(0.363, 0.006801136014682991, 5_000)
 
 
 def test_mbs_stream_pinned_at_1024():
-    est = mc_stp_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
+    est = _reference_mbs(1e-5, 4.0, 3.0, SimConfig(trials=5_000, master_seed=5))
     assert est == EstimatorResult(0.353, 0.006759240894323377, 5_000)
+
+
+def test_conditional_estimator_streams_pinned(geom_d, theta):
+    sim = SimConfig(trials=5_000, master_seed=5)
+    got = {(family, p): _CONDITIONAL[family](p, geom_d, theta, sim)
+           for family, p in _PINNED}
+    got["mbs", 3.0] = mc_stp_mbs(1e-5, 4.0, 3.0, sim)
+    assert got == {key: EstimatorResult(*value, trials_used=5_000)
+                   for key, value in _PINNED_CONDITIONAL.items()}
+
+
+@pytest.mark.parametrize("family", ["cached", "uncached", "tier", "mbs"])
+def test_conditional_estimate_agrees_with_01_reference(family, geom_d, theta):
+    """Same estimand: within 3 joint standard errors of the full-window
+    0/1 count, with a lower variance per trial."""
+    sim = SimConfig(trials=20_000, master_seed=2207)
+    if family == "mbs":
+        ref = _reference_mbs(1e-5, 4.0, theta, sim)
+        est = mc_stp_mbs(1e-5, 4.0, theta, sim)
+    else:
+        ref = _REFERENCE[family](0.5, geom_d, theta, sim)
+        est = _CONDITIONAL[family](0.5, geom_d, theta, sim)
+    assert abs(est.mean - ref.mean) <= 3.0 * math.hypot(est.stderr, ref.stderr)
+    assert est.stderr < ref.stderr
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+def test_far_exponent_matches_quadrature(alpha):
+    # lambda * integral over the annulus of 1 - E[exp(-s*h*r^-alpha)], in
+    # x = r^2: lambda*pi * integral_L^(R^2) s / (s + x^(alpha/2)) dx
+    from scipy import integrate
+    geom = TierGeometry(density=0.01, serving_radius=20.0, pathloss=alpha)
+    windows = (40.0, 200.0)
+    theta = 3.0
+    r0_sq = np.array([1.0, 100.0, 400.0, 2_000.0, 50_000.0])
+    lower_sq = np.array([0.0, 100.0, 0.0, 2_000.0, 50_000.0])
+    got = mcsim._far_exponent(theta ** (2.0 / alpha) * r0_sq, lower_sq, geom,
+                              windows)
+    for r0s, low, value in zip(r0_sq, lower_sq, got):
+        s = theta * r0s ** (alpha / 2.0)
+        lo = min(max(low, 40.0**2), 200.0**2)
+        expected, _ = integrate.quad(lambda x: s / (s + x ** (alpha / 2.0)),
+                                     lo, 200.0**2, epsabs=0.0, epsrel=1e-12,
+                                     limit=200)
+        assert value == pytest.approx(geom.density * math.pi * expected,
+                                      rel=1e-9, abs=1e-300)
+    assert got[-1] == 0.0  # a lower bound past the region leaves no far field
+
+
+@pytest.mark.parametrize("family", ["tier", "mbs"])
+def test_conditional_estimate_agrees_with_01_reference_off_quartic(family,
+                                                                   theta):
+    """The non-quartic far factor (``geometry._g_general``) targets the same
+    window-truncated estimand as the 0/1 count."""
+    sim = SimConfig(trials=20_000, master_seed=2208)
+    if family == "mbs":
+        ref = _reference_mbs(1e-5, 3.5, theta, sim)
+        est = mc_stp_mbs(1e-5, 3.5, theta, sim)
+    else:
+        geom = TierGeometry(density=0.01, serving_radius=20.0, pathloss=3.5)
+        ref = _reference_cached(0.5, geom, theta, sim)
+        est = mc_stp_cache_tier(0.5, geom, theta, sim)
+    assert abs(est.mean - ref.mean) <= 3.0 * math.hypot(est.stderr, ref.stderr)
+    assert est.stderr < ref.stderr
 
 
 def test_serving_distance_stream_pinned(geom_d):
@@ -356,11 +490,13 @@ def test_interference_sums_within_pairwise_bound_of_fsum(lo_is_server):
 @pytest.mark.parametrize("empty", [[5], [28, 29, 30, 31], list(range(32, 48))],
                          ids=["mid_sub_chunk", "sub_chunk_tail",
                               "whole_sub_chunk"])
-def test_interference_empty_trials_match_whole_block_draw(empty):
+def test_interference_empty_trials_match_whole_block_draw(empty, monkeypatch):
     # a server at or beyond the window radius leaves no interferers
     radius = 60.0
     r0_sq = np.random.default_rng(4).uniform(0.0, 0.9 * radius**2, 64)
     r0_sq[empty] = radius**2 * np.linspace(1.0, 1.2, len(empty))
+    mean = (0.01 * math.pi * np.maximum(radius**2 - r0_sq, 0.0)).mean()
+    monkeypatch.setattr(mcsim, "_CHUNK", 16.5 * mean)  # 16-trial sub-chunks
     rng = np.random.default_rng(6)
     ref_rng = np.random.default_rng(6)
     out = _interference(rng, r0_sq, True, 0.01, 4.0, radius)
@@ -369,6 +505,23 @@ def test_interference_empty_trials_match_whole_block_draw(empty):
     assert np.all(np.delete(out, empty) > 0.0)
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 500, 1 << 14, 1 << 40])
+def test_interference_any_sub_chunk_matches_whole_block_draw(chunk,
+                                                             monkeypatch):
+    # one trial a sub-chunk, a few trials, the shipped budget, one sub-chunk
+    monkeypatch.setattr(mcsim, "_CHUNK", chunk)
+    radius = 60.0
+    r0_sq = np.random.default_rng(8).uniform(0.0, 1.1 * radius**2, 700)
+    for lo_is_server in (True, False):
+        rng = np.random.default_rng(13)
+        ref_rng = np.random.default_rng(13)
+        out = _interference(rng, r0_sq, lo_is_server, 0.01, 4.0, radius)
+        ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
+                                        4.0, radius)
+        assert np.array_equal(out, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_interference_keeps_buffered_32_bit_half():
