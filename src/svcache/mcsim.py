@@ -34,11 +34,9 @@ fields are sampled radially; no angles are needed.
 
 Reproducibility: trials are processed in fixed blocks of ``_BLOCK`` (1024)
 trials, each block drawing from its own counter-derived substream of the
-master seed (``numpy.random.SeedSequence(master_seed).spawn``).  The
-blocks of one estimate run on up to ``_MAX_WORKERS`` (4) threads, never
-more than the CPUs the process may use; a block reads only its own stream
-and the values are joined in block order, so results are bit-identical
-for a given master seed at any thread count (see ``_over_blocks``).
+master seed (``numpy.random.SeedSequence(master_seed).spawn``), in block
+order on the calling thread, so results are bit-identical for a given
+master seed (see ``_over_blocks``).
 Within a block, interferers are drawn in sub-chunks of trials holding
 about ``_CHUNK`` interferers on average, so the temporaries stay
 cache-sized at any density; the fading gains come from a jump-ahead copy
@@ -51,7 +49,6 @@ of its contiguous interferers (see ``_interference``).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +71,6 @@ __all__ = [
 
 _BLOCK = 1024
 _CHUNK = 1 << 14  # mean interferers per sub-chunk (see _interference)
-_MAX_WORKERS = 4  # threads per estimate (see _over_blocks)
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,12 @@ class SimConfig:
                              f"got {self.master_seed!r}")
         if not 5 <= self.window_multiplier < math.inf:
             raise ValueError("window_multiplier must be finite and >= 5 to "
-                             "keep the truncated-interference bias negligible")
+                             "keep the truncated-interference bias negligible, "
+                             f"got {self.window_multiplier!r}")
         if not (self.mbs_region_radius is None
                 or 0 < self.mbs_region_radius < math.inf):
-            raise ValueError("mbs_region_radius must be None or finite and > 0")
+            raise ValueError("mbs_region_radius must be None or finite and > 0, "
+                             f"got {self.mbs_region_radius!r}")
 
     def region_radius(self, geom: TierGeometry) -> float:
         if geom.bounded:
@@ -240,47 +238,16 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     return out
 
 
-def _block_streams(sim: SimConfig):
-    """Per-block generators: block i's stream is a pure function of
-    (master_seed, i), so results do not depend on scheduling."""
+def _over_blocks(sim: SimConfig, block) -> EstimatorResult:
+    """``_estimate`` of the per-trial values ``block(rng, n)`` returns for
+    each block of ``_BLOCK`` trials, concatenated in block order.  Block
+    i's stream is a pure function of (master_seed, i); the blocks run in
+    order on the calling thread."""
     n_blocks = (sim.trials + _BLOCK - 1) // _BLOCK
     children = np.random.SeedSequence(sim.master_seed).spawn(n_blocks)
-    done = 0
-    for child in children:
-        n = min(_BLOCK, sim.trials - done)
-        done += n
-        yield np.random.Generator(np.random.PCG64(child)), n
-
-
-def _max_workers() -> int:
-    """Threads one estimate may use: the CPUs this process may run on,
-    capped at ``_MAX_WORKERS``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _over_blocks(sim: SimConfig, serve, draw=lambda rng, n: ()) -> EstimatorResult:
-    """``_estimate`` of the per-trial values ``serve(rng, n, *drawn)``
-    returns for each block stream, concatenated in block order.
-
-    ``draw(rng, n)`` returns the tuple ``drawn`` (empty by default); it
-    runs for every block first, in block order on the calling thread, so
-    callers can keep functions that must see one thread (tracing,
-    profiling) in it.  The serve calls then run on up to ``_max_workers()`` threads;
-    numpy's generators and ufuncs release the GIL.  A block reads only its
-    own stream, so the result does not depend on the thread count.
-    """
-    jobs = [(rng, n, *draw(rng, n)) for rng, n in _block_streams(sim)]
-    workers = min(_max_workers(), len(jobs))
-    if workers == 1:
-        values = [serve(*job) for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            values = list(pool.map(lambda job: serve(*job), jobs))
+    values = [block(np.random.Generator(np.random.PCG64(child)),
+                    min(_BLOCK, sim.trials - i * _BLOCK))
+              for i, child in enumerate(children)]
     return _estimate(np.concatenate(values))
 
 
@@ -344,15 +311,13 @@ def _stp_trials(p, geom, theta, sim, nearest_serves=None):
     with probability p per trial."""
     windows = _windows(sim, geom)
 
-    def draw(rng, n):
+    def block(rng, n):
         nearest = (rng.random(n) < p if nearest_serves is None
                    else np.full(n, nearest_serves))
-        return nearest, sample_serving_distance(p, geom, rng, size=n)
-
-    def serve(rng, n, nearest, r0):
+        r0 = sample_serving_distance(p, geom, rng, size=n)
         return _served(rng, r0 * r0, nearest, ~nearest, geom, windows, theta)
 
-    return _over_blocks(sim, serve, draw)
+    return _over_blocks(sim, block)
 
 
 def _check_tier_args(p, geom, theta):

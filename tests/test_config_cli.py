@@ -399,6 +399,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         bad.write_text(text)
         assert cli.main(["convergence", "--config", str(bad)]) == 2
         assert f"config error: {named}" in capsys.readouterr().err
+    for line, shown in (("sim.window_multiplier = 2", "got 2.0"),
+                        ("sim.mbs_region_radius_m = -5", "got -5.0")):
+        bad.write_text(line + "\n")
+        assert cli.main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(shown)
 
 
 def test_cli_optimize_with_sweep(tmp_path):

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -58,15 +56,13 @@ def _reference_cached(p, geom, theta, sim, nearest_serves=None):
     ``nearest_serves`` as in ``mcsim._stp_trials``."""
     radius = sim.region_radius(geom)
 
-    def draw(rng, n):
+    def block(rng, n):
         nearest = (rng.random(n) < p if nearest_serves is None
                    else np.full(n, nearest_serves))
-        return nearest, sample_serving_distance(p, geom, rng, size=n)
-
-    def serve(rng, n, nearest, r0):
+        r0 = sample_serving_distance(p, geom, rng, size=n)
         return _served_01(rng, r0 * r0, nearest, geom, radius, theta)
 
-    return _over_blocks(sim, serve, draw)
+    return _over_blocks(sim, block)
 
 
 def _reference_mbs(density, pathloss, theta, sim):
@@ -75,12 +71,12 @@ def _reference_mbs(density, pathloss, theta, sim):
                         pathloss=pathloss)
     radius = sim.region_radius(geom)
 
-    def serve(rng, n):
+    def block(rng, n):
         r0_sq = rng.standard_exponential(n) / (density * math.pi)
         return _served_01(rng, r0_sq, np.ones(n, dtype=bool), geom, radius,
                           theta)
 
-    return _over_blocks(sim, serve)
+    return _over_blocks(sim, block)
 
 
 _REFERENCE = {"cached": lambda p, g, t, s: _reference_cached(p, g, t, s, True),
@@ -377,32 +373,17 @@ def test_stderr_scales_inverse_sqrt(geom_d, theta):
 
 
 def test_window_truncation_bias_below_stderr(geom_d, theta):
-    """Common-random-numbers check: success flags computed from one field
-    sampled at twice the default window, with and without the interferers
-    beyond the default window, move the estimate by less than one stderr."""
+    """Common random numbers: the near window (two serving radii) lies
+    inside both regions, so the default and the doubled window draw the
+    same near fields and differ only in the far field they average."""
     sim = SimConfig(trials=20_000, master_seed=404)
-    r_default = sim.region_radius(geom_d)
-    r_double = 2.0 * r_default
-    rng = np.random.default_rng(404)
-    p = 0.5
-    n = sim.trials
-    r0 = sample_serving_distance(p, geom_d, rng, size=n)
-    r0_sq = r0 * r0
-    lam, alpha = geom_d.density, geom_d.pathloss
-    counts = rng.poisson(lam * math.pi * (r_double**2 - r0_sq))
-    pos = np.repeat(np.arange(n), counts)
-    u = rng.random(int(counts.sum()))
-    gains = rng.standard_exponential(int(counts.sum()))
-    r_sq = r0_sq[pos] + u * (r_double**2 - r0_sq[pos])
-    contrib = gains * _pow_neg_half(r_sq, alpha)
-    i_full = np.bincount(pos, weights=contrib, minlength=n)
-    near = r_sq <= r_default**2
-    i_near = np.bincount(pos[near], weights=contrib[near], minlength=n)
-    signal = rng.standard_exponential(n) * _pow_neg_half(r0_sq, alpha)
-    mean_full = np.mean(signal >= theta * i_full)
-    mean_near = np.mean(signal >= theta * i_near)
-    stderr = math.sqrt(mean_near * (1 - mean_near) / (n - 1))
-    assert abs(mean_full - mean_near) < stderr
+    default = mc_stp_nearest_cached(0.5, geom_d, theta, sim)
+    doubled = mc_stp_nearest_cached(
+        0.5, geom_d, theta, SimConfig(trials=20_000, master_seed=404,
+                                      window_multiplier=20.0))
+    # more far field can only lower each trial's success
+    assert default.mean >= doubled.mean
+    assert default.mean - doubled.mean < default.stderr
 
 
 def test_interference_masked_trials_get_zero(geom_d):
@@ -537,7 +518,7 @@ def test_interference_keeps_buffered_32_bit_half():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _estimate_peak_bytes():
+def test_interference_memory_stays_cache_sized():
     cfg = default_config()
     sim = SimConfig(trials=4096)
     tracemalloc.start()
@@ -547,64 +528,7 @@ def _estimate_peak_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
-
-
-def test_interference_memory_stays_cache_sized():
-    assert _estimate_peak_bytes() < 16 * 2**20
-
-
-def test_interference_memory_stays_cache_sized_at_four_workers(monkeypatch):
-    monkeypatch.setattr(mcsim, "_max_workers", lambda: 4)
-    assert _estimate_peak_bytes() < 16 * 2**20
-
-
-# ---------------------------------------------------------------------------
-# block-parallel map: the thread count changes nothing
-# ---------------------------------------------------------------------------
-
-def _every_estimator(lib, geoms, radio, theta):
-    sim = SimConfig(trials=4_500, master_seed=41)  # 5 blocks, the last short
-    policy = CachingPolicy(np.full(lib.shape, 0.3), np.full(lib.shape, 0.6))
-    return (mc_stp_nearest_cached(0.4, geoms.d2d, theta, sim),
-            mc_stp_nearest_uncached(0.4, geoms.d2d, theta, sim),
-            mc_stp_cache_tier(0.4, geoms.sbs, theta, sim),
-            mc_stp_mbs(geoms.mbs.density, geoms.mbs.pathloss, theta, sim),
-            mc_delay_end_to_end(policy, lib, geoms, radio, sim))
-
-
-def test_worker_count_changes_nothing(monkeypatch, lib, geoms, radio, theta):
-    results = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
-    try:
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(mcsim, "_max_workers", lambda: workers)
-            results[workers] = _every_estimator(lib, geoms, radio, theta)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[1] == results[2] == results[3] == results[4]
-
-
-def test_serving_distance_is_drawn_on_the_calling_thread(monkeypatch, geom_d,
-                                                          theta):
-    threads = {"draw": set(), "serve": set()}
-
-    def recorded(kind, fn):
-        def wrapper(*args, **kwargs):
-            threads[kind].add(threading.get_ident())
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(mcsim, "sample_serving_distance",
-                        recorded("draw", mcsim.sample_serving_distance))
-    monkeypatch.setattr(mcsim, "_served", recorded("serve", mcsim._served))
-    monkeypatch.setattr(mcsim, "_max_workers", lambda: 4)
-    sim = SimConfig(trials=4_096, master_seed=8)
-    for estimator in _CACHED_ESTIMATORS:
-        estimator(0.5, geom_d, theta, sim)
-    assert threads["draw"] == {threading.get_ident()}
-    assert threads["serve"] - threads["draw"]  # the SIR tests ran on workers
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +563,11 @@ def test_end_to_end_deterministic(lib, geoms, radio):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(trials=0)
-    with pytest.raises(ValueError):
-        SimConfig(window_multiplier=2.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for bad in (2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^window_multiplier .*got {bad!r}$"):
             SimConfig(window_multiplier=bad)
     for bad in (-5.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^mbs_region_radius .*got {bad!r}$"):
             SimConfig(mbs_region_radius=bad)
     assert SimConfig(mbs_region_radius=500.0).mbs_region_radius == 500.0
     with pytest.raises(ValueError, match="^master_seed"):
