@@ -7,8 +7,13 @@ use dotted section names (``content.file_count``, ``tiers.d2d.density``,
 ``radio.sir_threshold_db``, ...).  Unknown and repeated keys are rejected
 so typos fail loudly.  The committed defaults encode the reference set;
 values the reference table does not pin down (serving radii, macro
-density, bandwidths, backhaul rate) are invented defaults, labelled as
-such in the template, and freely overridable.
+density, bandwidths, backhaul rate) are invented defaults, freely
+overridable.  ``configs/default.cfg`` is the one template: it is kept by
+hand, lists every key once and labels the invented defaults.
+
+A library override is typed like a file value: a float key stores
+``float(value)`` and an integer key ``int(value)``, so the config hash
+does not depend on the Python type of an override.
 
 All sizes are bits, rates bit/s, bandwidths Hz, densities nodes per
 square metre; the SIR threshold is given in dB and converted to linear
@@ -42,7 +47,6 @@ __all__ = [
     "default_config",
     "load_config",
     "parse_sweep_flag",
-    "render_default_template",
 ]
 
 
@@ -51,48 +55,46 @@ class ConfigError(ValueError):
     with the offending dotted key or names the offending line."""
 
 
-# (key, default, is_invented, field).  Invented defaults fill parameters
-# the reference table leaves unspecified; the template labels them.  Field
-# is the constructor field that a ValueError names first, qualified by
-# tier for the tiers as NetworkGeometry's messages are ("" when the key
-# is only parsed here).
-_SCHEMA: list[tuple[str, object, bool, str]] = [
-    ("content.file_count", 20, False, "file_count"),
-    ("content.layer_count", 2, False, "layer_count"),
-    ("content.layer_size_bits", 25e6, False, "layer_sizes"),
-    ("content.skewness", 1.0, False, "skewness"),
-    ("content.plateau", 5.0, False, "plateau"),
-    ("tiers.d2d.density", 0.01, False, "d2d.density"),
-    ("tiers.d2d.radius_m", 20.0, True, "d2d.serving_radius"),
-    ("tiers.d2d.pathloss", 4.0, False, "d2d.pathloss"),
-    ("tiers.sbs.density", 0.001, False, "sbs.density"),
-    ("tiers.sbs.radius_m", 60.0, True, "sbs.serving_radius"),
-    ("tiers.sbs.pathloss", 4.0, False, "sbs.pathloss"),
-    ("tiers.mbs.density", 1e-5, True, "mbs.density"),
-    ("tiers.mbs.pathloss", 4.0, False, "mbs.pathloss"),
-    ("radio.sir_threshold_db", 5.0, False, "sir_threshold_db"),
-    ("radio.bandwidth_d2d_hz", 20e6, True, "bandwidth_d2d"),
-    ("radio.bandwidth_sbs_hz", 20e6, True, "bandwidth_sbs"),
-    ("radio.bandwidth_mbs_hz", 10e6, True, "bandwidth_mbs"),
-    ("radio.backhaul_rate_bps", 5e6, True, "backhaul_rate"),
-    ("budgets.d2d_bits", 200e6, False, "m_d"),
-    ("budgets.sbs_bits", 500e6, False, "m_s"),
-    ("sim.trials", 50_000, False, "trials"),
-    ("sim.window_multiplier", 10.0, True, "window_multiplier"),
-    ("sim.master_seed", 20260809, True, "master_seed"),
-    ("sim.mbs_region_radius_m", "", True, "mbs_region_radius"),
-    ("optimizer.max_iterations", 100, False, "max_iterations"),
-    ("optimizer.convergence_tol_s", 1e-6, False, "convergence_tol"),
-    ("optimizer.initial_policy", "mpcp", True, "initial_policy"),
-    ("sweep.variable", "", False, "variable"),
-    ("sweep.start", "", False, "start"),
-    ("sweep.stop", "", False, "stop"),
-    ("sweep.steps", "", False, "steps"),
-    ("output.path", "", False, ""),
+# (key, default, field).  Field is the constructor field that a ValueError
+# names first, qualified by tier for the tiers as NetworkGeometry's
+# messages are ("" when the key is only parsed here).
+_SCHEMA: list[tuple[str, object, str]] = [
+    ("content.file_count", 20, "file_count"),
+    ("content.layer_count", 2, "layer_count"),
+    ("content.layer_size_bits", 25e6, "layer_sizes"),
+    ("content.skewness", 1.0, "skewness"),
+    ("content.plateau", 5.0, "plateau"),
+    ("tiers.d2d.density", 0.01, "d2d.density"),
+    ("tiers.d2d.radius_m", 20.0, "d2d.serving_radius"),
+    ("tiers.d2d.pathloss", 4.0, "d2d.pathloss"),
+    ("tiers.sbs.density", 0.001, "sbs.density"),
+    ("tiers.sbs.radius_m", 60.0, "sbs.serving_radius"),
+    ("tiers.sbs.pathloss", 4.0, "sbs.pathloss"),
+    ("tiers.mbs.density", 1e-5, "mbs.density"),
+    ("tiers.mbs.pathloss", 4.0, "mbs.pathloss"),
+    ("radio.sir_threshold_db", 5.0, "sir_threshold_db"),
+    ("radio.bandwidth_d2d_hz", 20e6, "bandwidth_d2d"),
+    ("radio.bandwidth_sbs_hz", 20e6, "bandwidth_sbs"),
+    ("radio.bandwidth_mbs_hz", 10e6, "bandwidth_mbs"),
+    ("radio.backhaul_rate_bps", 5e6, "backhaul_rate"),
+    ("budgets.d2d_bits", 200e6, "m_d"),
+    ("budgets.sbs_bits", 500e6, "m_s"),
+    ("sim.trials", 50_000, "trials"),
+    ("sim.window_multiplier", 10.0, "window_multiplier"),
+    ("sim.master_seed", 20260809, "master_seed"),
+    ("sim.mbs_region_radius_m", "", "mbs_region_radius"),
+    ("optimizer.max_iterations", 100, "max_iterations"),
+    ("optimizer.convergence_tol_s", 1e-6, "convergence_tol"),
+    ("optimizer.initial_policy", "mpcp", "initial_policy"),
+    ("sweep.variable", "", "variable"),
+    ("sweep.start", "", "start"),
+    ("sweep.stop", "", "stop"),
+    ("sweep.steps", "", "steps"),
+    ("output.path", "", ""),
 ]
 
-_DEFAULTS = {key: value for key, value, _, _ in _SCHEMA}
-_FIELD_KEYS = {field: key for key, _, _, field in _SCHEMA if field}
+_DEFAULTS = {key: value for key, value, _ in _SCHEMA}
+_FIELD_KEYS = {field: key for key, _, field in _SCHEMA if field}
 
 SWEEPABLE = (
     "radio.sir_threshold_db",
@@ -216,11 +218,21 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"unknown config key {key!r}")
         default = _DEFAULTS[key]
-        # a numeric key takes a number, as the file parser requires; the
-        # constructor then checks its range
-        if isinstance(default, (int, float)) and not isinstance(value, numbers.Real):
-            kind = "integer" if isinstance(default, int) else "number"
-            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+        # a numeric key takes a number, as the file parser requires, and
+        # stores it as the parser would; the constructor then checks its
+        # range, and rejects a count that is not an integer (a bool too)
+        if isinstance(default, float):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key}: expected number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int past the float range, as "1e400" reads
+                value = math.inf if value > 0 else -math.inf
+        elif isinstance(default, int):
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key}: expected integer, got {value!r}")
+            if _is_count(value):
+                value = int(value)
         raw[key] = value
 
     library = _named(ContentLibrary.uniform, raw["content.file_count"],
@@ -297,22 +309,3 @@ def parse_sweep_flag(text: str) -> SweepSpec:
         raise ConfigError(f"bad sweep spec {text!r}; expected VAR=start:stop:steps") from exc
     return _named(SweepSpec, variable.strip(), *bounds)
 
-
-def render_default_template() -> str:
-    """The committed config template with invented defaults labelled."""
-    lines = [
-        "# Experiment configuration (flat dotted keys).",
-        "# Values marked [invented default] fill parameters the reference",
-        "# setting leaves unspecified; override them freely.",
-        "",
-    ]
-    for key, value, invented, _ in _SCHEMA:
-        if value == "":
-            rendered = f"# {key} ="
-        else:
-            rendered = f"{key} = {value}"
-        if invented and value != "":
-            rendered += "   # [invented default]"
-        lines.append(rendered)
-    lines.append("")
-    return "\n".join(lines)

@@ -205,8 +205,10 @@ def _prob(p, geom: TierGeometry):
     if not geom.bounded:
         raise ValueError("the tier formula needs a finite serving radius")
     arr = np.asarray(p, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("caching probability must lie in [0, 1]")
+    inside = (arr >= 0) & (arr <= 1)
+    if not inside.all():
+        raise ValueError("caching probability must lie in [0, 1], "
+                         f"got {float(arr[~inside][0])!r}")
     return arr
 
 
@@ -313,7 +315,7 @@ def stp_mbs(pathloss: float, theta: float) -> float:
     [1 + theta^(2/a) * g_integral(a, theta^(-2/a))]^(-1).
     """
     if not 2 < pathloss < math.inf:
-        raise ValueError("pathloss exponent must be finite and > 2")
+        raise ValueError(f"pathloss must be finite and > 2, got {pathloss!r}")
     _check_theta(theta)
     t = theta ** (2.0 / pathloss)
     return 1.0 / (1.0 + t * g_integral(pathloss, 1.0 / t))

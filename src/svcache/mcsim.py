@@ -142,7 +142,7 @@ def sample_serving_distance(p, geom: TierGeometry, rng, size=None):
     """Distance to the nearest point of the p-thinned field, p in (0, 1],
     given one within the serving radius (``_nearest_r0_sq``)."""
     if not p > 0:
-        raise ValueError("serving-distance law is conditional on p > 0")
+        raise ValueError(f"serving-distance law is conditional on p > 0, got {p!r}")
     if not geom.bounded:
         raise ValueError("use the unbounded nearest-point law for the macro tier")
     _prob(p, geom)

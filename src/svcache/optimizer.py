@@ -4,11 +4,14 @@ The solver alternates a diminishing-step gradient move (step 1/t at
 iteration t) with a projection of each tier's matrix onto its budget
 set.  The gradient is the closed form of ``objective_gradient``, not a
 difference quotient, and the same call returns the delay, so each
-iterate is evaluated once.  What the iterates never change is built once
-per solve: the projector, the weights and branch costs
-(``delay._weights_and_costs``) and the hit terms' tier constants
-(``geometry._stacked_terms``, stacked so both threshold terms of both
-tiers go through one ``_q`` call); iterates stay plain arrays.
+iterate is evaluated once.  It runs in whole-array operations on the
+stacked (2, F, L) matrices, each one elementwise, and the delay is one
+sum of the full cell matrix, as in ``cell_delay_matrix``.  What the
+iterates never change is built once per solve: the projector, the
+weights and branch costs (``delay._weights_and_costs``) and the hit
+terms' tier constants (``geometry._stacked_terms``, stacked so both
+threshold terms of both tiers go through one ``_q`` call); iterates
+stay plain arrays.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
@@ -123,7 +126,7 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     built on a column of the budget with one row per trailing block.
     """
     if not budget > 0:
-        raise ValueError("budget must be strictly positive")
+        raise ValueError(f"budget must be strictly positive, got {budget!r}")
     sizes = np.asarray(sizes, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     batch = p_hat.shape[:p_hat.ndim - sizes.ndim]
@@ -135,9 +138,6 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     return _Projector(sizes, column)(p_hat)
 
 
-# Row blocks keep the gradient's temporaries cache-resident: its cost
-# stays linear in F*L.
-_BLOCK_ROWS = 4096
 # 0-d operands: cheaper in small ufunc calls than Python floats
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
 
@@ -248,17 +248,12 @@ def _objective(p, weights, costs, area, terms):
     """``objective_gradient`` of the stacked (2, F, L) matrices ``p``,
     entries in [0, 1], from the instance's ``_weights_and_costs`` and
     ``_stacked_terms``: the delay and the stacked gradient."""
-    cells, grad = np.empty(weights.shape), np.empty(p.shape)
-    for start in range(0, p.shape[1], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        w = weights[rows]
-        a, b, c_m = (cost[rows] for cost in costs)
-        hit, slope = _hit(p[:, rows], area, terms)
-        d2d, sbs, mbs = _cascade(hit[0], hit[1], a, b, c_m)
-        cells[rows] = w * (d2d + sbs + mbs)
-        grad[0, rows] = w * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m)
-        grad[1, rows] = w * (1.0 - hit[0]) * slope[1] * (b - c_m)
-    return float(cells.sum()), grad
+    a, b, c_m = costs
+    hit, slope = _hit(p, area, terms)
+    d2d, sbs, mbs = _cascade(hit[0], hit[1], a, b, c_m)
+    grad = np.stack((weights * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m),
+                     weights * (1.0 - hit[0]) * slope[1] * (b - c_m)))
+    return float((weights * (d2d + sbs + mbs)).sum()), grad
 
 
 def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,

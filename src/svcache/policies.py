@@ -128,7 +128,7 @@ def greedy_fill(weights, sizes, budget) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     if not budget > 0:
-        raise ValueError("budget must be positive")
+        raise ValueError(f"budget must be positive, got {budget!r}")
     flat_sizes = sizes.ravel()
     order = np.argsort(-weights.ravel(), kind="stable")
     out = np.zeros(weights.size)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from svcache.config import (
     load_config,
     parse_config_text,
     parse_sweep_flag,
-    render_default_template,
 )
+from svcache.config import _SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,9 +40,15 @@ def test_defaults_build(lib):
     assert cfg.sweep is None
 
 
-def test_template_roundtrips_to_defaults():
-    raw = parse_config_text(render_default_template())
-    assert raw == default_config().resolved
+def test_committed_template_lists_every_key_once():
+    # the template is kept by hand, and a key missing from it would still
+    # parse to its default: each key is set once, or named once in a
+    # comment when its default is empty
+    lines = (REPO_ROOT / "configs" / "default.cfg").read_text().splitlines()
+    for key, default, _ in _SCHEMA:
+        named = [line for line in lines if re.match(rf"(# )?{re.escape(key)} =", line)]
+        form = f"# {key} =" if default == "" else f"{key} = "
+        assert len(named) == 1 and named[0].startswith(form), (key, named)
 
 
 def test_committed_template_matches_package():
@@ -62,6 +69,35 @@ def test_library_overrides_reject_text_and_none(key, value, kind):
         default_config(**{key: value})
     with pytest.raises(ConfigError, match=f"^{key}: "):
         default_config().with_values(**{key: value})
+
+
+def test_override_typed_like_the_file_line(tmp_path):
+    # same config, same hash: an int for a float key is stored as a float
+    path = tmp_path / "budget.cfg"
+    path.write_text("budgets.d2d_bits = 200000000\n")
+    assert load_config(path).hash() == "9263891552252f5f"
+    assert default_config(**{"budgets.d2d_bits": 200_000_000}).hash() == "9263891552252f5f"
+
+
+@pytest.mark.parametrize("key,value", [("budgets.d2d_bits", np.float64(200e6)),
+                                       ("content.file_count", np.int64(20))],
+                         ids=["numpy-float", "numpy-int"])
+def test_numpy_override_hashes_like_the_default(key, value):
+    assert default_config(**{key: value}).hash() == "9263891552252f5f"
+    assert default_config().with_values(**{key: value}).hash() == "9263891552252f5f"
+
+
+@pytest.mark.parametrize("key", ["content.skewness", "radio.sir_threshold_db"])
+def test_float_override_rejects_bool(key):
+    # True is not read as 1
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected number, got True$"):
+        default_config(**{key: True})
+
+
+def test_override_beyond_float_range_reads_as_infinite():
+    # as the file line "content.skewness = 1e400" does, not an OverflowError
+    with pytest.raises(ConfigError, match="^content.skewness: .*got inf$"):
+        default_config(**{"content.skewness": 10**400})
 
 
 def test_config_file_loading(tmp_path):
@@ -211,9 +247,10 @@ def test_cli_sweep_with_an_infinite_stop_is_a_config_error(capsys):
     assert "config error: sweep.stop: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", [3.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("count", [3.0, 2.5, True], ids=["float", "half", "bool"])
 def test_catalog_counts_must_be_integers(count):
-    for key in ("content.file_count", "content.layer_count"):
+    # a count override that is not an integer reaches its constructor as given
+    for key in ("content.file_count", "content.layer_count", "sim.trials"):
         with pytest.raises(ConfigError, match=f"^{key}: {key.split('.')[1]} must be an integer"):
             default_config(**{key: count})
 
@@ -476,3 +513,16 @@ def test_cli_csv_bytes_pinned_at_defaults(tmp_path, command):
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_CSV_SHA256[command]
+
+
+# Pinned bytes of `svcache validate --trials 2048` at the default seed: the
+# Monte-Carlo streams of every validation point and of the four end-to-end
+# delay rows.  Only a change that states a stream move in CHANGES.md may
+# re-record this.
+_PINNED_VALIDATE_SHA256 = "81a2a7fe4d1ae78aec375b0f6826f9ef2daa8eeb3bc2bb7faacfb52d3590bf7b"
+
+
+def test_cli_validate_csv_bytes_pinned(tmp_path):
+    out = tmp_path / "validate.csv"
+    assert cli.main(["validate", "--trials", "2048", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_VALIDATE_SHA256

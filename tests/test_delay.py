@@ -21,7 +21,6 @@ from svcache import (
 from svcache.content import ContentLibrary
 from svcache.delay import _cascade, branch_costs, cell_delay_matrix
 from svcache.geometry import RadioConfig, _hit, _stacked_terms
-from svcache.optimizer import _BLOCK_ROWS
 
 THETA = 10.0**0.5
 LOG_TERM = math.log2(1.0 + THETA)
@@ -199,9 +198,9 @@ def test_cache_budgets_validation():
 
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
 def test_stacked_hits_equal_per_tier_hit_term(lib, geoms, radio, file_count):
-    # 5 000 files cross the gradient's row block; the gradient reads the
-    # stacked tier terms per block.  hit_term goes through q_factor, a path
-    # independent of the stacked constants
+    # 5 000 files split into slices at row 4 096 as well as whole: the
+    # stacked terms broadcast against any row range.  hit_term goes through
+    # q_factor, a path independent of the stacked constants
     if file_count != lib.file_count:
         lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
     theta = radio.sir_threshold
@@ -212,8 +211,9 @@ def test_stacked_hits_equal_per_tier_hit_term(lib, geoms, radio, file_count):
     mixed = rng.random((2, *lib.shape))
     mixed[:, ::3], mixed[:, 1::3] = 0.0, 1.0
     stacks.append(mixed)
+    split = 4096
     for p in stacks:
-        for rows in (slice(None), slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)):
+        for rows in (slice(None), slice(0, split), slice(split, None)):
             hit, slope = _hit(p[:, rows], area, terms)
             for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
                 assert np.array_equal(hit[tier], hit_term(p[tier, rows], geom, theta))

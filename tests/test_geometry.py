@@ -227,8 +227,16 @@ def test_mbs_threshold_limits():
 
 def test_mbs_domain():
     for pathloss in (2.0, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^pathloss must be finite and > 2, got {pathloss!r}$"):
             stp_mbs(pathloss, 1.0)
+
+
+@pytest.mark.parametrize("p,shown", [(1.5, "1.5"), ([[0.2, -0.1], [2.0, 0.5]], "-0.1"),
+                                     (np.array([0.5, math.nan]), "nan")],
+                         ids=["scalar", "first-of-two", "nan"])
+def test_probability_error_names_first_rejected_entry(p, shown, geom_d, theta):
+    with pytest.raises(ValueError, match=rf"^caching probability must lie in \[0, 1\], got {shown}$"):
+        hit_term(p, geom_d, theta)
 
 
 # ---------------------------------------------------------------------------

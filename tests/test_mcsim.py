@@ -173,6 +173,11 @@ def test_mbs_agrees_and_density_independent(theta):
     assert abs(a.mean - b.mean) <= 3.0 * joint
 
 
+def test_serving_distance_error_names_p(geom_d):
+    with pytest.raises(ValueError, match=r"conditional on p > 0, got -0\.5$"):
+        sample_serving_distance(-0.5, geom_d, np.random.default_rng(1), size=3)
+
+
 def test_estimator_preconditions(geom_d, theta, fast_sim):
     with pytest.raises(ValueError):
         mc_stp_nearest_cached(0.0, geom_d, theta, fast_sim)

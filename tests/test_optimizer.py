@@ -70,7 +70,7 @@ def test_project_non_binding_budget():
 
 
 def test_project_domain_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^budget must be strictly positive, got 0\.0$"):
         project_budget(np.array([0.5]), np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         project_budget(np.array([0.5]), np.array([0.0]), 1.0)
@@ -379,7 +379,7 @@ def test_gradient_cost_scales_linearly(geoms, radio):
 
 @pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
 def test_objective_delay_equals_overall_delay(lib, geoms, radio, file_count):
-    # 5 000 files cross the 4 096-row block of the gradient
+    # 5 000 files: the delay stays one sum of the whole cell matrix
     if file_count != lib.file_count:
         lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
     rng = np.random.default_rng(file_count)

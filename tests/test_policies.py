@@ -76,6 +76,11 @@ def test_validate_shape_mismatch(lib, budgets):
 # MPCP
 # ---------------------------------------------------------------------------
 
+def test_greedy_fill_rejects_non_positive_budget():
+    with pytest.raises(ValueError, match=r"^budget must be positive, got -1\.0$"):
+        greedy_fill(np.ones(2), np.ones(2), -1.0)
+
+
 def test_greedy_fill_hand_ranking():
     # popularity order (1,2) > (1,1) > (2,1) > (2,2) with unit sizes and
     # budget 2.5: first two fit whole, the third gets the 0.5 remainder
