@@ -19,16 +19,20 @@ full utilization is optimal because the delay is non-increasing in
 every caching probability.  This uniform shift is the operator used
 throughout here and in the baselines, not the Euclidean projection onto
 the size-weighted budget polytope (that one would shift each entry
-proportionally to its size).  Its one form, ``_Projector``, takes a
-column with one budget per block of a batch and sizes its work buffers
-for that batch when built: the solver builds one per solve for its two
-stacked tiers, ``project_budget`` one per call (the ICP baseline, and
-each grid block of the oracle).
+proportionally to its size).  Its one form, ``_Projector``, takes an
+(m, j) array with j budgets for each block of an m-block batch: it
+sorts each block's breakpoints and accumulates its usage once, and only
+the crossing search and the interpolation run once per budget.  The
+solver builds one per solve for its two stacked tiers (one budget
+each), ``project_budget`` one per call (the ICP baseline at one budget,
+and each grid block of the oracle at both tiers' budgets).
 
 A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
 to budget equality; only grid rows with a zero entry are projected, as
-every other row is a uniform shift of one.  It evaluates the cross
+every other row is a uniform shift of one.  Those canonical rows are
+enumerated once per call, straight from their index set, and each block
+of them is projected for both tiers in one call.  It evaluates the cross
 product through an exact bilinear split of the objective, scoring every
 d2d row against one sbs Pareto-frontier point at a time.
 """
@@ -113,20 +117,29 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     """Project raw matrices onto {q in [0,1]^n : sum(sizes * q) = budget}.
 
     ``p_hat.shape`` is any leading batch shape followed by ``sizes.shape``;
-    each trailing block is projected on its own.  Returns
-    min{[p_hat - u]+, 1} with the uniform shift u found exactly: the
-    shifted-clipped usage is continuous, non-increasing and linear between
-    the breakpoints p_i - 1 (entry i leaves the cap) and p_i (entry i hits
-    zero), so sorting the 2n breakpoints, accumulating the usage across
-    them and interpolating on the segment that crosses the budget gives
-    the root (the breakpoint method of Duchi et al., 2008, and Condat,
-    2016).  When the budget is at least the whole catalog the equality is
-    unattainable and the all-ones matrix is returned (budget non-binding).
-    The checks are made here; ``_Projector`` is the kernel behind them,
-    built on a column of the budget with one row per trailing block.
+    each trailing block is projected on its own.  ``budget`` is either a
+    number, giving a result of ``p_hat``'s shape, or a non-empty 1-D
+    sequence, giving one projection of ``p_hat`` per budget stacked along
+    a new leading axis, all from one sort of each block's breakpoints.
+    Each projection is min{[p_hat - u]+, 1} with the uniform shift u found
+    exactly: the shifted-clipped usage is continuous, non-increasing and
+    linear between the breakpoints p_i - 1 (entry i leaves the cap) and
+    p_i (entry i hits zero), so sorting the 2n breakpoints, accumulating
+    the usage across them and interpolating on the segment that crosses
+    the budget gives the root (the breakpoint method of Duchi et al.,
+    2008, and Condat, 2016).  When a budget is at least the whole catalog
+    the equality is unattainable and the all-ones matrix is returned
+    (budget non-binding).  The checks are made here, and a non-positive or
+    NaN budget is named in the error; ``_Projector`` is the kernel behind
+    them, built on an array with one row of the budgets per trailing block.
     """
-    if not budget > 0:
-        raise ValueError(f"budget must be strictly positive, got {budget!r}")
+    levels = np.asarray(budget, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ValueError("budget must be a number or a non-empty 1-D sequence, "
+                         f"got shape {levels.shape}")
+    for level in levels.flat:
+        if not level > 0:
+            raise ValueError(f"budget must be strictly positive, got {float(level)!r}")
     sizes = np.asarray(sizes, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     batch = p_hat.shape[:p_hat.ndim - sizes.ndim]
@@ -134,8 +147,8 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
         raise ValueError("p_hat must end with the shape of sizes")
     if not np.all(np.isfinite(p_hat)):
         raise ValueError("p_hat must be finite")
-    column = np.full((math.prod(batch), 1), budget, dtype=float)
-    return _Projector(sizes, column)(p_hat)
+    out = _Projector(sizes, np.full((math.prod(batch), levels.size), levels))(p_hat)
+    return out if levels.ndim == 0 else out.reshape((levels.size, *p_hat.shape))
 
 
 # 0-d operands: cheaper in small ufunc calls than Python floats
@@ -144,15 +157,18 @@ _ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 class _Projector:
     """The breakpoint projection of ``project_budget`` for one ``sizes`` and
-    one (m, 1) column of budgets, applied to batches of m finite blocks.
+    one (m, j) array of budgets, applied to batches of m finite blocks.
 
-    Block r is projected at budget r, or comes back as exact ones if that
-    budget is at least the capacity sum(sizes).  All that the sizes and
-    budgets fix is made here, once: the sizes check, the signed usage
-    slopes concat(-s, s) of the 2n breakpoints, the capacity, the blocks
-    left to solve with their levels, and the work buffers and views for
-    exactly those blocks (extra memory linear in m).  A call solves them
-    in one kernel pass and returns a new array.
+    Block r is projected at each of its j budgets, or comes back as exact
+    ones at a budget that is at least the capacity sum(sizes).  All that
+    the sizes and budgets fix is made here, once: the sizes check, the
+    signed usage slopes concat(-s, s) of the 2n breakpoints, the capacity,
+    each budget's levels and clip floors (one for a full pair), and the
+    work buffers and views for m blocks (extra memory linear in m).  A
+    call sorts each block's breakpoints and accumulates its usage once,
+    then finds the crossing and interpolates once per budget; it returns
+    a new array, of the batch's shape when j is 1 and a stack of j
+    projections otherwise.
     """
 
     def __init__(self, sizes, budget):
@@ -163,11 +179,14 @@ class _Projector:
         n = sizes.size
         self._signed = np.concatenate((-sizes.ravel(), sizes.ravel()))
         self._capacity = np.asarray(sizes.sum())
-        full = budget[:, 0] >= self._capacity
-        # rows to solve: None for all of them; the rest are exact ones
-        self._solve = np.flatnonzero(~full) if full.any() else None
-        self._level = budget[~full]
-        m = self._level.shape[0]
+        # per budget: its (m, 1) levels and the floor of its clip; a full
+        # (block, budget) pair is solved at level 0, where the crossing
+        # segment has a usage drop (no 0/0), and clipped up to exact ones
+        full = budget >= self._capacity
+        self._columns = [(level[:, None], floor[:, None] if floor.any() else _ZERO)
+                         for level, floor in zip(np.where(full, 0.0, budget).T,
+                                                 full.T.astype(float))]
+        m = budget.shape[0]
         self._points, self._sorted, self._slope, usage = np.empty((4, m, 2 * n))
         usage[:, 0] = self._capacity
         # exact at max(p_hat); pinned so rounding cannot skip it
@@ -184,15 +203,13 @@ class _Projector:
             self._points.ravel(), self._sorted.ravel(), usage.ravel())
 
     def __call__(self, p_hat):
-        rows = p_hat.reshape(-1, self.sizes.size)
-        if self._solve is None:
-            return self._kernel(rows).reshape(p_hat.shape)
-        out = np.ones_like(rows)
-        out[self._solve] = self._kernel(rows[self._solve])
-        return out.reshape(p_hat.shape)
+        out = self._kernel(p_hat.reshape(-1, self.sizes.size))
+        if len(out) == 1:
+            return out[0].reshape(p_hat.shape)
+        return np.stack(out).reshape((len(out), *p_hat.shape))
 
     def _kernel(self, rows):
-        """Project the m ``rows`` left to solve at their budget levels."""
+        """Project the m ``rows`` at each of their j levels: a list of j."""
         np.subtract(rows, _ONE, out=self._low)
         np.copyto(self._high, rows)
         order = self._points.argsort(axis=1, kind="stable")
@@ -209,17 +226,20 @@ class _Projector:
         np.multiply(self._head_slope, usage, out=usage)
         np.add.accumulate(usage, 1, out=usage)
         np.add(usage, self._capacity, out=usage)
-        # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
-        np.less_equal(self._tail_usage, self._level, out=self._below)
-        k = self._below.argmax(axis=1, keepdims=True)
-        k += self._offset
-        k_next = k + 1
-        lo, hi = self._flat_sorted.take(k), self._flat_sorted.take(k_next)
-        above, below = self._flat_usage.take(k), self._flat_usage.take(k_next)
-        out = rows - (lo + (above - self._level) / (above - below) * (hi - lo))
-        # np.clip(out, 0.0, 1.0) without its Python wrapper
-        np.maximum(_ZERO, out, out=out)
-        np.minimum(out, _ONE, out=out)
+        out = []
+        for level, floor in self._columns:
+            # first segment [k, k+1] with usage(k) > budget >= usage(k+1)
+            np.less_equal(self._tail_usage, level, out=self._below)
+            k = self._below.argmax(axis=1, keepdims=True)
+            k += self._offset
+            k_next = k + 1
+            lo, hi = self._flat_sorted.take(k), self._flat_sorted.take(k_next)
+            above, below = self._flat_usage.take(k), self._flat_usage.take(k_next)
+            projected = rows - (lo + (above - level) / (above - below) * (hi - lo))
+            # np.clip(projected, floor, 1.0) without its Python wrapper
+            np.maximum(floor, projected, out=projected)
+            np.minimum(projected, _ONE, out=projected)
+            out.append(projected)
         return out
 
 
@@ -328,39 +348,58 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
 # ---------------------------------------------------------------------------
 
 _GRID_STEPS = (0.05, 0.02)
+# canonical rows per projection call: bounds the projector's work buffers
+_GRID_BLOCK = 4096
 
 
-def _grid_chunks(n_cells, n_values, chunk=16_384):
-    """Yield the grid rows of {0, ..., 1}^n_cells with a zero entry, in grid
-    order, in blocks of at most ``chunk``, without materializing the full
-    enumeration: n^k - (n-1)^k rows instead of n^k.  A block is the only
-    batch the projection sees, so ``chunk`` bounds its work buffers."""
+def _grid_index(n_cells, n_values):
+    """Flat grid-order indices of the rows of {0, ..., 1}^n_cells with a zero
+    entry, n^k - (n-1)^k of the n^k: the grid's index cube with its
+    all-nonzero subcube [1:, ..., 1:] cleared."""
+    canonical = np.ones((n_values,) * n_cells, dtype=bool)
+    canonical[(slice(1, None),) * n_cells] = False
+    return np.flatnonzero(canonical)
+
+
+def _grid_chunks(n_cells, n_values, chunk=_GRID_BLOCK, index=None):
+    """Yield the grid rows at the flat ``index`` (by default every row with
+    a zero entry, ``_grid_index``), in its order, in blocks of at most
+    ``chunk``.  A block is the only batch the projection sees, so
+    ``chunk`` bounds its work buffers; only the index set is built for the
+    whole grid, never its rows."""
+    if index is None:
+        index = _grid_index(n_cells, n_values)
     values = np.linspace(0.0, 1.0, n_values)
-    total = n_values**n_cells
     shape = (n_values,) * n_cells
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.unravel_index(idx, shape)
-        canonical = np.minimum.reduce(coords) == 0
-        yield np.column_stack([values[c[canonical]] for c in coords])
+    for start in range(0, index.size, chunk):
+        yield values[np.column_stack(np.unravel_index(index[start:start + chunk],
+                                                      shape))]
 
 
-def _tier_candidates(geom, theta, sizes_flat, budget, n_values, useful):
-    """Enumerate and project one tier's grid of the 2x2 catalog.
+def _grid_candidates(geoms, theta, sizes_flat, budgets, n_values, useful):
+    """Enumerate the grid of the 2x2 catalog once and project it for both tiers.
 
-    Returns (rows, hit): every canonical grid row (one with a zero entry,
-    ``_grid_chunks``) projected to budget equality, in grid order, and its
+    Returns (rows, hits): ``rows[t]`` is every canonical grid row (one with
+    a zero entry, ``_grid_index``) projected to tier t's budget equality
+    (t = 0 for d2d, 1 for sbs), in grid order, and ``hits[t]`` its
     hit-term values on the useful cells (the zero-popularity cells cannot
     change the delay).  Every other grid row is a uniform shift c of a
     canonical one, and u absorbs the shift, P(r + c*1) = P(r), so its
     projection is already here.  Rows that project to the same matrix are
     all kept: the sbs Pareto scan keeps one of equal points, and the
     oracle's argmin keeps the first minimum in grid order.  Each block of
-    ``_grid_chunks`` goes through ``project_budget`` in one call.
+    ``_grid_chunks`` goes through ``project_budget`` in one call at both
+    budgets and is written into the preallocated ``rows``.
     """
-    rows = np.concatenate([project_budget(chunk, sizes_flat, budget)
-                           for chunk in _grid_chunks(sizes_flat.size, n_values)])
-    return rows, hit_term(rows[:, useful], geom, theta)
+    index = _grid_index(sizes_flat.size, n_values)
+    rows = np.empty((2, index.size, sizes_flat.size))
+    stop = 0
+    for block in _grid_chunks(sizes_flat.size, n_values, index=index):
+        start, stop = stop, stop + block.shape[0]
+        rows[:, start:stop] = project_budget(block, sizes_flat,
+                                             (budgets.m_d, budgets.m_s))
+    return rows, [hit_term(tier[:, useful], geom, theta)
+                  for tier, geom in zip(rows, (geoms.d2d, geoms.sbs))]
 
 
 def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
@@ -382,7 +421,8 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     if lib.shape != (2, 2):
         raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")
     if not any(abs(grid_step - s) < 1e-12 for s in _GRID_STEPS):
-        raise ValueError(f"grid_step must be one of {_GRID_STEPS}")
+        raise ValueError(f"grid_step must be one of {_GRID_STEPS}, "
+                         f"got {grid_step!r}")
     n_values = int(round(1.0 / grid_step)) + 1
 
     theta = radio.sir_threshold
@@ -391,10 +431,8 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     useful = np.flatnonzero(weights.ravel() > 0)
     w, a, b, c_m = (term.ravel()[useful] for term in (weights, *costs))
 
-    rows_d, hit_d = _tier_candidates(geoms.d2d, theta, sizes, budgets.m_d,
-                                     n_values, useful)
-    rows_s, hit_s = _tier_candidates(geoms.sbs, theta, sizes, budgets.m_s,
-                                     n_values, useful)
+    (rows_d, rows_s), (hit_d, hit_s) = _grid_candidates(geoms, theta, sizes, budgets,
+                                                        n_values, useful)
 
     # D(i, j) = base_i + V_i . H_j with V_i = w*(1-hit_d_i)*(b-c_m) <= or >= 0
     base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from svcache import (
 )
 from svcache import optimizer
 from svcache.delay import cell_delay_matrix
-from svcache.optimizer import OptimizerConfig, _tier_candidates
+from svcache.optimizer import OptimizerConfig, _grid_candidates
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +229,8 @@ def test_projector_reused_matches_project_budget_row_by_row(lib, fractions):
 
 @pytest.mark.parametrize("factor", [0.3, 1.0, 3.0], ids=["binding", "at-capacity", "above"])
 def test_project_budget_empty_and_all_full_batches(lib, factor):
-    # a projector's buffers are sized for the rows left to solve: none in
-    # an empty batch, nor in a batch whose budget leaves every row full
+    # an empty batch has no rows to sort; a batch whose budget leaves every
+    # row full is solved at level 0 and comes back as exact ones, no 0/0
     sizes = lib.super_layer_sizes
     budget = factor * sizes.sum()
     empty = project_budget(np.empty((0, *sizes.shape)), sizes, budget)
@@ -246,6 +247,43 @@ def test_project_budget_empty_and_all_full_batches(lib, factor):
 def test_project_rejects_non_positive_budget(budget):
     with pytest.raises(ValueError, match="^budget"):
         project_budget(np.array([0.5, 0.2]), np.ones(2), budget)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_project_budget_names_each_rejected_budget(bad, position):
+    budgets = [1.0, 2.0, 0.5]
+    budgets[position] = bad
+    with pytest.raises(ValueError,
+                       match=rf"^budget must be strictly positive, got {bad!r}$"):
+        project_budget(np.array([0.5, 0.2]), np.ones(2), budgets)
+    for shape in ([], [[1.0, 2.0]]):  # no budget, or a table of them
+        with pytest.raises(ValueError, match="^budget must be a number or a non-empty"):
+            project_budget(np.array([0.5, 0.2]), np.ones(2), shape)
+
+
+@pytest.mark.parametrize("fractions", [(0.3,), (0.5, 0.5), (0.2, 1.0, 0.7, 3.0)],
+                         ids=["one", "equal-pair", "with-full"])
+def test_project_budget_stacks_one_projection_per_budget(lib, fractions):
+    # one sort of each block's breakpoints serves every budget: each slice
+    # is the one-budget projection bit for bit, a full budget exact ones
+    rng = np.random.default_rng(17)
+    sizes = lib.super_layer_sizes
+    capacity = sizes.sum()
+    levels = [fraction * capacity for fraction in fractions]
+    for batch in ((), (3,), (2, 5)):
+        p_hat = rng.uniform(-1.0, 2.0, (*batch, *sizes.shape))
+        # equal entries make the first usage segment flat: 0/0 if a full
+        # budget were interpolated
+        p_hat.reshape(-1, *sizes.shape)[0] = 0.3
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = project_budget(p_hat, sizes, levels)
+        assert got.shape == (len(levels), *p_hat.shape)
+        for projected, level in zip(got, levels):
+            assert projected.tobytes() == project_budget(p_hat, sizes, level).tobytes()
+            if level >= capacity:
+                assert np.array_equal(projected, np.ones(p_hat.shape))
 
 
 def test_optimize_keeps_a_non_binding_tier_at_ones(lib, geoms, radio, budgets):
@@ -546,7 +584,7 @@ def test_grid_oracle_refuses_large_instances(lib, geoms, radio):
 
 
 def test_grid_oracle_validates_step(toy_lib, geoms, radio, toy_budgets):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^grid_step must be one of .*, got 0\.1$"):
         grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.1)
 
 
@@ -607,41 +645,106 @@ def _useful_and_sizes(lib):
 def _whole_grid(n_cells, n_values):
     """Every row of {0, ..., 1}^n_cells in grid order, as one block."""
     values = np.linspace(0.0, 1.0, n_values)
-    yield np.array(list(itertools.product(values, repeat=n_cells)))
+    return np.array(list(itertools.product(values, repeat=n_cells)))
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8)],
                          ids=["criterion-6", "toy-0.3-0.8"])
 def test_tier_candidates_are_the_projected_canonical_grid_rows(toy_lib, geoms,
                                                                radio, fractions):
-    # every grid row with a zero entry, projected, in grid order: rows that
-    # project to the same matrix are all kept
+    # every grid row with a zero entry, projected at each tier's budget in
+    # one shared pass, in grid order: rows that project to the same matrix
+    # are all kept
     useful, sizes = _useful_and_sizes(toy_lib)
-    grid = next(_whole_grid(sizes.size, 21))
+    grid = _whole_grid(sizes.size, 21)
     canonical = grid[grid.min(axis=1) == 0.0]
     total = total_catalog_bits(toy_lib)
-    for geom, fraction in zip((geoms.d2d, geoms.sbs), fractions):
-        budget = fraction * total
-        rows, hit = _tier_candidates(geom, radio.sir_threshold,
-                                     sizes, budget, 21, useful)
+    budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
+    rows, hits = _grid_candidates(geoms, radio.sir_threshold, sizes, budgets, 21,
+                                  useful)
+    assert rows.shape == (2, 21**4 - 20**4, 4)
+    for tier, hit, geom, budget in zip(rows, hits, (geoms.d2d, geoms.sbs),
+                                       (budgets.m_d, budgets.m_s)):
         expected = project_budget(canonical, sizes, budget)
-        assert rows.shape == expected.shape == (21**4 - 20**4, 4)
-        assert rows.tobytes() == expected.tobytes()
-        assert np.array_equal(hit, hit_term(rows[:, useful], geom,
+        assert tier.tobytes() == expected.tobytes()
+        assert np.array_equal(hit, hit_term(tier[:, useful], geom,
                                             radio.sir_threshold))
+
+
+# sha256 of the d2d and sbs projected canonical rows, recorded with the
+# one-tier-at-a-time enumeration this shared pass replaced
+_CANONICAL_ROWS_SHA256 = {  # step, m_d and m_s in catalogs, d2d and sbs sha256
+    "criterion-6": (
+        0.05, 0.5, 0.5,
+        "14127bf190c37bbdcfe6560bf972d366a95460030f34bfdfdb168cdce2078438",
+        "14127bf190c37bbdcfe6560bf972d366a95460030f34bfdfdb168cdce2078438"),
+    "criterion-6-0.02": (
+        0.02, 0.5, 0.5,
+        "6ab150a2149f6f62ccbfdb11fbea59d5c0ee181b1db88fbf299da943db306e03",
+        "6ab150a2149f6f62ccbfdb11fbea59d5c0ee181b1db88fbf299da943db306e03"),
+    "multi-point-frontier": (
+        0.05, 0.5, 0.2,
+        "14127bf190c37bbdcfe6560bf972d366a95460030f34bfdfdb168cdce2078438",
+        "7840bf6b184d3afcdf9bcd3eee3491378c5f91851d6b54d24ee1417a118f0e4c"),
+    "d2d-full": (
+        0.05, 1.5, 0.5,
+        "79174d737ab23a8a753fb058239777cf57d95c60bf7b7e0f724e8d84c3c59e2a",
+        "14127bf190c37bbdcfe6560bf972d366a95460030f34bfdfdb168cdce2078438"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CANONICAL_ROWS_SHA256))
+def test_projected_canonical_rows_are_pinned(toy_lib, geoms, radio, case):
+    # d2d-full: m_d is 1.5 catalogs, so every d2d row is exact ones while
+    # the sbs rows are solved, in the same projection calls
+    step, fraction_d, fraction_s, *pins = _CANONICAL_ROWS_SHA256[case]
+    useful, sizes = _useful_and_sizes(toy_lib)
+    total = total_catalog_bits(toy_lib)
+    budgets = CacheBudgets(m_d=fraction_d * total, m_s=fraction_s * total)
+    rows, _ = _grid_candidates(geoms, radio.sir_threshold, sizes, budgets,
+                               round(1.0 / step) + 1, useful)
+    assert [hashlib.sha256(tier.tobytes()).hexdigest() for tier in rows] == pins
+
+
+# tracemalloc peak of one step-0.05 oracle call on the criterion-6 instance
+# with each tier enumerated and projected on its own (numpy 2.4.6)
+_TWO_PASS_ORACLE_PEAK = 7_271_859
+
+
+def test_grid_oracle_traced_peak_memory(toy_lib, geoms, radio, toy_budgets):
+    grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
+    tracemalloc.start()
+    try:
+        grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _TWO_PASS_ORACLE_PEAK
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8), (0.15, 0.6)],
                          ids=["criterion-6", "toy-0.3-0.8", "toy-0.15-0.6"])
 def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
                                                        fractions, monkeypatch):
-    # projecting the canonical rows only loses no candidate
+    # projecting the canonical rows only loses no candidate: the index set
+    # of every grid row feeds the same blocks and the same projection
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
     policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
-    monkeypatch.setattr(optimizer, "_grid_chunks", _whole_grid)
+    monkeypatch.setattr(optimizer, "_grid_index",
+                        lambda n_cells, n_values: np.arange(n_values**n_cells))
+    seen = []
+    chunks = optimizer._grid_chunks
+
+    def recorded(n_cells, n_values, **kwargs):
+        for block in chunks(n_cells, n_values, **kwargs):
+            seen.append(block)
+            yield block
+
+    monkeypatch.setattr(optimizer, "_grid_chunks", recorded)
     full_policy, full_value = grid_oracle(toy_lib, geoms, radio, budgets,
                                           grid_step=0.05)
+    assert np.array_equal(np.concatenate(seen), _whole_grid(4, 21))
     assert value == pytest.approx(full_value, rel=1e-12)
     assert np.array_equal(policy.p_d, full_policy.p_d)
     assert np.array_equal(policy.p_s, full_policy.p_s)
@@ -658,9 +761,9 @@ def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
     monkeypatch.setattr(optimizer, "project_budget", counted)
     grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
     chunks = [block.shape[0] for block in optimizer._grid_chunks(4, 21)]
-    assert len(chunks) > 1
-    assert calls == ([(rows, toy_budgets.m_d) for rows in chunks]
-                     + [(rows, toy_budgets.m_s) for rows in chunks])
+    assert len(chunks) == math.ceil((21**4 - 20**4) / optimizer._GRID_BLOCK)
+    # one call per canonical block, carrying both tiers' budgets
+    assert calls == [(rows, (toy_budgets.m_d, toy_budgets.m_s)) for rows in chunks]
 
 
 @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
@@ -668,7 +771,7 @@ def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
 def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk):
     kwargs = {} if chunk is None else {"chunk": chunk}
     blocks = list(optimizer._grid_chunks(n_cells, 21, **kwargs))
-    assert all(b.shape[0] <= (chunk or 16_384) for b in blocks)
+    assert all(b.shape[0] <= (chunk or optimizer._GRID_BLOCK) for b in blocks)
     got = np.concatenate(blocks)
     values = np.linspace(0.0, 1.0, 21)
     full = np.array(list(itertools.product(values, repeat=n_cells)))
@@ -682,7 +785,7 @@ def test_grid_oracle_independent_of_block_size(toy_lib, geoms, radio,
     policy, value = grid_oracle(toy_lib, geoms, radio, toy_budgets,
                                 grid_step=0.05)
     monkeypatch.setattr(optimizer, "_grid_chunks",
-                        functools.partial(optimizer._grid_chunks, chunk=4096))
+                        functools.partial(optimizer._grid_chunks, chunk=1000))
     small_policy, small_value = grid_oracle(toy_lib, geoms, radio,
                                             toy_budgets, grid_step=0.05)
     assert small_value == value
