@@ -86,10 +86,17 @@ def branch_costs(sizes, mbs_success, radio: RadioConfig):
                      + mbs_success / (radio.bandwidth_mbs * log_term)))
 
 
-def _cascade(hit_d, hit_s, a, b, c_m):
-    """The three branch delays from hit terms and ``branch_costs``."""
-    return (hit_d * a, (1.0 - hit_d) * hit_s * b,
-            (1.0 - hit_d) * (1.0 - hit_s) * c_m)
+def _cascade(hit_d, hit_s, a, b, c_m, miss=None, out=(...,) * 3):
+    """The three branch delays from hit terms and ``branch_costs``.  A
+    caller that holds the miss terms (1 - hit_d, 1 - hit_s) passes them as
+    ``miss``; ``out`` takes three buffers for the delays, new arrays by
+    default (``...``), each computed in place in its own."""
+    miss_d, miss_s = (1.0 - hit_d, 1.0 - hit_s) if miss is None else miss
+    d2d, sbs, mbs = out
+    sbs = np.multiply(miss_d, hit_s, out=sbs)
+    mbs = np.multiply(miss_d, miss_s, out=mbs)
+    return (np.multiply(hit_d, a, out=d2d), np.multiply(sbs, b, sbs),
+            np.multiply(mbs, c_m, mbs))
 
 
 def _weights_and_costs(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig):

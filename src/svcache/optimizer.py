@@ -7,11 +7,12 @@ difference quotient, and the same call returns the delay, so each
 iterate is evaluated once.  It runs in whole-array operations on the
 stacked (2, F, L) matrices, each one elementwise, and the delay is one
 sum of the full cell matrix, as in ``cell_delay_matrix``.  What the
-iterates never change is built once per solve: the projector, the
-weights and branch costs (``delay._weights_and_costs``) and the hit
-terms' tier constants (``geometry._stacked_terms``, stacked so both
-threshold terms of both tiers go through one ``_q`` call); iterates
-stay plain arrays.
+iterates never change is built once per solve: the projector and the
+gradient's workspace ``_Objective``, which holds the weights and branch
+costs (``delay._weights_and_costs``), the hit terms' tier constants
+(``geometry._stacked_terms``, stacked so both threshold terms of both
+tiers go through one ``_q`` call) and the buffers that every ufunc of an
+iterate writes in place; each projection returns a new iterate.
 The projection subtracts one uniform shift u from every entry, clips to
 [0, 1], and solves for u exactly from the breakpoints of the
 piecewise-linear usage so the expected cache usage equals the budget;
@@ -47,7 +48,8 @@ import numpy as np
 from .content import ContentLibrary, _is_count
 from .delay import (CacheBudgets, _cascade, _check_shape, _weights_and_costs,
                     cell_delay_matrix, overall_delay)
-from .geometry import NetworkGeometry, RadioConfig, _hit, _stacked_terms, hit_term
+from .geometry import (_HIT_BUFFERS, NetworkGeometry, RadioConfig, _hit, _hit_buffers,
+                       _stacked_terms, hit_term)
 from .policies import CachingPolicy, epcp, mpcp
 
 __all__ = [
@@ -256,24 +258,68 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
 
         dD/dp_d = w * hit_d' * (a - hit_s*b - (1 - hit_s)*c_m)
         dD/dp_s = w * (1 - hit_d) * hit_s' * (b - c_m)
+
+    It runs the solver's kernel, ``_Objective``, in buffers of its own, with
+    the instance constants broadcast rather than expanded.
     """
     _check_shape(policy, lib)
-    delay, grad = _objective(np.stack((policy.p_d, policy.p_s)),
-                             *_weights_and_costs(lib, geoms, radio),
-                             *_stacked_terms(geoms, radio.sir_threshold))
-    return delay, grad[0], grad[1]
+    objective = _Objective(*_weights_and_costs(lib, geoms, radio),
+                           *_stacked_terms(geoms, radio.sir_threshold), expand=False)
+    delay = objective(np.stack((policy.p_d, policy.p_s)))
+    return delay, objective.grad[0], objective.grad[1]
 
 
-def _objective(p, weights, costs, area, terms):
-    """``objective_gradient`` of the stacked (2, F, L) matrices ``p``,
-    entries in [0, 1], from the instance's ``_weights_and_costs`` and
-    ``_stacked_terms``: the delay and the stacked gradient."""
-    a, b, c_m = costs
-    hit, slope = _hit(p, area, terms)
-    d2d, sbs, mbs = _cascade(hit[0], hit[1], a, b, c_m)
-    grad = np.stack((weights * slope[0] * (a - hit[1] * b - (1.0 - hit[1]) * c_m),
-                     weights * (1.0 - hit[0]) * slope[1] * (b - c_m)))
-    return float((weights * (d2d + sbs + mbs)).sum()), grad
+class _Objective:
+    """``objective_gradient``'s kernel for one instance, on stacked (2, F, L)
+    matrices with entries in [0, 1], from its ``_weights_and_costs`` and
+    ``_stacked_terms``.  A call returns the delay and writes the stacked
+    gradient into ``grad``; every ufunc writes in place into buffers
+    allocated here, once, all but ``grad`` in one block: the hit kernel's
+    (``geometry._hit_buffers``), the miss terms 1 - hit that the cascade
+    and the gradient share, and the cascade's, which the gradient reuses
+    once the delay is summed.  The next call overwrites them all.  With
+    ``expand`` (the solver) A, -A and the threshold terms are expanded to
+    the shape they meet, so every operand but p in p + t and the 0-d one
+    in 1 - hit is contiguous and of one shape; ``objective_gradient``
+    broadcasts them.  Each value comes from the same operations in the
+    same order either way.
+    """
+
+    def __init__(self, weights, costs, area, terms, expand=True):
+        shape = (2, *weights.shape)
+        a, b, c_m = costs
+        minus_area = -area
+        if expand:
+            full = np.empty((3, 2, *shape))
+            full[0], full[1], full[2] = terms, area, minus_area
+            terms, area, minus_area = full
+        self._constants = weights, a, b, c_m, b - c_m, area, minus_area, terms
+        # one block: the hit kernel's buffers, the miss terms, the cascade's
+        work = np.empty((2 * _HIT_BUFFERS + 5, *weights.shape))
+        self._hit = _hit_buffers(work[:2 * _HIT_BUFFERS].reshape(_HIT_BUFFERS, *shape))
+        self._miss = work[2 * _HIT_BUFFERS:-3].reshape(shape)
+        self._cells = work[-3], work[-2], work[-1]
+        self.grad = np.empty(shape)
+        *_, hit, slope = self._hit
+        self._halves = tuple((pair[0], pair[1])
+                             for pair in (hit, slope, self._miss, self.grad))
+
+    def __call__(self, p):
+        weights, a, b, c_m, b_minus_c, area, minus_area, terms = self._constants
+        (hit_d, hit_s), (slope_d, slope_s), miss, (grad_d, grad_s) = self._halves
+        hit, _ = _hit(p, area, terms, self._hit, minus_area)
+        np.subtract(_ONE, hit, self._miss)
+        cells, sbs, mbs = _cascade(hit_d, hit_s, a, b, c_m, miss, self._cells)
+        np.add(np.add(cells, sbs, cells), mbs, cells)
+        delay = float(np.add.reduce(np.multiply(weights, cells, cells), None))
+        # w*hit_d'*(a - hit_s*b - (1 - hit_s)*c_m), in the cascade's free buffers
+        cost = np.subtract(a, np.multiply(hit_s, b, sbs), sbs)
+        cost = np.subtract(cost, np.multiply(miss[1], c_m, mbs), sbs)
+        np.multiply(np.multiply(weights, slope_d, grad_d), cost, grad_d)
+        # w*(1 - hit_d)*hit_s'*(b - c_m)
+        np.multiply(np.multiply(np.multiply(weights, miss[0], grad_s), slope_s, grad_s),
+                    b_minus_c, grad_s)
+        return delay
 
 
 def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
@@ -287,9 +333,11 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     stops once the delay change drops below ``convergence_tol`` or the
     iteration budget runs out.  The 1/t step does not guarantee monotone
     descent, so the best iterate seen (including the start) is tracked
-    and returned.  Sizes are checked and the loop's constants built once
-    per solve; the start's ``objective_gradient`` and the final
-    ``cell_delay_matrix`` build their own.  Iterates stay plain arrays.
+    and returned.  Sizes are checked and the loop's constants and buffers
+    (the projector, the ``_Objective`` workspace, the step) built once per
+    solve; the start's ``objective_gradient`` and the final
+    ``cell_delay_matrix`` build their own.  The residuals of both tiers
+    come from one product and one row sum.
     """
     cfg = cfg or OptimizerConfig()
     project = _Projector(lib.super_layer_sizes,
@@ -309,8 +357,13 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     policy = CachingPolicy(p_d=p[0], p_s=p[1])
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
-    weights, costs = _weights_and_costs(lib, geoms, radio)
-    area, terms = _stacked_terms(geoms, radio.sir_threshold)
+    objective = _Objective(*_weights_and_costs(lib, geoms, radio),
+                           *_stacked_terms(geoms, radio.sir_threshold))
+    # the loop's buffers: the raw step, its finite mask and the bits each
+    # entry of the iterate uses, against sizes stacked for both tiers
+    raw, used, tier_sizes = np.empty((3, *p.shape))
+    finite = np.empty(p.shape, dtype=bool)
+    tier_sizes[...] = sizes
     best_p = None  # None while the start is the best iterate
     result = OptimizerResult(
         best_policy=policy, best_delay=current, delay_trajectory=[current],
@@ -318,15 +371,17 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     )
     for t in range(1, cfg.max_iterations + 1):
         eps = 1.0 / t
-        raw = p - eps * grad
-        if not np.isfinite(raw).all():
+        np.subtract(p, np.multiply(grad, eps, raw), raw)
+        if not np.isfinite(raw, finite).all():
             raise ValueError(f"iterate {t} is not finite")
         p = project(raw)
-        new, grad = _objective(p, weights, costs, area, terms)
+        new, grad = objective(p), objective.grad
+        used_d, used_s = np.add.reduce(np.multiply(p, tier_sizes, used).reshape(2, -1),
+                                       1).tolist()
         result.delay_trajectory.append(new)
         result.step_sizes.append(eps)
-        result.budget_residual_d.append(abs(float((p[0] * sizes).sum()) - target_d))
-        result.budget_residual_s.append(abs(float((p[1] * sizes).sum()) - target_s))
+        result.budget_residual_d.append(abs(used_d - target_d))
+        result.budget_residual_s.append(abs(used_s - target_s))
         result.iterations_run = t
         if new < result.best_delay:
             result.best_delay = new

@@ -20,7 +20,7 @@ from svcache import (
 )
 from svcache.content import ContentLibrary
 from svcache.delay import _cascade, branch_costs, cell_delay_matrix
-from svcache.geometry import RadioConfig, _hit, _stacked_terms
+from svcache.geometry import _HIT_BUFFERS, RadioConfig, _hit, _hit_buffers, _stacked_terms
 
 THETA = 10.0**0.5
 LOG_TERM = math.log2(1.0 + THETA)
@@ -212,12 +212,16 @@ def test_stacked_hits_equal_per_tier_hit_term(lib, geoms, radio, file_count):
     mixed[:, ::3], mixed[:, 1::3] = 0.0, 1.0
     stacks.append(mixed)
     split = 4096
+
+    def hit(p, area, terms):
+        return _hit(p, area, terms, _hit_buffers(np.empty((_HIT_BUFFERS, *p.shape))))
+
     for p in stacks:
         for rows in (slice(None), slice(0, split), slice(split, None)):
-            hit, slope = _hit(p[:, rows], area, terms)
+            hits, slope = hit(p[:, rows], area, terms)
             for tier, geom in enumerate((geoms.d2d, geoms.sbs)):
-                assert np.array_equal(hit[tier], hit_term(p[tier, rows], geom, theta))
-                want = _hit(p[tier, rows], area[tier], terms[:, tier])[1]
+                assert np.array_equal(hits[tier], hit_term(p[tier, rows], geom, theta))
+                want = hit(p[tier, rows], area[tier], terms[:, tier])[1]
                 assert np.array_equal(slope[tier], want)
 
 

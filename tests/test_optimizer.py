@@ -296,13 +296,15 @@ def test_optimize_keeps_a_non_binding_tier_at_ones(lib, geoms, radio, budgets):
 
 def test_optimize_rejects_non_finite_iterate(lib, geoms, radio, budgets,
                                              monkeypatch):
-    objective = optimizer._objective
+    # the workspace's gradient blows up after each call (the start's too)
+    call = optimizer._Objective.__call__
 
-    def blown_up(*args):
-        delay, grad = objective(*args)
-        return delay, np.full_like(grad, np.inf)
+    def blown_up(self, p):
+        delay = call(self, p)
+        self.grad.fill(np.inf)
+        return delay
 
-    monkeypatch.setattr(optimizer, "_objective", blown_up)
+    monkeypatch.setattr(optimizer._Objective, "__call__", blown_up)
     with pytest.raises(ValueError, match="not finite"):
         optimize(lib, geoms, radio, budgets)
 
@@ -428,6 +430,36 @@ def test_objective_delay_equals_overall_delay(lib, geoms, radio, file_count):
     for policy in policies:
         delay = objective_gradient(policy, lib, geoms, radio)[0]
         assert delay == overall_delay(policy, lib, geoms, radio).total
+
+
+@pytest.mark.parametrize("file_count", [20, 5_000], ids=["default", "5000-files"])
+def test_workspace_equals_a_fresh_gradient_call_each_time(lib, geoms, radio, file_count):
+    # one solver workspace, called on a sequence of policies, gives the bits
+    # of a fresh objective_gradient call on each: no buffer carries a value
+    # over from an earlier policy; and what objective_gradient returned
+    # earlier is not changed by later calls
+    if file_count != lib.file_count:
+        lib = ContentLibrary.uniform(file_count, 2, 25e6, skewness=1.0, plateau=5.0)
+    rng = np.random.default_rng(file_count + 1)
+    zeros, ones = np.zeros(lib.shape), np.ones(lib.shape)
+    mixed = rng.random(lib.shape)
+    mixed[::3], mixed[1::3] = 0.0, 1.0
+    policies = [CachingPolicy(rng.random(lib.shape), rng.random(lib.shape)),
+                CachingPolicy(zeros, zeros), CachingPolicy(ones, ones),
+                CachingPolicy(rng.random(lib.shape), mixed),
+                CachingPolicy(ones, zeros), CachingPolicy(zeros, ones),
+                CachingPolicy(mixed, rng.random(lib.shape))]
+    weights, costs = optimizer._weights_and_costs(lib, geoms, radio)
+    area, terms = optimizer._stacked_terms(geoms, radio.sir_threshold)
+    workspace = optimizer._Objective(weights, costs, area, terms)
+    returned = []
+    for policy in policies:
+        delay, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
+        returned.append(((grad_d, grad_s), (grad_d.tobytes(), grad_s.tobytes())))
+        assert workspace(np.stack((policy.p_d, policy.p_s))) == delay
+        assert workspace.grad.tobytes() == np.stack((grad_d, grad_s)).tobytes()
+    for grads, bits in returned:
+        assert tuple(grad.tobytes() for grad in grads) == bits
 
 
 # ---------------------------------------------------------------------------
