@@ -217,21 +217,16 @@ def _scalar(p, out):
     return out if np.ndim(p) > 0 else float(out)
 
 
-def _q(p, area, t, out=(...,) * 4, minus_area=None):
+def _q(p, minus_area, t, out=(...,) * 3):
     """:func:`q_factor` q = -expm1(-A*(p + t)) / (p + t) of a checked array,
-    t its threshold term, and its slope (A*exp(-A*(p + t)) - q) / (p + t).
-    ``out`` takes four buffers of the broadcast shape for p + t,
-    -A*(p + t), q and the slope, new arrays by default (``...``); q and the
-    slope are each computed in place in their own.  A caller that holds
-    -A passes it as ``minus_area``."""
-    den_out, z_out, q_out, slope_out = out
+    t its threshold term, from -A.  ``out`` takes three buffers of the
+    broadcast shape for p + t, -A*(p + t) and q, new arrays by default
+    (``...``); q is computed in place in its own."""
+    den_out, z_out, q_out = out
     den = np.add(p, t, out=den_out)
-    z = np.multiply(-area if minus_area is None else minus_area, den, out=z_out)
+    z = np.multiply(minus_area, den, out=z_out)
     q = np.expm1(z, out=q_out)
-    np.divide(np.negative(q, q), den, q)
-    slope = np.exp(z, out=slope_out)
-    np.divide(np.subtract(np.multiply(area, slope, slope), q, slope), den, slope)
-    return q, slope
+    return np.divide(np.negative(q, q), den, q)
 
 
 def _stacked_terms(geoms: NetworkGeometry, theta: float):
@@ -254,24 +249,28 @@ _HIT_BUFFERS = 8
 
 def _hit_buffers(memory):
     """Lay the buffers of ``_hit`` out in ``memory``, ``_HIT_BUFFERS``
-    arrays of p's shape stacked on a leading axis: ``_q``'s four, each two
-    of them stacked on the term axis, then the halves of all four, then the
-    two of those halves that the hit and its slope overwrite.  ``_hit``
-    writes each temporary into a half that is dead by then."""
+    arrays of p's shape stacked on a leading axis: ``_q``'s three and the
+    slope's, each two of them stacked on the term axis, then the halves of
+    all four, then the two of those halves that the hit and its slope
+    overwrite.  ``_hit`` writes each temporary into a half that is dead by
+    then."""
     den_x, den_0, z_x, z_0, q_x, q_0, dq_x, dq_0 = memory
     stage = memory[0:2], memory[2:4], memory[4:6], memory[6:8]
     return stage, (q_x, q_0), (dq_x, dq_0), (den_x, den_0), (z_x, z_0), q_x, dq_x
 
 
-def _hit(p, area, terms, out, minus_area=None):
+def _hit(p, area, minus_area, terms, out):
     """Hit term p(p(q_x - q_0) + q_0) of a checked array and its slope
-    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0'.  ``terms`` stacks t_x
-    over t_0 on a leading axis that broadcasts against ``p``, so one ``_q``
-    call gives both factors (``minus_area`` goes to it).  ``out`` is a
-    ``_hit_buffers`` of the broadcast shape, and the hit and the slope
+    2p(q_x - q_0) + p^2(q_x' - q_0') + q_0 + p*q_0', from A and -A.
+    ``terms`` stacks t_x over t_0 on a leading axis that broadcasts against
+    ``p``, so one ``_q`` call gives both factors, and the slopes
+    q' = (A*exp(-A*(p + t)) - q) / (p + t) come from its buffers.  ``out``
+    is a ``_hit_buffers`` of the broadcast shape, and the hit and the slope
     returned are its last two buffers."""
-    stage, (q_x, q_0), (dq_x, dq_0), (gap, inner), (twice, curve), hit, slope = out
-    _q(p, area, terms, stage, minus_area)
+    (den, z, q, dq), (q_x, q_0), (dq_x, dq_0), (gap, inner), (twice, curve), hit, slope = out
+    _q(p, minus_area, terms, (den, z, q))
+    np.exp(z, out=dq)
+    np.divide(np.subtract(np.multiply(area, dq, dq), q, dq), den, dq)
     np.subtract(q_x, q_0, gap)
     np.multiply(p, np.add(np.multiply(p, gap, inner), q_0, inner), hit)
     # 2p*gap + p*p*(q_x' - q_0') + q_0 + p*q_0', over q_x' and q_0'
@@ -311,7 +310,7 @@ def q_factor(p, geom: TierGeometry, theta: float, x: float):
     """
     _check_theta(theta)
     t = theta ** (2.0 / geom.pathloss) * g_integral(geom.pathloss, x)
-    return _scalar(p, _q(_prob(p, geom), geom.mean_nodes_in_radius, t)[0])
+    return _scalar(p, _q(_prob(p, geom), -geom.mean_nodes_in_radius, t))
 
 
 def stp_nearest_cached(p, geom: TierGeometry, theta: float):

@@ -164,12 +164,11 @@ def _pow_neg_half(r_sq, alpha, out=None):
     return np.power(r_sq, -0.5 * alpha, out=out)
 
 
-def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
-                  mask=None):
+def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
     """Aggregate interference per trial from a full-density radial Poisson
     field on the annulus (r0, radius) when ``lo_is_server`` else on the
-    whole disk (0, radius).  ``mask`` limits sampling to a trial subset;
-    masked-out trials get zero interference.
+    whole disk (0, radius), for the trials of the boolean ``mask``; the
+    others get zero interference.
 
     Stream invariant: ``rng`` (a PCG64 generator) ends in the state, and
     every trial gets the bits, that drawing the whole call at once gives:
@@ -187,7 +186,7 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius,
     """
     n = r0_sq.shape[0]
     out = np.zeros(n)
-    idx_all = np.arange(n) if mask is None else np.flatnonzero(mask)
+    idx_all = np.flatnonzero(mask)
     if idx_all.size == 0:
         return out
     r0s = r0_sq[idx_all]
@@ -295,10 +294,8 @@ def _served(rng, r0_sq, nearest, farther, geom: TierGeometry, windows, theta):
     exp(-s * I_near) times the far factor exp(-``_far_exponent``), with
     s = theta * r0^alpha and c = s^(2/alpha) = theta^(2/alpha) * r0^2."""
     alpha, near = geom.pathloss, windows[0]
-    interf = _interference(rng, r0_sq, True, geom.density, alpha, near,
-                           mask=nearest)
-    interf += _interference(rng, r0_sq, False, geom.density, alpha, near,
-                            mask=farther)
+    interf = _interference(rng, r0_sq, True, geom.density, alpha, near, nearest)
+    interf += _interference(rng, r0_sq, False, geom.density, alpha, near, farther)
     s = theta * r0_sq ** (0.5 * alpha)
     c = theta ** (2.0 / alpha) * r0_sq
     lower_sq = np.where(nearest, r0_sq, 0.0)

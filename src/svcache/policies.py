@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary, preference_matrix, total_catalog_bits
+from .content import ContentLibrary, _is_count, preference_matrix, total_catalog_bits
 from .delay import CacheBudgets, _check_shape
 
 __all__ = [
@@ -169,9 +169,11 @@ def epcp(lib: ContentLibrary, budgets: CacheBudgets) -> CachingPolicy:
 def icp(lib: ContentLibrary, budgets: CacheBudgets, seed: int) -> CachingPolicy:
     """Independent content placement: i.i.d. uniform(0, 1) probabilities
     per item per tier, projected onto budget equality.  Deterministic
-    under the seed."""
+    under the seed, an integer >= 0; any other seed raises ``ValueError``."""
     from .optimizer import project_budget
 
+    if not (_is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     sizes = lib.super_layer_sizes
     p_d = project_budget(rng.random(lib.shape), sizes, budgets.m_d)

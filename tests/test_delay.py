@@ -214,7 +214,8 @@ def test_stacked_hits_equal_per_tier_hit_term(lib, geoms, radio, file_count):
     split = 4096
 
     def hit(p, area, terms):
-        return _hit(p, area, terms, _hit_buffers(np.empty((_HIT_BUFFERS, *p.shape))))
+        return _hit(p, area, -area, terms,
+                    _hit_buffers(np.empty((_HIT_BUFFERS, *p.shape))))
 
     for p in stacks:
         for rows in (slice(None), slice(0, split), slice(split, None)):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,23 @@ def test_hit_term_finite_slope_at_zero(geom_d, theta):
     assert math.isfinite(h1) and math.isfinite(h2)
     assert h1 == pytest.approx(h2, rel=1e-3)
     assert h2 == pytest.approx(q_factor(0.0, geom_d, theta, 0.0), rel=1e-5)
+
+
+@pytest.mark.parametrize("kernel, bound", [(q_factor, 3.5), (hit_term, 4.5)],
+                         ids=["q_factor", "hit_term"])
+def test_kernel_traced_peak_allocates_no_slope(geom_d, theta, kernel, bound):
+    # the grid oracle's (34 481, 2) rows: q_factor holds p + t, -A*(p + t)
+    # and q, and hit_term one more array; a slope would add one to each
+    p = np.random.default_rng(34481).random((34481, 2))
+    args = (p, geom_d, theta) + ((0.0,) if kernel is q_factor else ())
+    kernel(*args)
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * p.nbytes
 
 
 def test_probability_codomains(geom_d, geom_s, theta):

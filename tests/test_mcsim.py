@@ -43,10 +43,8 @@ def _served_01(rng, r0_sq, nearest, geom, radius, theta):
     server for the ``nearest`` trials and over the whole disk otherwise,
     then the serving link's fading gain; 0/1 threshold crossings."""
     alpha = geom.pathloss
-    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius,
-                           mask=nearest)
-    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius,
-                            mask=~nearest)
+    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius, nearest)
+    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius, ~nearest)
     signal = rng.standard_exponential(r0_sq.size) * _pow_neg_half(r0_sq, alpha)
     return signal >= theta * interf
 
@@ -396,17 +394,17 @@ def test_interference_masked_trials_get_zero(geom_d):
     r0_sq = np.full(10, 25.0)
     mask = np.zeros(10, dtype=bool)
     mask[::2] = True
-    out = _interference(rng, r0_sq, True, geom_d.density, 4.0, 200.0, mask=mask)
+    out = _interference(rng, r0_sq, True, geom_d.density, 4.0, 200.0, mask)
     assert np.all(out[~mask] == 0.0)
     assert np.all(out >= 0.0)
 
 
 def _interference_whole_block(rng, r0_sq, lo_is_server, density, alpha,
-                              radius, mask=None):
+                              radius, mask):
     """Reference kernel: every interferer of the call drawn at once."""
     n = r0_sq.shape[0]
     out = np.zeros(n)
-    idx_all = np.arange(n) if mask is None else np.flatnonzero(mask)
+    idx_all = np.flatnonzero(mask)
     if idx_all.size == 0:
         return out
     r0s = r0_sq[idx_all]
@@ -440,7 +438,8 @@ def test_interference_matches_whole_block_draw(n, alpha, mask_kind,
     radius = 60.0
     r0_sq = np.random.default_rng(n).uniform(0.0, 1.1 * radius**2, n)
     r0_sq[0] = radius**2  # no room beyond the server: zero interferers
-    mask = {"none": None, "alternate": np.arange(n) % 2 == 0,
+    # "none": no trial masked out
+    mask = {"none": np.ones(n, dtype=bool), "alternate": np.arange(n) % 2 == 0,
             "all_false": np.zeros(n, dtype=bool)}[mask_kind]
     rng = np.random.default_rng(99)
     ref_rng = np.random.default_rng(99)
@@ -457,7 +456,7 @@ def test_interference_sums_within_pairwise_bound_of_fsum(lo_is_server):
     n, density, radius = 300, 0.05, 60.0  # 280 to 570 interferers a trial
     r0_sq = np.random.default_rng(3).uniform(0.0, 0.5 * radius**2, n)
     out = _interference(np.random.default_rng(12), r0_sq, lo_is_server,
-                        density, 4.0, radius)
+                        density, 4.0, radius, np.ones(n, dtype=bool))
     rng = np.random.default_rng(12)
     r_max_sq = radius**2
     lo = r0_sq if lo_is_server else np.zeros(n)
@@ -485,8 +484,10 @@ def test_interference_empty_trials_match_whole_block_draw(empty, monkeypatch):
     monkeypatch.setattr(mcsim, "_CHUNK", 16.5 * mean)  # 16-trial sub-chunks
     rng = np.random.default_rng(6)
     ref_rng = np.random.default_rng(6)
-    out = _interference(rng, r0_sq, True, 0.01, 4.0, radius)
-    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, radius)
+    everyone = np.ones(64, dtype=bool)
+    out = _interference(rng, r0_sq, True, 0.01, 4.0, radius, everyone)
+    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, radius,
+                                    everyone)
     assert np.all(out[empty] == 0.0)
     assert np.all(np.delete(out, empty) > 0.0)
     assert np.array_equal(out, ref)
@@ -500,12 +501,13 @@ def test_interference_any_sub_chunk_matches_whole_block_draw(chunk,
     monkeypatch.setattr(mcsim, "_CHUNK", chunk)
     radius = 60.0
     r0_sq = np.random.default_rng(8).uniform(0.0, 1.1 * radius**2, 700)
+    everyone = np.ones(700, dtype=bool)
     for lo_is_server in (True, False):
         rng = np.random.default_rng(13)
         ref_rng = np.random.default_rng(13)
-        out = _interference(rng, r0_sq, lo_is_server, 0.01, 4.0, radius)
+        out = _interference(rng, r0_sq, lo_is_server, 0.01, 4.0, radius, everyone)
         ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
-                                        4.0, radius)
+                                        4.0, radius, everyone)
         assert np.array_equal(out, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -517,8 +519,9 @@ def test_interference_keeps_buffered_32_bit_half():
     ref_rng.integers(0, 10, dtype=np.int32)
     assert rng.bit_generator.state["has_uint32"] == 1
     r0_sq = np.full(200, 100.0)
-    out = _interference(rng, r0_sq, True, 0.01, 4.0, 60.0)
-    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, 60.0)
+    everyone = np.ones(200, dtype=bool)
+    out = _interference(rng, r0_sq, True, 0.01, 4.0, 60.0, everyone)
+    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, 60.0, everyone)
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

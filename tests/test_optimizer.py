@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import math
@@ -754,6 +753,18 @@ def test_grid_oracle_traced_peak_memory(toy_lib, geoms, radio, toy_budgets):
     assert peak <= _TWO_PASS_ORACLE_PEAK
 
 
+def _recorded_blocks(monkeypatch):
+    """Record the grid blocks the oracle hands to ``project_budget``."""
+    seen = []
+
+    def recorded(p_hat, sizes, budget):
+        seen.append((p_hat, budget))
+        return project_budget(p_hat, sizes, budget)
+
+    monkeypatch.setattr(optimizer, "project_budget", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8), (0.15, 0.6)],
                          ids=["criterion-6", "toy-0.3-0.8", "toy-0.15-0.6"])
 def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
@@ -765,18 +776,10 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
     policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
     monkeypatch.setattr(optimizer, "_grid_index",
                         lambda n_cells, n_values: np.arange(n_values**n_cells))
-    seen = []
-    chunks = optimizer._grid_chunks
-
-    def recorded(n_cells, n_values, **kwargs):
-        for block in chunks(n_cells, n_values, **kwargs):
-            seen.append(block)
-            yield block
-
-    monkeypatch.setattr(optimizer, "_grid_chunks", recorded)
+    seen = _recorded_blocks(monkeypatch)
     full_policy, full_value = grid_oracle(toy_lib, geoms, radio, budgets,
                                           grid_step=0.05)
-    assert np.array_equal(np.concatenate(seen), _whole_grid(4, 21))
+    assert np.array_equal(np.concatenate([rows for rows, _ in seen]), _whole_grid(4, 21))
     assert value == pytest.approx(full_value, rel=1e-12)
     assert np.array_equal(policy.p_d, full_policy.p_d)
     assert np.array_equal(policy.p_s, full_policy.p_s)
@@ -784,40 +787,45 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
 
 def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
         toy_lib, geoms, radio, toy_budgets, monkeypatch):
-    calls = []
-
-    def counted(p_hat, sizes, budget):
-        calls.append((p_hat.shape[0], budget))
-        return project_budget(p_hat, sizes, budget)
-
-    monkeypatch.setattr(optimizer, "project_budget", counted)
+    seen = _recorded_blocks(monkeypatch)
     grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-    chunks = [block.shape[0] for block in optimizer._grid_chunks(4, 21)]
+    chunks = [rows.shape[0] for rows, _ in seen]
     assert len(chunks) == math.ceil((21**4 - 20**4) / optimizer._GRID_BLOCK)
+    assert sum(chunks) == 21**4 - 20**4
+    assert all(rows == optimizer._GRID_BLOCK for rows in chunks[:-1])
     # one call per canonical block, carrying both tiers' budgets
-    assert calls == [(rows, (toy_budgets.m_d, toy_budgets.m_s)) for rows in chunks]
+    assert all(budget == (toy_budgets.m_d, toy_budgets.m_s) for _, budget in seen)
 
 
 @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
 @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
-def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk):
-    kwargs = {} if chunk is None else {"chunk": chunk}
-    blocks = list(optimizer._grid_chunks(n_cells, 21, **kwargs))
-    assert all(b.shape[0] <= (chunk or optimizer._GRID_BLOCK) for b in blocks)
-    got = np.concatenate(blocks)
+def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk, geoms,
+                                                          radio, monkeypatch):
+    # the index set selects the rows with a zero entry in grid order, and the
+    # oracle's candidates unravel it in blocks of at most _GRID_BLOCK rows
+    if chunk is not None:
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", chunk)
     values = np.linspace(0.0, 1.0, 21)
     full = np.array(list(itertools.product(values, repeat=n_cells)))
     expected = full[full.min(axis=1) == 0.0]
+    index = optimizer._grid_index(n_cells, 21)
+    got = values[np.column_stack(np.unravel_index(index, (21,) * n_cells))]
     assert got.shape == (21**n_cells - 20**n_cells, n_cells)
     assert np.array_equal(got, expected)
+    seen = _recorded_blocks(monkeypatch)
+    sizes = np.full(n_cells, 25e6)
+    optimizer._grid_candidates(geoms, radio.sir_threshold, sizes,
+                               CacheBudgets(m_d=20e6, m_s=30e6), 21,
+                               np.arange(n_cells))
+    assert all(rows.shape[0] <= optimizer._GRID_BLOCK for rows, _ in seen)
+    assert np.array_equal(np.concatenate([rows for rows, _ in seen]), expected)
 
 
 def test_grid_oracle_independent_of_block_size(toy_lib, geoms, radio,
                                                toy_budgets, monkeypatch):
     policy, value = grid_oracle(toy_lib, geoms, radio, toy_budgets,
                                 grid_step=0.05)
-    monkeypatch.setattr(optimizer, "_grid_chunks",
-                        functools.partial(optimizer._grid_chunks, chunk=1000))
+    monkeypatch.setattr(optimizer, "_GRID_BLOCK", 1000)
     small_policy, small_value = grid_oracle(toy_lib, geoms, radio,
                                             toy_budgets, grid_step=0.05)
     assert small_value == value

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,21 @@ def test_icp_budget_equality(lib, budgets):
     assert abs(usage_d - budgets.m_d) <= 1e-6 * budgets.m_d
     assert abs(usage_s - budgets.m_s) <= 1e-6 * budgets.m_s
     assert validate_policy(policy, lib, budgets).feasible
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5, "7"],
+                         ids=["none", "bool", "negative", "float", "text"])
+def test_icp_seed_must_be_a_count(lib, budgets, seed):
+    # None would draw an unseeded placement and True would read as 1
+    with pytest.raises(ValueError, match=rf"^seed .*got {re.escape(repr(seed))}$"):
+        icp(lib, budgets, seed=seed)
+
+
+def test_icp_accepts_a_numpy_integer_seed(lib, budgets):
+    a = icp(lib, budgets, seed=np.int64(99))
+    b = icp(lib, budgets, seed=99)
+    assert np.array_equal(a.p_d, b.p_d) and np.array_equal(a.p_s, b.p_s)
+    icp(lib, budgets, seed=0)
 
 
 # ---------------------------------------------------------------------------
