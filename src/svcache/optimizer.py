@@ -35,12 +35,15 @@ every other row is a uniform shift of one.  Those canonical rows are
 enumerated once per call, straight from their index set, and each block
 of them is projected for both tiers in one call.  It evaluates the cross
 product through an exact bilinear split of the objective, scoring every
-d2d row against one sbs Pareto-frontier point at a time.
+d2d row against one sbs Pareto-frontier point at a time.  The frontier's
+sort-scan runs only on the sbs rows in the box of its two extreme rows,
+which on a short frontier is a handful of the candidates.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -464,7 +467,8 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     """
     if lib.shape != (2, 2):
         raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")
-    if not any(abs(grid_step - s) < 1e-12 for s in _GRID_STEPS):
+    if not (isinstance(grid_step, numbers.Real)
+            and any(abs(grid_step - s) < 1e-12 for s in _GRID_STEPS)):
         raise ValueError(f"grid_step must be one of {_GRID_STEPS}, "
                          f"got {grid_step!r}")
     n_values = int(round(1.0 / grid_step)) + 1
@@ -504,12 +508,24 @@ def _pareto_indices(points, maximize):
     requested cells; one sort-scan keeps each row whose last column beats
     every row ahead of it in descending first-column order.  With one column
     (the other cell's popularity underflowed) that is the first maximum.
+
+    Only the rows in the box of the two extreme rows go through the sort:
+    first column at least the floor (the largest first column among rows
+    of the largest last column) and last column at least the ceiling (the
+    largest last column among rows of the largest first column).  A row
+    below the floor is scanned after the row that sets the floor, and one
+    below the ceiling after the row that leads the scan, and each of those
+    has a larger last column; the stable sort keeps the boxed rows in their
+    order, so the indices are the same, ties included.
     """
     pts = points if maximize else -points
-    order = np.lexsort((-pts[:, -1], -pts[:, 0]))
-    last = pts[order, -1]
+    x, y = pts[:, 0], pts[:, -1]
+    box = np.flatnonzero((x >= x[y == y.max()].max()) & (y >= y[x == x.max()].max()))
+    x, y = x[box], y[box]
+    order = np.lexsort((-y, -x))
+    last = y[order]
     running = np.maximum.accumulate(last)
     first = np.empty(order.size, dtype=bool)
     first[0] = True
     first[1:] = last[1:] > running[:-1]
-    return order[first]
+    return box[order[first]]

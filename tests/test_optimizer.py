@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svcache import (
     CacheBudgets,
@@ -615,8 +616,9 @@ def test_grid_oracle_refuses_large_instances(lib, geoms, radio):
 
 
 def test_grid_oracle_validates_step(toy_lib, geoms, radio, toy_budgets):
-    with pytest.raises(ValueError, match=r"^grid_step must be one of .*, got 0\.1$"):
-        grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.1)
+    for step, shown in ((0.1, r"0\.1"), ("0.05", "'0.05'"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^grid_step must be one of .*, got {shown}$"):
+            grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=step)
 
 
 def test_grid_oracle_tiny_budget_is_all_miss(toy_lib, geoms, radio):
@@ -666,6 +668,31 @@ def test_grid_oracle_pinned_on_a_multi_point_frontier(toy_lib, geoms, radio,
     assert value == pytest.approx(5.040945928885067, rel=1e-12)
     assert policy.p_d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert policy.p_s.tolist() == [[0.0, 0.6000000000000001], [0.0, 0.0]]
+
+
+def _pareto_reference(points, maximize):
+    """The frontier sort-scan over every row, without the box prefilter."""
+    pts = points if maximize else -points
+    order = np.lexsort((-pts[:, -1], -pts[:, 0]))
+    last = pts[order, -1]
+    running = np.maximum.accumulate(last)
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = last[1:] > running[:-1]
+    return order[first]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 2)),
+                  elements=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))),
+    maximize=st.booleans(),
+)
+def test_pareto_indices_equals_the_sort_scan_reference(points, maximize):
+    # a small value grid makes ties on both columns common: the boxed scan
+    # must return the same indices in the same order
+    got = optimizer._pareto_indices(points, maximize)
+    assert np.array_equal(got, _pareto_reference(points, maximize))
 
 
 def _useful_and_sizes(lib):
@@ -797,7 +824,7 @@ def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
     assert all(budget == (toy_budgets.m_d, toy_budgets.m_s) for _, budget in seen)
 
 
-@pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
+@pytest.mark.parametrize("chunk", [1000, None], ids=["1000", "default"])
 @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
 def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk, geoms,
                                                           radio, monkeypatch):
