@@ -35,6 +35,12 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy bool, which a real-valued field rejects although
+    arithmetic would take it as 0 or 1."""
+    return isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class ContentLibrary:
     """Immutable catalog of ``file_count`` files times ``layer_count`` layers.
@@ -78,7 +84,7 @@ class ContentLibrary:
             raise ValueError("layer_sizes must be finite and strictly positive")
         for name in ("skewness", "plateau"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:
+            if _is_bool(value) or not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         sizes = sizes.copy()
         sizes.setflags(write=False)
@@ -88,6 +94,9 @@ class ContentLibrary:
     def uniform(cls, file_count, layer_count, layer_size_bits=25e6,
                 skewness=1.0, plateau=5.0):
         """Catalog with one common size for every layer of every file."""
+        if _is_bool(layer_size_bits):
+            raise ValueError("layer_sizes must be finite and strictly positive, "
+                             f"got {layer_size_bits!r}")
         # a count that is not a positive integer yields an empty array, so
         # the constructor's own count checks report it, not numpy's errors
         shape = (file_count, layer_count)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import (ContentLibrary, _check_file_index, _check_layer_index,
+from .content import (ContentLibrary, _check_file_index, _check_layer_index, _is_bool,
                       preference_matrix)
 from .geometry import NetworkGeometry, RadioConfig, hit_term, stp_mbs
 
@@ -50,7 +50,7 @@ class CacheBudgets:
     def __post_init__(self):
         for name in ("m_d", "m_s"):
             value = getattr(self, name)
-            if not 0 < value < np.inf:
+            if _is_bool(value) or not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, "
                                  f"got {value!r}")
 

@@ -32,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .content import _is_bool
+
 __all__ = [
     "NetworkGeometry",
     "RadioConfig",
@@ -62,9 +64,9 @@ class TierGeometry:
     pathloss: float
 
     def __post_init__(self):
-        if not 0 < self.density < math.inf:
+        if _is_bool(self.density) or not 0 < self.density < math.inf:
             raise ValueError(f"density must be finite and positive, got {self.density!r}")
-        if not self.serving_radius > 0:
+        if _is_bool(self.serving_radius) or not self.serving_radius > 0:
             raise ValueError("serving_radius must be positive (math.inf allowed), "
                              f"got {self.serving_radius!r}")
         if not 2 < self.pathloss < math.inf:
@@ -122,7 +124,7 @@ class RadioConfig:
         for name in ("sir_threshold", "bandwidth_d2d", "bandwidth_sbs",
                      "bandwidth_mbs", "backhaul_rate"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if _is_bool(value) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
@@ -135,7 +137,7 @@ class RadioConfig:
             linear = 10.0 ** (sir_threshold_db / 10.0)
         except OverflowError:
             linear = math.inf
-        if not (math.isfinite(linear) and linear > 0):
+        if _is_bool(sir_threshold_db) or not (math.isfinite(linear) and linear > 0):
             raise ValueError("sir_threshold_db must give a finite, positive "
                              f"linear threshold, got {sir_threshold_db!r}")
         return cls(linear, bandwidth_d2d, bandwidth_sbs, bandwidth_mbs,

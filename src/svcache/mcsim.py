@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentLibrary, _is_count, preference_matrix
+from .content import ContentLibrary, _is_bool, _is_count, preference_matrix
 from .delay import _cascade, _check_shape, branch_costs
 from .geometry import (NetworkGeometry, RadioConfig, TierGeometry, _check_theta,
                        _g_general, _prob)
@@ -106,10 +106,9 @@ class SimConfig:
             raise ValueError("window_multiplier must be finite and >= 5 to "
                              "keep the truncated-interference bias negligible, "
                              f"got {self.window_multiplier!r}")
-        if not (self.mbs_region_radius is None
-                or 0 < self.mbs_region_radius < math.inf):
-            raise ValueError("mbs_region_radius must be None or finite and > 0, "
-                             f"got {self.mbs_region_radius!r}")
+        radius = self.mbs_region_radius
+        if radius is not None and (_is_bool(radius) or not 0 < radius < math.inf):
+            raise ValueError(f"mbs_region_radius must be None or finite and > 0, got {radius!r}")
 
     def region_radius(self, geom: TierGeometry) -> float:
         if geom.bounded:
@@ -180,9 +179,9 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
     ``Generator.random`` takes exactly one 64-bit output per float, so the
     gains come from a copy of the stream jumped ahead by the interferer
     count, and the caller's stream resumes where the gains end.  Each
-    trial's interferers are one contiguous segment of its sub-chunk, summed
-    pairwise by ``np.add.reduceat``; trials without interferers start no
-    segment and keep a zero sum.
+    sub-chunk finds its own segments, one contiguous run of interferers per
+    trial, and sums each pairwise by ``np.add.reduceat`` into the trial's
+    entry; trials without interferers start no segment and keep a zero sum.
     """
     n = r0_sq.shape[0]
     out = np.zeros(n)
@@ -205,16 +204,7 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
     gain_rng = np.random.Generator(gain_bits)
     # one set of buffers per call, sized to the largest sub-chunk
     u_buf, gain_buf, r_buf = (np.empty(max(totals)) for _ in range(3))
-    # each trial's first interferer within its sub-chunk; only trials that
-    # hold one start a segment (an empty segment would cut its neighbour's)
-    first = np.cumsum(counts) - counts
-    first -= first[edges[:-1]].repeat(sub)[:idx_all.size]
-    held = np.flatnonzero(counts)
-    seg_starts = first[held]
-    seg_edges = np.searchsorted(held, edges).tolist()
-    seg_sums = np.empty(held.size)
-    for k, total in enumerate(totals):
-        s, e = edges[k], edges[k + 1]
+    for s, e, total in zip(edges, edges[1:], totals):
         c = counts[s:e]
         u = rng.random(out=u_buf[:total])
         gains = gain_rng.standard_exponential(out=gain_buf[:total])
@@ -227,9 +217,10 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
         else:
             np.multiply(r_max_sq, u, out=r)
         np.multiply(gains, _pow_neg_half(r, alpha, out=r), out=r)
-        a, b = seg_edges[k], seg_edges[k + 1]
-        np.add.reduceat(r, seg_starts[a:b], out=seg_sums[a:b])
-    out[idx_all[held]] = seg_sums
+        # each trial's first interferer within the sub-chunk; only trials that
+        # hold one start a segment (an empty segment would cut its neighbour's)
+        held = np.flatnonzero(c)
+        out[idx_all[s + held]] = np.add.reduceat(r, (np.cumsum(c) - c)[held])
     # advance() clears the buffered 32-bit half; keep the caller's
     state = rng.bit_generator.state
     state["state"] = gain_bits.state["state"]

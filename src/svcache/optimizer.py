@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .content import ContentLibrary, _is_count
+from .content import ContentLibrary, _is_bool, _is_count
 from .delay import (CacheBudgets, _cascade, _check_shape, _weights_and_costs,
                     cell_delay_matrix, overall_delay)
 from .geometry import (_HIT_BUFFERS, NetworkGeometry, RadioConfig, _hit, _hit_buffers,
@@ -90,7 +90,7 @@ class OptimizerConfig:
         if not (_is_count(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")
-        if not 0 < self.convergence_tol < np.inf:
+        if _is_bool(self.convergence_tol) or not 0 < self.convergence_tol < np.inf:
             raise ValueError("convergence_tol must be finite and positive, "
                              f"got {self.convergence_tol!r}")
         if not (isinstance(self.initial_policy, CachingPolicy)
@@ -134,17 +134,19 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the budget gives the root (the breakpoint method of Duchi et al.,
     2008, and Condat, 2016).  When a budget is at least the whole catalog
     the equality is unattainable and the all-ones matrix is returned
-    (budget non-binding).  The checks are made here, and a non-positive or
-    NaN budget is named in the error; ``_Projector`` is the kernel behind
-    them, built on an array with one row of the budgets per trailing block.
+    (budget non-binding).  The checks are made here, and a non-positive,
+    NaN or bool budget is named in the error; ``_Projector`` is the kernel
+    behind them, built on an array with one row of the budgets per
+    trailing block.
     """
     levels = np.asarray(budget, dtype=float)
     if levels.ndim > 1 or levels.size == 0:
         raise ValueError("budget must be a number or a non-empty 1-D sequence, "
                          f"got shape {levels.shape}")
-    for level in levels.flat:
-        if not level > 0:
-            raise ValueError(f"budget must be strictly positive, got {float(level)!r}")
+    for level, given in zip(levels.flat, [budget] if levels.ndim == 0 else budget):
+        if _is_bool(given) or not level > 0:
+            shown = given if _is_bool(given) else float(level)
+            raise ValueError(f"budget must be strictly positive, got {shown!r}")
     sizes = np.asarray(sizes, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     batch = p_hat.shape[:p_hat.ndim - sizes.ndim]
@@ -208,13 +210,7 @@ class _Projector:
             self._points.ravel(), self._sorted.ravel(), usage.ravel())
 
     def __call__(self, p_hat):
-        out = self._kernel(p_hat.reshape(-1, self.sizes.size))
-        if len(out) == 1:
-            return out[0].reshape(p_hat.shape)
-        return np.stack(out).reshape((len(out), *p_hat.shape))
-
-    def _kernel(self, rows):
-        """Project the m ``rows`` at each of their j levels: a list of j."""
+        rows = p_hat.reshape(-1, self.sizes.size)
         np.subtract(rows, _ONE, out=self._low)
         np.copyto(self._high, rows)
         order = self._points.argsort(axis=1, kind="stable")
@@ -245,7 +241,9 @@ class _Projector:
             np.maximum(floor, projected, out=projected)
             np.minimum(projected, _ONE, out=projected)
             out.append(projected)
-        return out
+        if len(out) == 1:
+            return out[0].reshape(p_hat.shape)
+        return np.stack(out).reshape((len(out), *p_hat.shape))
 
 
 def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
@@ -266,33 +264,34 @@ def objective_gradient(policy: CachingPolicy, lib: ContentLibrary,
     the instance constants broadcast rather than expanded.
     """
     _check_shape(policy, lib)
-    objective = _Objective(*_weights_and_costs(lib, geoms, radio),
-                           *_stacked_terms(geoms, radio.sir_threshold), expand=False)
+    objective = _Objective(lib, geoms, radio, expand=False)
     delay = objective(np.stack((policy.p_d, policy.p_s)))
     return delay, objective.grad[0], objective.grad[1]
 
 
 class _Objective:
     """``objective_gradient``'s kernel for one instance, on stacked (2, F, L)
-    matrices with entries in [0, 1], from its ``_weights_and_costs`` and
-    ``_stacked_terms``.  A call returns the delay and writes the stacked
-    gradient into ``grad``; every ufunc writes in place into buffers
-    allocated here, once, all but ``grad`` in one block: the hit kernel's
-    (``geometry._hit_buffers``), the miss terms 1 - hit that the cascade
-    and the gradient share, and the cascade's, which the gradient reuses
-    once the delay is summed.  The next call overwrites them all.  With
-    ``expand`` (the solver) A, -A and the threshold terms are expanded to
-    the shape they meet, so every operand but p in p + t and the 0-d one
-    in 1 - hit is contiguous and of one shape; ``objective_gradient``
-    broadcasts them.  Each value comes from the same operations in the
-    same order either way.  Both stay because the callers differ: expanded,
-    a 20x2 call took 36.7 against 39.8 us, but a 100 000-file call peaked
-    at 62.6 against 44.3 MB and took 2.23-2.38 times as long at 200 000.
+    matrices with entries in [0, 1]; it builds its own weights, branch
+    costs and tier terms (``_weights_and_costs``, ``_stacked_terms``).  A
+    call returns the delay and writes the stacked gradient into ``grad``;
+    every ufunc writes in place into buffers allocated here, once, all but
+    ``grad`` in one block: the hit kernel's (``geometry._hit_buffers``),
+    the miss terms 1 - hit that the cascade and the gradient share, and
+    the cascade's, which the gradient reuses once the delay is summed.  The
+    next call overwrites them all.  With ``expand`` (the solver) A, -A and
+    the threshold terms are expanded to the shape they meet, so every
+    operand but p in p + t and the 0-d one in 1 - hit is contiguous and of
+    one shape; ``objective_gradient`` broadcasts them.  Each value comes
+    from the same operations in the same order either way.  Both stay
+    because the callers differ: expanded, a 20x2 call took 36.7 against
+    39.8 us, but a 100 000-file call peaked at 62.6 against 44.3 MB and
+    took 2.23-2.38 times as long at 200 000.
     """
 
-    def __init__(self, weights, costs, area, terms, expand=True):
+    def __init__(self, lib, geoms, radio, expand=True):
+        weights, (a, b, c_m) = _weights_and_costs(lib, geoms, radio)
+        area, terms = _stacked_terms(geoms, radio.sir_threshold)
         shape = (2, *weights.shape)
-        a, b, c_m = costs
         minus_area = -area
         if expand:
             full = np.empty((3, 2, *shape))
@@ -362,8 +361,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
     policy = CachingPolicy(p_d=p[0], p_s=p[1])
     current, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
     p, grad = np.stack((policy.p_d, policy.p_s)), np.stack((grad_d, grad_s))
-    objective = _Objective(*_weights_and_costs(lib, geoms, radio),
-                           *_stacked_terms(geoms, radio.sir_threshold))
+    objective = _Objective(lib, geoms, radio)
     # the loop's buffers: the raw step, its finite mask and the bits each
     # entry of the iterate uses, against sizes stacked for both tiers
     raw, used, tier_sizes = np.empty((3, *p.shape))

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svcache import EstimatorResult, cli, experiments
+from svcache import (CacheBudgets, ContentLibrary, EstimatorResult, OptimizerConfig,
+                     RadioConfig, SimConfig, TierGeometry, cli, experiments, project_budget)
 from svcache.config import (
     ConfigError,
     SweepSpec,
@@ -92,6 +93,52 @@ def test_float_override_rejects_bool(key):
     # True is not read as 1
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected number, got True$"):
         default_config(**{key: True})
+
+
+_RADIO = dict(sir_threshold=3.0, bandwidth_d2d=20e6, bandwidth_sbs=20e6,
+              bandwidth_mbs=10e6, backhaul_rate=5e6)
+
+# (constructor and field, field named first in its message, build from a value)
+_REAL_FIELDS = [
+    ("TierGeometry.density", "density", lambda v: TierGeometry(v, 20.0, 4.0)),
+    ("TierGeometry.serving_radius", "serving_radius", lambda v: TierGeometry(0.01, v, 4.0)),
+    *((f"RadioConfig.{name}", name, lambda v, name=name: RadioConfig(**{**_RADIO, name: v}))
+      for name in _RADIO),
+    ("RadioConfig.from_db", "sir_threshold_db",
+     lambda v: RadioConfig.from_db(v, 20e6, 20e6, 10e6, 5e6)),
+    ("CacheBudgets.m_d", "m_d", lambda v: CacheBudgets(m_d=v, m_s=5.0)),
+    ("CacheBudgets.m_s", "m_s", lambda v: CacheBudgets(m_d=5.0, m_s=v)),
+    ("ContentLibrary.uniform.layer_size_bits", "layer_sizes",
+     lambda v: ContentLibrary.uniform(4, 2, layer_size_bits=v)),
+    ("ContentLibrary.skewness", "skewness",
+     lambda v: ContentLibrary(2, 2, np.ones((2, 2)), skewness=v)),
+    ("ContentLibrary.plateau", "plateau",
+     lambda v: ContentLibrary(2, 2, np.ones((2, 2)), plateau=v)),
+    ("SimConfig.mbs_region_radius", "mbs_region_radius",
+     lambda v: SimConfig(mbs_region_radius=v)),
+    ("OptimizerConfig.convergence_tol", "convergence_tol",
+     lambda v: OptimizerConfig(convergence_tol=v)),
+    ("project_budget.budget", "budget",
+     lambda v: project_budget(np.full(4, 0.5), np.ones(4), v)),
+    ("project_budget.budget-sequence", "budget",
+     lambda v: project_budget(np.full(4, 0.5), np.ones(4), (2.0, v))),
+]
+# where 0 is in range, False was taken as 0 too
+_ZERO_ALLOWED = {"ContentLibrary.skewness", "ContentLibrary.plateau", "RadioConfig.from_db"}
+
+
+@pytest.mark.parametrize("case,field,build,flag", [
+    pytest.param(case, field, build, flag, id=f"{case}-{flag!r}")
+    for case, field, build in _REAL_FIELDS
+    for flag in (True, np.True_, *((False, np.False_) if case in _ZERO_ALLOWED else ()))])
+def test_real_fields_reject_bool(case, field, build, flag):
+    # a library caller is rejected on the bools the config layer rejects,
+    # with the field named first; the same number as a float, a numpy
+    # scalar or a 0-d array is valid
+    with pytest.raises(ValueError, match=rf"^{field} .*got {re.escape(repr(flag))}$"):
+        build(flag)
+    for number in (float(flag), np.float64(flag), np.array(float(flag))):
+        build(number)
 
 
 def test_override_beyond_float_range_reads_as_infinite():

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from svcache import (
     CacheBudgets,
     CachingPolicy,
     ContentLibrary,
+    NetworkGeometry,
     RadioConfig,
     all_miss_delay,
     epcp,
@@ -332,15 +334,19 @@ def test_gradient_zero_for_zero_weight_cells(lib, geoms, radio):
 
 
 def test_gradient_matches_literal_per_entry_differences(geoms, radio):
-    # the closed form must equal perturbing one entry at a time
+    # the closed form must equal perturbing one entry at a time, at the
+    # quartic path loss and off it, where the tier terms of both cached
+    # tiers come from _g_general
     lib = ContentLibrary.uniform(3, 2, 25e6)
     rng = np.random.default_rng(1)
     policy = CachingPolicy(rng.uniform(0.1, 0.9, (3, 2)),
                            rng.uniform(0.1, 0.9, (3, 2)))
     h = 1e-6
-    _, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
-    for f in range(3):
-        for l in range(2):
+    non_quartic = NetworkGeometry(replace(geoms.d2d, pathloss=3.5),
+                                  replace(geoms.sbs, pathloss=3.5), geoms.mbs)
+    for instance in (geoms, non_quartic):
+        _, grad_d, grad_s = objective_gradient(policy, lib, instance, radio)
+        for f, l in itertools.product(range(3), range(2)):
             for tier, grad in (("d", grad_d), ("s", grad_s)):
                 pd, ps = policy.p_d.copy(), policy.p_s.copy()
                 target = pd if tier == "d" else ps
@@ -348,11 +354,11 @@ def test_gradient_matches_literal_per_entry_differences(geoms, radio):
                 up[f, l] += h
                 down[f, l] -= h
                 if tier == "d":
-                    d_up = overall_delay(CachingPolicy(up, ps), lib, geoms, radio).total
-                    d_dn = overall_delay(CachingPolicy(down, ps), lib, geoms, radio).total
+                    d_up = overall_delay(CachingPolicy(up, ps), lib, instance, radio).total
+                    d_dn = overall_delay(CachingPolicy(down, ps), lib, instance, radio).total
                 else:
-                    d_up = overall_delay(CachingPolicy(pd, up), lib, geoms, radio).total
-                    d_dn = overall_delay(CachingPolicy(pd, down), lib, geoms, radio).total
+                    d_up = overall_delay(CachingPolicy(pd, up), lib, instance, radio).total
+                    d_dn = overall_delay(CachingPolicy(pd, down), lib, instance, radio).total
                 literal = (d_up - d_dn) / (2 * h)
                 assert grad[f, l] == pytest.approx(literal, rel=1e-4, abs=1e-9)
 
@@ -449,9 +455,7 @@ def test_workspace_equals_a_fresh_gradient_call_each_time(lib, geoms, radio, fil
                 CachingPolicy(rng.random(lib.shape), mixed),
                 CachingPolicy(ones, zeros), CachingPolicy(zeros, ones),
                 CachingPolicy(mixed, rng.random(lib.shape))]
-    weights, costs = optimizer._weights_and_costs(lib, geoms, radio)
-    area, terms = optimizer._stacked_terms(geoms, radio.sir_threshold)
-    workspace = optimizer._Objective(weights, costs, area, terms)
+    workspace = optimizer._Objective(lib, geoms, radio)
     returned = []
     for policy in policies:
         delay, grad_d, grad_s = objective_gradient(policy, lib, geoms, radio)
