@@ -26,116 +26,20 @@ The library has six parts:
 
 ``config`` parses the flat dotted-key experiment configuration and
 ``cli`` exposes the experiment subcommands (``validate``,
-``delay-surface``, ``optimize``, ``convergence``, ``baselines``).
+``delay-surface``, ``optimize``, ``convergence``, ``baselines``).  The
+package re-exports the ``__all__`` of each of the six parts and ``config``,
+the only list of its public names, and does not load ``experiments`` or ``cli``.
 """
 
-from .content import (
-    ContentLibrary,
-    preference_matrix,
-    quality_preference,
-    request_distribution,
-    request_probability,
-    super_layer_size,
-    total_catalog_bits,
-)
-from .geometry import (
-    NetworkGeometry,
-    RadioConfig,
-    TierGeometry,
-    association_probability,
-    g_integral,
-    hit_term,
-    q_factor,
-    stp_cache_tier,
-    stp_mbs,
-    stp_nearest_cached,
-    stp_nearest_uncached,
-)
-from .delay import (
-    CacheBudgets,
-    DelayBreakdown,
-    all_miss_delay,
-    hit_rate,
-    overall_delay,
-)
-from .mcsim import (
-    EstimatorResult,
-    SimConfig,
-    mc_delay_end_to_end,
-    mc_stp_cache_tier,
-    mc_stp_mbs,
-    mc_stp_nearest_cached,
-    mc_stp_nearest_uncached,
-    sample_serving_distance,
-)
-from .policies import (
-    CachingPolicy,
-    FeasibilityReport,
-    epcp,
-    icp,
-    load_policy,
-    mpcp,
-    save_policy,
-    validate_policy,
-)
-from .optimizer import (
-    OptimizerConfig,
-    OptimizerResult,
-    grid_oracle,
-    objective_gradient,
-    optimize,
-    project_budget,
-)
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+# PEP 8 allows a wildcard import to republish an internal interface
+from .content import *
+from .geometry import *
+from .delay import *
+from .mcsim import *
+from .policies import *
+from .optimizer import *
+from .config import *
+from . import config, content, delay, geometry, mcsim, optimizer, policies
 
-__all__ = [
-    "CacheBudgets",
-    "CachingPolicy",
-    "ConfigError",
-    "ContentLibrary",
-    "DelayBreakdown",
-    "EstimatorResult",
-    "ExperimentConfig",
-    "FeasibilityReport",
-    "NetworkGeometry",
-    "OptimizerConfig",
-    "OptimizerResult",
-    "RadioConfig",
-    "SimConfig",
-    "TierGeometry",
-    "all_miss_delay",
-    "association_probability",
-    "default_config",
-    "epcp",
-    "g_integral",
-    "grid_oracle",
-    "hit_rate",
-    "hit_term",
-    "icp",
-    "load_config",
-    "load_policy",
-    "mc_delay_end_to_end",
-    "mc_stp_cache_tier",
-    "mc_stp_mbs",
-    "mc_stp_nearest_cached",
-    "mc_stp_nearest_uncached",
-    "mpcp",
-    "objective_gradient",
-    "optimize",
-    "overall_delay",
-    "preference_matrix",
-    "project_budget",
-    "q_factor",
-    "quality_preference",
-    "request_distribution",
-    "request_probability",
-    "sample_serving_distance",
-    "save_policy",
-    "stp_cache_tier",
-    "stp_mbs",
-    "stp_nearest_cached",
-    "stp_nearest_uncached",
-    "super_layer_size",
-    "total_catalog_bits",
-    "validate_policy",
-]
+__all__ = sorted({name for module in (config, content, delay, geometry, mcsim, optimizer,
+                                      policies) for name in module.__all__})

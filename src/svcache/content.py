@@ -36,9 +36,9 @@ def _is_count(value) -> bool:
 
 
 def _is_bool(value) -> bool:
-    """A Python or numpy bool, which a real-valued field rejects although
-    arithmetic would take it as 0 or 1."""
-    return isinstance(value, (bool, np.bool_))
+    """A Python or numpy bool, or a bool array (0-d included), which a
+    real-valued field rejects although arithmetic would take it as 0 or 1."""
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ContentLibrary:
     layer_count : int
         Number of layers L per file, an integer >= 2 (the split divides by L-1).
     layer_sizes : ndarray, shape (F, L)
-        Size of each individual layer in bits, finite and strictly positive.
+        Size of each individual layer in bits: finite, strictly positive, not bool.
     skewness : float
         Popularity skewness, finite and >= 0; 0 gives a uniform request law.
     plateau : float
@@ -74,7 +74,10 @@ class ContentLibrary:
             if not (_is_count(value) and value >= 2):
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}; "
                                  "the quality preference split divides by it minus 1")
-        sizes = np.asarray(self.layer_sizes, dtype=float)
+        sizes = np.asarray(self.layer_sizes)
+        if _is_bool(sizes):
+            raise ValueError("layer_sizes must be real-valued, got dtype bool")
+        sizes = sizes.astype(float, order="C")
         if sizes.shape != (self.file_count, self.layer_count):
             raise ValueError(
                 f"layer_sizes must have shape {(self.file_count, self.layer_count)}, "
@@ -86,7 +89,6 @@ class ContentLibrary:
             value = getattr(self, name)
             if _is_bool(value) or not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        sizes = sizes.copy()
         sizes.setflags(write=False)
         object.__setattr__(self, "layer_sizes", sizes)
 

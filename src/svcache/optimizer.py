@@ -134,10 +134,10 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the budget gives the root (the breakpoint method of Duchi et al.,
     2008, and Condat, 2016).  When a budget is at least the whole catalog
     the equality is unattainable and the all-ones matrix is returned
-    (budget non-binding).  The checks are made here, and a non-positive,
-    NaN or bool budget is named in the error; ``_Projector`` is the kernel
-    behind them, built on an array with one row of the budgets per
-    trailing block.
+    (budget non-binding).  The checks are made here, and bool sizes or a
+    non-positive, NaN or bool budget is named in the error; ``_Projector``
+    is the kernel behind them, built on an array with one row of the
+    budgets per trailing block.
     """
     levels = np.asarray(budget, dtype=float)
     if levels.ndim > 1 or levels.size == 0:
@@ -147,6 +147,9 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
         if _is_bool(given) or not level > 0:
             shown = given if _is_bool(given) else float(level)
             raise ValueError(f"budget must be strictly positive, got {shown!r}")
+    sizes = np.asarray(sizes)
+    if _is_bool(sizes):
+        raise ValueError("sizes must be real-valued, got dtype bool")
     sizes = np.asarray(sizes, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     batch = p_hat.shape[:p_hat.ndim - sizes.ndim]

@@ -47,7 +47,8 @@ class CachingPolicy:
 
     Clamping absorbs the sub-ulp drift that gradient steps and budget
     projections produce; NaN or grossly out-of-range input is a caller
-    bug and still rejected.
+    bug and still rejected.  A bool matrix is a deterministic 0/1
+    placement and is stored as floats.
     """
 
     p_d: np.ndarray

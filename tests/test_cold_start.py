@@ -1,19 +1,25 @@
-"""Both sides of the lazy imports, each in a fresh interpreter.
+"""The package surface and both sides of the lazy imports.
 
-The package loads numpy alone; ``scipy.special`` is imported by the
-first non-quartic ``g_integral`` call, and Monte-Carlo estimates of any
-number of blocks run on the calling thread without
+The package re-exports each of its seven modules' ``__all__`` and loads
+numpy alone, without ``experiments`` or ``cli``; ``scipy.special`` is
+imported by the first non-quartic ``g_integral`` call, and Monte-Carlo
+estimates of any number of blocks run on the calling thread without
 ``concurrent.futures``.  Other tests load these modules into this
-suite's own process, so each check runs in a subprocess.
+suite's own process, so each import check runs in a subprocess.
 """
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from svcache import TierGeometry, g_integral, stp_cache_tier
+import svcache
+from svcache import (TierGeometry, config, content, delay, g_integral, geometry, mcsim,
+                     optimizer, policies, stp_cache_tier)
+
+SURFACE = (config, content, delay, geometry, mcsim, optimizer, policies)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,12 +33,24 @@ def _run(script, cwd):
     return proc.stdout.splitlines()
 
 
+def test_package_reexports_each_module_all():
+    # disjoint, or a later wildcard import would shadow a name silently
+    for a, b in itertools.combinations(SURFACE, 2):
+        assert not set(a.__all__) & set(b.__all__), (a.__name__, b.__name__)
+    assert svcache.__all__ == sorted(name for module in SURFACE for name in module.__all__)
+    for module in SURFACE:
+        for name in module.__all__:
+            assert getattr(svcache, name) is getattr(module, name), name
+
+
 def test_quartic_cli_runs_load_no_scipy(tmp_path):
     lines = _run("""
         import sys, time
         start = time.perf_counter()
         import svcache
         import_s = time.perf_counter() - start
+        assert "svcache.experiments" not in sys.modules
+        assert "svcache.cli" not in sys.modules
         from svcache import cli
         assert cli.main(["optimize", "--out", "optimize.csv"]) == 0
         assert cli.main(["baselines", "--out", "baselines.csv"]) == 0

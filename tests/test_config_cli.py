@@ -130,15 +130,28 @@ _ZERO_ALLOWED = {"ContentLibrary.skewness", "ContentLibrary.plateau", "RadioConf
 @pytest.mark.parametrize("case,field,build,flag", [
     pytest.param(case, field, build, flag, id=f"{case}-{flag!r}")
     for case, field, build in _REAL_FIELDS
-    for flag in (True, np.True_, *((False, np.False_) if case in _ZERO_ALLOWED else ()))])
+    for flag in (True, np.True_, np.array(True),
+                 *((False, np.False_, np.array(False)) if case in _ZERO_ALLOWED else ()))])
 def test_real_fields_reject_bool(case, field, build, flag):
     # a library caller is rejected on the bools the config layer rejects,
-    # with the field named first; the same number as a float, a numpy
-    # scalar or a 0-d array is valid
+    # a 0-d bool array among them, with the field named first; the same
+    # number as a float, a numpy scalar or a 0-d array is valid
     with pytest.raises(ValueError, match=rf"^{field} .*got {re.escape(repr(flag))}$"):
         build(flag)
     for number in (float(flag), np.float64(flag), np.array(float(flag))):
         build(number)
+
+
+@pytest.mark.parametrize("field,build", [
+    ("layer_sizes", lambda sizes: ContentLibrary(2, 2, sizes)),
+    ("sizes", lambda sizes: project_budget(np.full((2, 2), 0.5), sizes, 1.0)),
+], ids=["ContentLibrary.layer_sizes", "project_budget.sizes"])
+@pytest.mark.parametrize("kind", [np.asarray, lambda a: a.tolist()], ids=["array", "list"])
+def test_size_arrays_reject_bool(field, build, kind):
+    # a bool array is not read as sizes of 1.0; the same sizes as floats are valid
+    with pytest.raises(ValueError, match=f"^{field} must be real-valued, got dtype bool$"):
+        build(kind(np.ones((2, 2), bool)))
+    build(kind(np.ones((2, 2))))
 
 
 def test_override_beyond_float_range_reads_as_infinite():

@@ -40,6 +40,18 @@ def test_policy_rejects_gross_violations():
         CachingPolicy(np.zeros((2, 2)), np.array([[0.5, np.nan], [0.0, 0.0]]))
 
 
+def test_bool_matrices_are_a_deterministic_placement(lib, budgets):
+    # unlike a real-valued size or budget, a 0/1 placement may be given as
+    # bools; it is stored as the floats 0.0 and 1.0
+    cached = np.zeros(lib.shape, bool)
+    cached[0] = True
+    policy = CachingPolicy(cached, ~cached)
+    assert policy.p_d.dtype == policy.p_s.dtype == float
+    assert np.array_equal(policy.p_d, cached.astype(float))
+    report = validate_policy(policy, lib, budgets)
+    assert report.usage_d == float(lib.super_layer_sizes[0].sum())
+
+
 def test_budget_usage(lib):
     policy = CachingPolicy(np.full(lib.shape, 0.5), np.full(lib.shape, 0.1))
     usage_d, usage_s = policy.budget_usage(lib.super_layer_sizes)
