@@ -103,6 +103,8 @@ def main(argv=None) -> int:
                     value = experiments._fmt(row["value"])
                     print(f"  {row['sweep_var']} = {value}: z = {z:+.2f}",
                           file=sys.stderr)
+                print(f"sim.window_multiplier = {cfg.sim.window_multiplier!r} sets the "
+                      "Monte-Carlo window (inf removes the field's truncation)", file=sys.stderr)
                 return EXIT_GATE
             return EXIT_OK
 

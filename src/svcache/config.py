@@ -11,9 +11,9 @@ density, bandwidths, backhaul rate) are invented defaults, freely
 overridable.  ``configs/default.cfg`` is the one template: it is kept by
 hand, lists every key once and labels the invented defaults.
 
-A library override is typed like a file value: a float key stores
-``float(value)`` and an integer key ``int(value)``, so the config hash
-does not depend on the Python type of an override.
+A value is stored as parsed: a float key as ``float(value)``, an integer
+key as ``int(value)``, the macro region radius and sweep bounds as
+numbers, so the config hash does not depend on how a value arrived.
 
 All sizes are bits, rates bit/s, bandwidths Hz, densities nodes per
 square metre; the SIR threshold is given in dB and converted to linear
@@ -262,6 +262,7 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
                  window_multiplier=raw["sim.window_multiplier"],
                  master_seed=raw["sim.master_seed"],
                  mbs_region_radius=mbs_radius)
+    raw["sim.mbs_region_radius_m"] = "" if mbs_radius is None else mbs_radius
     opt = _named(OptimizerConfig, max_iterations=raw["optimizer.max_iterations"],
                  convergence_tol=raw["optimizer.convergence_tol_s"],
                  initial_policy=raw["optimizer.initial_policy"])
@@ -275,6 +276,8 @@ def _build(resolved: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(
                 "sweep.start/sweep.stop/sweep.steps must be numeric") from exc
         sweep = _named(SweepSpec, raw["sweep.variable"], *bounds)
+        raw.update({"sweep.start": float(sweep.start), "sweep.stop": float(sweep.stop),
+                    "sweep.steps": int(sweep.steps)})
 
     output_path = str(raw["output.path"]).strip() or None
     return ExperimentConfig(library=library, geometry=geometry, radio=radio,

@@ -1,9 +1,6 @@
 """Monte-Carlo estimators mirroring the analytic sampling model.
 
-Estimand: each estimator targets the success probability (or delay) in
-the window-truncated field: interferers form a full-density Poisson field
-out to the region radius (``SimConfig.region_radius``), beyond the server
-when the nearest node is the server and over the whole disk otherwise.
+Estimand: stated once, in ``SimConfig``'s docstring.
 
 Every estimator runs one SIR test, ``_served``, by conditional Monte Carlo
 (Rao-Blackwellisation): it samples interferers only inside a near window
@@ -77,18 +74,21 @@ _CHUNK = 1 << 14  # mean interferers per sub-chunk (see _interference)
 class SimConfig:
     """Trial count, simulation window and master seed.
 
-    The simulation disk radius is ``window_multiplier`` times the serving
-    radius for the bounded tiers.  The macro tier has no serving radius;
-    its disk radius is ``mbs_region_radius`` when given, otherwise
-    ``window_multiplier * 3 / sqrt(density * pi)``.  The factor 3 on the
-    natural nearest-neighbour scale compensates for the unbounded
-    serving-distance tail: it brings the truncation bias at the default
-    multiplier down to the bounded tiers' level (a few 1e-4).  The
-    estimators target success in the field truncated at this radius, but
-    sample interferers only inside two tier scales (the serving radius,
-    or 3 / sqrt(density * pi) for the macro tier) and average the field
-    from there to the region radius exactly, so the window costs no
-    trial time.  Each check raises ``ValueError`` naming its field first.
+    The estimand, stated here once: each estimator targets success (or
+    delay) in a full-density Poisson interferer field, beyond the server
+    when the nearest node serves and over the whole plane otherwise, cut
+    off at the region radius.  That radius is ``window_multiplier`` times
+    the serving radius for the bounded tiers; the macro tier has none, so
+    its radius is ``mbs_region_radius`` when given, otherwise
+    ``window_multiplier * 3 / sqrt(density * pi)`` (the factor 3 brings
+    its truncation bias to the bounded tiers' level).  A finite window
+    gives the truncated field: the bias is a few 1e-4 at the default
+    multiplier and alpha = 4, but at alpha <= 3 it fails ``svcache
+    validate``.  ``window_multiplier = inf`` gives the analytic model's
+    own untruncated field, G(alpha, inf) = 0 in the far factor.  Either
+    way interferers are sampled only inside two tier scales
+    (``_windows``), so the window costs no trial time.  Each check raises
+    ``ValueError`` naming its field first.
     """
 
     trials: int = 50_000
@@ -102,10 +102,8 @@ class SimConfig:
         if not (_is_count(self.master_seed) and self.master_seed >= 0):
             raise ValueError("master_seed must be an integer >= 0, "
                              f"got {self.master_seed!r}")
-        if not 5 <= self.window_multiplier < math.inf:
-            raise ValueError("window_multiplier must be finite and >= 5 to "
-                             "keep the truncated-interference bias negligible, "
-                             f"got {self.window_multiplier!r}")
+        if not 5 <= self.window_multiplier:
+            raise ValueError(f"window_multiplier must be >= 5, got {self.window_multiplier!r}")
         radius = self.mbs_region_radius
         if radius is not None and (_is_bool(radius) or not 0 < radius < math.inf):
             raise ValueError(f"mbs_region_radius must be None or finite and > 0, got {radius!r}")
@@ -250,10 +248,11 @@ def _estimate(values) -> EstimatorResult:
 
 
 def _windows(sim: SimConfig, geom: TierGeometry):
-    """(near, region) radii of a tier: interferers are sampled inside the
-    near window, two tier scales (the serving radius, or 3/sqrt(lambda*pi)
-    for the macro tier) and never beyond the region radius; the field from
-    there to the region radius is averaged exactly."""
+    """(near, region) radii of a tier (the region radius may be inf; see
+    ``SimConfig``): interferers are sampled inside the near window, two
+    tier scales (the serving radius, or 3/sqrt(lambda*pi) for the macro
+    tier) and never beyond the region radius; the field from there to the
+    region radius is averaged exactly."""
     radius = sim.region_radius(geom)
     scale = (geom.serving_radius if geom.bounded
              else 3.0 / math.sqrt(geom.density * math.pi))

@@ -80,6 +80,21 @@ def test_override_typed_like_the_file_line(tmp_path):
     assert default_config(**{"budgets.d2d_bits": 200_000_000}).hash() == "9263891552252f5f"
 
 
+@pytest.mark.parametrize("text,overrides", [
+    ("sim.mbs_region_radius_m = 500\n", {"sim.mbs_region_radius_m": 500.0}),
+    ("sweep.variable = content.skewness\nsweep.start = 0.5\nsweep.stop = 1\n"
+     "sweep.steps = 3\n", {"sweep.variable": "content.skewness", "sweep.start": 0.5,
+                           "sweep.stop": 1, "sweep.steps": 3}),
+], ids=["mbs-region-radius", "sweep"])
+def test_file_line_and_override_hash_alike(tmp_path, text, overrides):
+    # the map holds the parsed value, not the text or type it arrived as
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    digest = load_config(path).hash()
+    assert default_config(**overrides).hash() == digest
+    assert default_config().with_values(**overrides).hash() == digest
+
+
 @pytest.mark.parametrize("key,value", [("budgets.d2d_bits", np.float64(200e6)),
                                        ("content.file_count", np.int64(20))],
                          ids=["numpy-float", "numpy-int"])
@@ -465,6 +480,21 @@ def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
     expected = experiments.render_csv(experiments.VALIDATE_FIELDS, rows,
                                       default_config())
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("window,code", [(None, 3), ("inf", 0)], ids=["default", "inf"])
+def test_cli_validate_gate_names_the_window(tmp_path, capsys, window, code):
+    # at a macro path loss of 2.5 the field beyond the default window is not
+    # negligible: the gate fails and names the window, and inf passes it
+    path = tmp_path / "alpha.cfg"
+    path.write_text("tiers.mbs.pathloss = 2.5\n"
+                    + (f"sim.window_multiplier = {window}\n" if window else ""))
+    out = tmp_path / "validate.csv"
+    args = ["validate", "--config", str(path), "--trials", "4096", "--out", str(out)]
+    assert cli.main(args) == code
+    named = ("sim.window_multiplier = 10.0 sets the Monte-Carlo window "
+             "(inf removes the field's truncation)")
+    assert (named in capsys.readouterr().err) == (code == 3)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

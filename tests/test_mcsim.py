@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from svcache import (
@@ -389,6 +391,24 @@ def test_window_truncation_bias_below_stderr(geom_d, theta):
     assert default.mean - doubled.mean < default.stderr
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(alpha=st.sampled_from([2.5, 3.0, 3.5, 4.5, 5.0, 6.0]),
+       theta_db=st.floats(-5.0, 12.0), p=st.floats(0.05, 1.0),
+       radius=st.floats(10.0, 120.0), mean_nodes=st.floats(0.1, 50.0))
+def test_untruncated_window_meets_the_analytic_model(alpha, theta_db, p, radius,
+                                                     mean_nodes):
+    """At window_multiplier = inf the estimand is the analytic model's own
+    untruncated field, so the 3-SE gate holds at path losses where the
+    default window's truncation bias fails it.  The density is drawn
+    through lambda*pi*r^2 <= 50, the bounded tier's mean node count."""
+    sim = SimConfig(trials=8_192, window_multiplier=math.inf)
+    geom = TierGeometry(density=mean_nodes / (math.pi * radius**2),
+                        serving_radius=radius, pathloss=alpha)
+    theta = 10.0 ** (theta_db / 10.0)
+    assert _z(mc_stp_cache_tier(p, geom, theta, sim), stp_cache_tier(p, geom, theta)) < 3.0
+    assert _z(mc_stp_mbs(geom.density, alpha, theta, sim), stp_mbs(alpha, theta)) < 3.0
+
+
 def test_interference_masked_trials_get_zero(geom_d):
     rng = np.random.default_rng(0)
     r0_sq = np.full(10, 25.0)
@@ -571,9 +591,11 @@ def test_end_to_end_deterministic(lib, geoms, radio):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(trials=0)
-    for bad in (2.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^window_multiplier .*got {bad!r}$"):
+    for bad in (2.0, math.nan):
+        with pytest.raises(ValueError, match=f"^window_multiplier must be >= 5, got {bad!r}$"):
             SimConfig(window_multiplier=bad)
+    # an infinite window selects the untruncated field
+    assert SimConfig(window_multiplier=math.inf).window_multiplier == math.inf
     for bad in (-5.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^mbs_region_radius .*got {bad!r}$"):
             SimConfig(mbs_region_radius=bad)
