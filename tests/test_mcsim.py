@@ -394,14 +394,17 @@ def test_window_truncation_bias_below_stderr(geom_d, theta):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(alpha=st.sampled_from([2.5, 3.0, 3.5, 4.5, 5.0, 6.0]),
        theta_db=st.floats(-5.0, 12.0), p=st.floats(0.05, 1.0),
-       radius=st.floats(10.0, 120.0), mean_nodes=st.floats(0.1, 50.0))
+       radius=st.floats(10.0, 120.0), mean_nodes=st.floats(0.1, 50.0),
+       seed=st.integers(0, 2**63 - 1))
 def test_untruncated_window_meets_the_analytic_model(alpha, theta_db, p, radius,
-                                                     mean_nodes):
+                                                     mean_nodes, seed):
     """At window_multiplier = inf the estimand is the analytic model's own
     untruncated field, so the 3-SE gate holds at path losses where the
     default window's truncation bias fails it.  The density is drawn
-    through lambda*pi*r^2 <= 50, the bounded tier's mean node count."""
-    sim = SimConfig(trials=8_192, window_multiplier=math.inf)
+    through lambda*pi*r^2 <= 50, the bounded tier's mean node count, and
+    each example draws its own master seed, so no two share their random
+    numbers."""
+    sim = SimConfig(trials=8_192, window_multiplier=math.inf, master_seed=seed)
     geom = TierGeometry(density=mean_nodes / (math.pi * radius**2),
                         serving_radius=radius, pathloss=alpha)
     theta = 10.0 ** (theta_db / 10.0)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -146,10 +146,18 @@ def test_project_matches_take_along_axis_reference(lib, fraction):
     rng = np.random.default_rng(int(fraction * 1e6))
     sizes = lib.super_layer_sizes
     budget = fraction * sizes.sum()
-    for shape in ((20, 2), (7, 20, 2)):
+    # 79, 80 and 81 blocks of 2n = 80 breakpoints straddle the projector's
+    # switch from row-major to breakpoint-major work buffers
+    for shape in ((20, 2), (7, 20, 2), (79, 20, 2), (80, 20, 2), (81, 20, 2)):
         p_hat = rng.uniform(-1.0, 2.0, shape)
         assert np.array_equal(project_budget(p_hat, sizes, budget),
                               _project_budget_reference(p_hat, sizes, budget))
+    # a wide batch of few distinct values: tied breakpoints everywhere
+    tied = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5], (81, 20, 2))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = project_budget(tied, sizes, budget)
+    assert np.array_equal(got, _project_budget_reference(tied, sizes, budget))
     # the first 65 536 rows of the 4-cell grid at step 0.05
     cells = np.array([1.0, 2.0, 3.0, 4.0]) * 25e6
     values = np.linspace(0.0, 1.0, 21)
@@ -273,8 +281,12 @@ def test_project_budget_stacks_one_projection_per_budget(lib, fractions):
     sizes = lib.super_layer_sizes
     capacity = sizes.sum()
     levels = [fraction * capacity for fraction in fractions]
-    for batch in ((), (3,), (2, 5)):
+    # 79, 80 and 81 blocks straddle the switch to breakpoint-major buffers
+    # at 2n = 80; the last batch is of few distinct values, tied everywhere
+    for batch in ((), (3,), (2, 5), (79,), (80,), (81,), (3, 27)):
         p_hat = rng.uniform(-1.0, 2.0, (*batch, *sizes.shape))
+        if batch == (3, 27):
+            p_hat = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5], p_hat.shape)
         # equal entries make the first usage segment flat: 0/0 if a full
         # budget were interpolated
         p_hat.reshape(-1, *sizes.shape)[0] = 0.3
@@ -286,6 +298,9 @@ def test_project_budget_stacks_one_projection_per_budget(lib, fractions):
             assert projected.tobytes() == project_budget(p_hat, sizes, level).tobytes()
             if level >= capacity:
                 assert np.array_equal(projected, np.ones(p_hat.shape))
+            else:
+                assert projected.tobytes() == _project_budget_reference(
+                    p_hat, sizes, level).tobytes()
 
 
 def test_optimize_keeps_a_non_binding_tier_at_ones(lib, geoms, radio, budgets):
@@ -686,17 +701,27 @@ def _pareto_reference(points, maximize):
     return order[first]
 
 
+# every row in the box of the two extreme rows, either way round: the
+# anti-diagonal of a hit frontier, with ties on both columns
+_WHOLE_BOX = np.array([[1.0, 0.0], [0.75, 0.25], [0.75, 0.25], [0.5, 0.5],
+                       [0.25, 0.75], [0.5, 0.5], [0.0, 1.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     points=arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 2)),
                   elements=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))),
     maximize=st.booleans(),
 )
+@example(points=_WHOLE_BOX, maximize=True)
+@example(points=_WHOLE_BOX, maximize=False)
 def test_pareto_indices_equals_the_sort_scan_reference(points, maximize):
     # a small value grid makes ties on both columns common: the boxed scan
-    # must return the same indices in the same order
-    got = optimizer._pareto_indices(points, maximize)
-    assert np.array_equal(got, _pareto_reference(points, maximize))
+    # must return the same indices in the same order, from a row-major
+    # array and from a column-major one (the oracle's hit arrays)
+    expected = _pareto_reference(points, maximize)
+    for laid in (points, np.asfortranarray(points)):
+        assert np.array_equal(optimizer._pareto_indices(laid, maximize), expected)
 
 
 def _useful_and_sizes(lib):
