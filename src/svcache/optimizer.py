@@ -25,19 +25,22 @@ proportionally to its size).  Its one form, ``_Projector``, takes an
 sorts each block's breakpoints and accumulates its usage once, and only
 the crossing search and the interpolation run once per budget.  The
 solver builds one per solve for its two stacked tiers (one budget
-each), ``project_budget`` one per call (the ICP baseline at one budget,
-and each grid block of the oracle at both tiers' budgets).  A batch of
-more blocks than breakpoints (the oracle's 4 096-row grid blocks) is
-worked breakpoint-major, so each pass over the breakpoints is one
-contiguous ufunc across the blocks; a narrower one (the solver's two
-tiers) stays row-major, each pass running along every block's row.
+each), ``project_budget`` one per call (the ICP baseline at one budget)
+and the grid oracle one per block size of a call (both tiers' budgets
+on every row).  A batch of more blocks than breakpoints (the oracle's
+4 096-row grid blocks) is worked breakpoint-major, so each pass over
+the breakpoints is one contiguous ufunc across the blocks; a narrower
+one (the solver's two tiers) stays row-major, each pass running along
+every block's row.
 
 A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
 to budget equality; only grid rows with a zero entry are projected, as
 every other row is a uniform shift of one.  Those canonical rows are
 enumerated once per call, straight from their index set, and each block
-of them is projected for both tiers in one call.  It evaluates the cross
+of them is projected for both tiers in one call, written in place into
+the candidates.  One projector serves every full block and one the short
+last block, built once the first is dropped.  It evaluates the cross
 product through an exact bilinear split of the objective, scoring every
 d2d row against one sbs Pareto-frontier point at a time.  The frontier's
 sort-scan runs only on the sbs rows in the box of its two extreme rows,
@@ -140,8 +143,11 @@ def project_budget(p_hat, sizes, budget) -> np.ndarray:
     the equality is unattainable and the all-ones matrix is returned
     (budget non-binding).  The checks are made here, and bool sizes or a
     non-positive, NaN or bool budget is named in the error; ``_Projector``
-    is the kernel behind them, built on an array with one row of the
-    budgets per trailing block.
+    is the kernel behind them, built per call on an array with one row of
+    the budgets per trailing block.  The grid oracle builds the kernel
+    itself, once per block size, as its inputs need none of these checks:
+    ``CacheBudgets`` holds finite positive budgets and the grid values are
+    finite.
     """
     levels = np.asarray(budget, dtype=float)
     if levels.ndim > 1 or levels.size == 0:
@@ -183,7 +189,11 @@ class _Projector:
     sorts each block's breakpoints and accumulates its usage once, then
     finds the crossing and interpolates once per budget; it returns a new
     array, of the batch's shape when j is 1 and a stack of j projections
-    otherwise.
+    otherwise, or writes the result into ``out`` and returns it.  ``out``
+    has the result's shape for the batch given as (m, n) rows, and each
+    projection is written into it directly (the grid oracle passes slices
+    of its candidate rows).  A projector can be called on any number of
+    batches; no result shares memory with its work buffers.
 
     The layout of the sorted breakpoints, slopes and usage is chosen here
     too, from the batch's shape.  Up to 2n blocks (the solver's two tiers)
@@ -192,8 +202,13 @@ class _Projector:
     breakpoint-major, (2n, m), so each pass is one contiguous ufunc across
     all blocks: each running sum is one add per rank, the same sequential
     sum as ``np.add.accumulate``, and each rank's crossing compare reads
-    the blocks' levels as one contiguous row.  Either way each value comes
-    from the same operations in the same order.  Timed on random rows, the
+    the blocks' levels as one contiguous row.  The crossing search there
+    ANDs each rank's "usage > level" mask into the one before, one ufunc
+    per rank, and counts the ranks still set: argmax's first crossing, as
+    a plain count of the ranks above the level is not (across a flat
+    segment the slopes cancel only to +-eps with non-integer sizes, so the
+    usage can rise).  Either way each value comes from the same operations
+    in the same order.  Timed on random rows, the
     breakpoint-major layout breaks even between 32 and 64 blocks of 2n = 8
     at two budgets (0.72 times the row-major time at 4 096) and between 81
     and 120 blocks of 2n = 80 at one budget (3.9 times slower at the
@@ -218,9 +233,10 @@ class _Projector:
         # levels and the floor of its clip.  Row-major, the levels are
         # expanded to the usage's shape, which the solver's calls repay;
         # breakpoint-major, each rank's compare reads the m levels as they
-        # are, as a grid block's projector is called once.  A full (block,
-        # budget) pair is solved at level 0, where the crossing segment has
-        # a usage drop (no 0/0), and clipped up to exact ones
+        # are: expanded, the grid oracle's reused projectors took the same
+        # time within noise, for 2n - 2 copies of the levels.  A full
+        # (block, budget) pair is solved at level 0, where the crossing
+        # segment has a usage drop (no 0/0), and clipped up to exact ones
         full = budget >= self._capacity
         self._columns = []
         for level, floor in zip(np.where(full, 0.0, budget).T, full.T.astype(float)):
@@ -240,7 +256,6 @@ class _Projector:
         ranks(usage, -1)[...] = 0.0
         self._usage, self._flat_sorted, self._flat_usage = (
             usage, self._sorted.ravel(), usage.ravel())
-        self._below = np.empty(shape, dtype=bool)
         self._inner = ranks(self._sorted, slice(1, -1))
         self._head = ranks(self._sorted, slice(None, -2))
         self._head_slope = ranks(self._slope, slice(None, -2))
@@ -248,17 +263,26 @@ class _Projector:
         if wide:
             self._index = np.empty(shape, dtype=np.intp)
             self._starts = starts
-            # rank k of block r sits at k*m + r of the raveled buffers
-            self._blocks, self._step = np.arange(m)[:, None], m
+            # rank k of block r sits at k*m + r of the raveled buffers (m as
+            # a 0-d intp: the crossing counts may be uint8)
+            self._blocks, self._step = np.arange(m)[:, None], np.array(m, dtype=np.intp)
             # (previous, current) rank pairs of the two running sums
             self._slope_ranks = list(zip(self._slope[:-1], self._slope[1:]))
             self._usage_ranks = list(zip(usage[1:-2], usage[2:-1]))
+            # the crossing search: the inner ranks' "usage > level" mask,
+            # ANDed down the ranks, counted in the smallest type that holds
+            # 2n - 2 (viewed as bytes: a bool-to-intp reduce costs 6 times more)
+            self._above = np.empty((2 * n - 2, m), dtype=bool)
+            self._above_ranks = list(zip(self._above[:-1], self._above[1:]))
+            self._ones = self._above.view(np.uint8)
+            self._count = np.empty(m, dtype=np.min_scalar_type(2 * n - 2))
         else:
+            self._below = np.empty(shape, dtype=bool)
             # rank k of block r sits at r*2n + k
             self._starts = self._blocks = starts[:, None]
             self._step = 1
 
-    def __call__(self, p_hat):
+    def __call__(self, p_hat, out=None):
         rows = p_hat.reshape(-1, self.sizes.size)
         np.subtract(rows, _ONE, out=self._low)
         np.copyto(self._high, rows)
@@ -287,27 +311,40 @@ class _Projector:
         else:
             np.add.accumulate(usage, 1, out=usage)
         np.add(usage, self._capacity, out=usage)
-        # one budget returns its own array; more are written into one stack
+        # one budget returns its own array and more one stack, unless the
+        # caller gave ``out``
         budgets = len(self._columns)
-        stack = None if budgets == 1 else np.empty((budgets, *rows.shape))
+        stack = out
+        if stack is None and budgets > 1:
+            stack = np.empty((budgets, *rows.shape))
         for j, (compared, level, floor) in enumerate(self._columns):
             # the first rank k + 1 with usage <= level: rank 0, the capacity,
             # is above every level, so [k, k + 1] is the crossing segment
-            np.less_equal(self._usage, compared, out=self._below)
             if self._wide:
-                k_next = self._below.argmax(axis=0)[:, None]
-                k_next *= self._step
+                # the running AND leaves set the inner ranks before the
+                # first one at or below the level; after rank 0 (the
+                # capacity, always above), k is their count
+                np.greater(self._inner_usage, compared, out=self._above)
+                for prev, rank in self._above_ranks:
+                    np.logical_and(prev, rank, out=rank)
+                np.add.reduce(self._ones, 0, out=self._count)
+                k = np.multiply(self._count[:, None], self._step)
+                k += self._blocks
+                k_next = k + self._step
             else:
+                np.less_equal(self._usage, compared, out=self._below)
                 k_next = self._below.argmax(axis=1, keepdims=True)
-            k_next += self._blocks
-            k = k_next - self._step
+                k_next += self._blocks
+                k = k_next - self._step
             lo, hi = self._flat_sorted.take(k), self._flat_sorted.take(k_next)
             above, below = self._flat_usage.take(k), self._flat_usage.take(k_next)
             projected = np.subtract(rows, lo + (above - level) / (above - below) * (hi - lo),
-                                    out=None if stack is None else stack[j])
+                                    out=stack if budgets == 1 else stack[j])
             # np.clip(projected, floor, 1.0) without its Python wrapper
             np.maximum(floor, projected, out=projected)
             np.minimum(projected, _ONE, out=projected)
+        if out is not None:
+            return out
         if stack is None:
             return projected.reshape(p_hat.shape)
         return stack.reshape((budgets, *p_hat.shape))
@@ -474,6 +511,7 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
 
 _GRID_STEPS = (0.05, 0.02)
 # canonical rows per projection call: bounds the projector's work buffers
+# (2 048 to 8 192 read the same oracle time; one 34 481-row block took twice as long)
 _GRID_BLOCK = 4096
 
 
@@ -498,18 +536,26 @@ def _grid_candidates(geoms, theta, sizes_flat, budgets, n_values, useful):
     projection is already here.  Rows that project to the same matrix are
     all kept: the sbs Pareto scan keeps one of equal points, and the
     oracle's argmin keeps the first minimum in grid order.  Each block of
-    ``_GRID_BLOCK`` rows, unravelled from the index set, goes through
-    ``project_budget`` in one call at both budgets into ``rows``.
+    ``_GRID_BLOCK`` rows, unravelled from the index set, is projected in
+    one call at both budgets straight into its slice of ``rows``.  One
+    ``_Projector`` serves every full block; the short last block gets its
+    own, built once the first is dropped, so one projector's buffers are
+    alive at a time, and none while the hit terms are computed.
     """
     index = _grid_index(sizes_flat.size, n_values)
     values = np.linspace(0.0, 1.0, n_values)
     shape = (n_values,) * sizes_flat.size
+    levels = (budgets.m_d, budgets.m_s)
     rows = np.empty((2, index.size, sizes_flat.size))
+    project = None
     for start in range(0, index.size, _GRID_BLOCK):
         block = index[start:start + _GRID_BLOCK]
-        rows[:, start:start + block.size] = project_budget(
-            values[np.column_stack(np.unravel_index(block, shape))], sizes_flat,
-            (budgets.m_d, budgets.m_s))
+        if project is None or block.size < _GRID_BLOCK:  # a short block is the last
+            project = None  # one projector's buffers alive at a time
+            project = _Projector(sizes_flat, np.full((block.size, 2), levels))
+        project(values[np.column_stack(np.unravel_index(block, shape))],
+                out=rows[:, start:start + block.size])
+    del project  # and none while the hit terms are computed
     return rows, [hit_term(tier[:, useful], geom, theta)
                   for tier, geom in zip(rows, (geoms.d2d, geoms.sbs))]
 
@@ -581,18 +627,22 @@ def _pareto_indices(points, maximize):
     below the floor is scanned after the row that sets the floor, and one
     below the ceiling after the row that leads the scan, and each of those
     has a larger last column; the stable sort keeps the boxed rows in their
-    order, so the indices are the same, ties included.  The mask reads each
+    order, so the indices are the same, ties included.  A box that holds
+    every row (a long frontier: all of them at an sbs budget of 0.1
+    catalogs) is sorted as it stands, with no gathers.  The mask reads each
     column contiguously: the oracle's hit arrays are column-major already,
     and a row-major one is copied a column at a time.
     """
     x, y = (np.ascontiguousarray(points[:, c] if maximize else -points[:, c])
             for c in (0, -1))
     box = np.flatnonzero((x >= x[y == y.max()].max()) & (y >= y[x == x.max()].max()))
-    x, y = x[box], y[box]
+    whole = box.size == x.size  # every row in the box: nothing to gather
+    if not whole:
+        x, y = x[box], y[box]
     order = np.lexsort((-y, -x))
     last = y[order]
     running = np.maximum.accumulate(last)
     first = np.empty(order.size, dtype=bool)
     first[0] = True
     first[1:] = last[1:] > running[:-1]
-    return box[order[first]]
+    return order[first] if whole else box[order[first]]

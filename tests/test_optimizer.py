@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -116,15 +117,10 @@ def test_project_properties(data, n):
         assert np.all(np.abs(batched @ sizes - budget) <= 1e-12 * budget)
 
 
-def _project_budget_reference(p_hat, sizes, budget):
-    """The breakpoint projection as first written, gathering each sorted
-    value through per-axis ``np.take_along_axis`` index arrays."""
-    p_hat = np.asarray(p_hat, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
+def _reference_usage(rows, sizes):
+    """Each (n,) row's 2n sorted breakpoints and the usage at each, as the
+    breakpoint projection was first written."""
     capacity = sizes.sum()
-    if budget >= capacity:
-        return np.ones_like(p_hat)
-    rows = p_hat.reshape(-1, sizes.size)
     points = np.concatenate((rows - 1.0, rows), axis=1)
     order = np.argsort(points, axis=1, kind="stable")
     points = np.take_along_axis(points, order, axis=1)
@@ -133,6 +129,18 @@ def _project_budget_reference(p_hat, sizes, budget):
     usage[:, 0] = capacity
     usage[:, 1:] = capacity + np.cumsum(slope[:, :-1] * np.diff(points, axis=1), axis=1)
     usage[:, -1] = 0.0
+    return points, usage
+
+
+def _project_budget_reference(p_hat, sizes, budget):
+    """The breakpoint projection as first written, gathering each sorted
+    value through per-axis ``np.take_along_axis`` index arrays."""
+    p_hat = np.asarray(p_hat, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if budget >= sizes.sum():
+        return np.ones_like(p_hat)
+    rows = p_hat.reshape(-1, sizes.size)
+    points, usage = _reference_usage(rows, sizes)
     k = np.argmax(usage[:, 1:] <= budget, axis=1)[:, None]
     lo, hi = (np.take_along_axis(points, j, axis=1) for j in (k, k + 1))
     above, below = (np.take_along_axis(usage, j, axis=1) for j in (k, k + 1))
@@ -165,6 +173,82 @@ def test_project_matches_take_along_axis_reference(lib, fraction):
     budget = fraction * cells.sum()
     assert np.array_equal(project_budget(grid, cells, budget),
                           _project_budget_reference(grid, cells, budget))
+
+
+# non-integer sizes: across a flat usage segment, where every entry sits at
+# 0 or 1, the signed slopes cancel only to +-eps, so the usage can rise there
+_PLATEAU_SIZES = np.array([0.1, 0.2, 0.3, 0.7])
+_PLATEAU_VALUES = (-0.3, 0.0, 0.05, 0.1, 0.15, 2.0, 2.05, 2.1, 3.0)
+
+
+def _plateau_batch(rng, blocks):
+    """Rows of few values spread over [-0.3, 3], many with a gap wider than
+    1 between two entries (a flat usage segment); the first half is tiled
+    from two rows whose usage rises along theirs."""
+    rising = np.array([[0.1, 0.0, 3.0, 0.0], [0.15, 0.1, 2.0, 0.05]])
+    drawn = rng.choice(_PLATEAU_VALUES, (blocks - blocks // 2, 4))
+    return np.concatenate((np.resize(rising, (blocks // 2, 4)), drawn))
+
+
+def test_wide_crossing_is_the_first_on_a_rising_plateau():
+    # 40 blocks of 2n = 8 breakpoints are worked breakpoint-major; a level
+    # set on either end of a rising step must pick the first crossing, as
+    # argmax in the reference and the row-major layout of one block do
+    sizes = _PLATEAU_SIZES
+    batch = _plateau_batch(np.random.default_rng(29), 40)
+    assert optimizer._Projector(sizes, np.ones((40, 1)))._wide
+    _, usage = _reference_usage(batch, sizes)
+    rises = usage[:, 1:-2] < usage[:, 2:-1]
+    assert rises.sum() >= 20
+    levels = sorted({*usage[:, 1:-2][rises], *usage[:, 2:-1][rises]})
+    assert len(levels) >= 2
+    for level in levels:
+        got = project_budget(batch, sizes, level)
+        assert got.tobytes() == _project_budget_reference(batch, sizes, level).tobytes()
+        assert got.tobytes() == np.array(
+            [project_budget(row, sizes, level) for row in batch]).tobytes()
+    stacked = project_budget(batch, sizes, levels)
+    for projected, level in zip(stacked, levels):
+        assert projected.tobytes() == project_budget(batch, sizes, level).tobytes()
+
+
+def test_wide_crossing_counts_past_a_byte():
+    # 2n - 2 = 298 inner ranks: a low budget crosses past rank 255, so the
+    # crossing count needs more than a byte
+    rng = np.random.default_rng(37)
+    sizes = rng.uniform(0.5, 3.0, 150)
+    batch = rng.uniform(-1.0, 2.0, (400, 150))
+    for fraction in (0.01, 0.5, 0.99):
+        budget = fraction * sizes.sum()
+        assert project_budget(batch, sizes, budget).tobytes() == \
+            _project_budget_reference(batch, sizes, budget).tobytes()
+
+
+@pytest.mark.parametrize("fractions", [(0.4,), (0.3, 0.7, 1.0)], ids=["one", "with-full"])
+def test_reused_wide_projector_writes_each_batch_into_out(fractions):
+    # one breakpoint-major projector, as the grid oracle reuses it, on
+    # several batches: each result is written into the given array with the
+    # bits of a fresh project_budget call, and none shares the projector's
+    # work buffers
+    rng = np.random.default_rng(31)
+    sizes = _PLATEAU_SIZES
+    levels = [fraction * sizes.sum() for fraction in fractions]
+    project = optimizer._Projector(sizes, np.full((40, len(levels)), levels))
+    buffers = [value for value in vars(project).values() if isinstance(value, np.ndarray)]
+    results = []
+    for _ in range(4):
+        batch = _plateau_batch(rng, 40)
+        expected = project_budget(batch, sizes, levels if len(levels) > 1 else levels[0])
+        out = np.empty(expected.shape)
+        assert project(batch, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        fresh = project(batch)
+        assert fresh.tobytes() == expected.tobytes()
+        for got in (out, fresh):
+            assert not any(np.shares_memory(got, buffer) for buffer in buffers)
+        results.append((out, fresh, expected))
+    for out, fresh, expected in results:
+        assert out.tobytes() == fresh.tobytes() == expected.tobytes()
 
 
 def _kernel(p_hat, sizes, budget):
@@ -724,6 +808,27 @@ def test_pareto_indices_equals_the_sort_scan_reference(points, maximize):
         assert np.array_equal(optimizer._pareto_indices(laid, maximize), expected)
 
 
+def test_pareto_indices_on_a_whole_box_frontier(toy_lib, geoms, radio, monkeypatch):
+    # at an sbs budget of 0.1 catalogs every sbs row lies in the box of the
+    # two extreme rows, so the scan runs on the hit array as given: its
+    # indices are the whole-set sort-scan's
+    calls, pareto = [], optimizer._pareto_indices
+
+    def recorded(points, maximize):
+        calls.append((points, maximize, pareto(points, maximize)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(optimizer, "_pareto_indices", recorded)
+    total = total_catalog_bits(toy_lib)
+    grid_oracle(toy_lib, geoms, radio, CacheBudgets(m_d=0.5 * total, m_s=0.1 * total),
+                grid_step=0.05)
+    ((points, maximize, got),) = calls
+    x, y = (points[:, c] if maximize else -points[:, c] for c in (0, -1))
+    assert (x >= x[y == y.max()].max()).all() and (y >= y[x == x.max()].max()).all()
+    assert got.size > 1
+    assert np.array_equal(got, _pareto_reference(points, maximize))
+
+
 def _useful_and_sizes(lib):
     useful = np.flatnonzero(preference_matrix(lib).ravel() > 0)
     return useful, lib.super_layer_sizes.ravel()
@@ -810,15 +915,23 @@ def test_grid_oracle_traced_peak_memory(toy_lib, geoms, radio, toy_budgets):
 
 
 def _recorded_blocks(monkeypatch):
-    """Record the grid blocks the oracle hands to ``project_budget``."""
-    seen = []
+    """Record the grid blocks the oracle hands to ``optimizer._Projector``:
+    ``seen`` gets each call's rows with the (rows, budgets) table its
+    projector was built on, ``built`` each projector's table, in order."""
+    seen, built = [], []
 
-    def recorded(p_hat, sizes, budget):
-        seen.append((p_hat, budget))
-        return project_budget(p_hat, sizes, budget)
+    class Recorded(optimizer._Projector):
+        def __init__(self, sizes, budget):
+            super().__init__(sizes, budget)
+            self.budget = budget
+            built.append(budget)
 
-    monkeypatch.setattr(optimizer, "project_budget", recorded)
-    return seen
+        def __call__(self, p_hat, out=None):
+            seen.append((p_hat, self.budget))
+            return super().__call__(p_hat, out)
+
+    monkeypatch.setattr(optimizer, "_Projector", Recorded)
+    return seen, built
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8), (0.15, 0.6)],
@@ -832,7 +945,7 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
     policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
     monkeypatch.setattr(optimizer, "_grid_index",
                         lambda n_cells, n_values: np.arange(n_values**n_cells))
-    seen = _recorded_blocks(monkeypatch)
+    seen, _ = _recorded_blocks(monkeypatch)
     full_policy, full_value = grid_oracle(toy_lib, geoms, radio, budgets,
                                           grid_step=0.05)
     assert np.array_equal(np.concatenate([rows for rows, _ in seen]), _whole_grid(4, 21))
@@ -841,16 +954,49 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
     assert np.array_equal(policy.p_s, full_policy.p_s)
 
 
-def test_grid_oracle_projects_each_grid_chunk_through_project_budget(
+def test_grid_oracle_projects_each_grid_chunk_through_one_projector(
         toy_lib, geoms, radio, toy_budgets, monkeypatch):
-    seen = _recorded_blocks(monkeypatch)
+    seen, _ = _recorded_blocks(monkeypatch)
     grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
     chunks = [rows.shape[0] for rows, _ in seen]
     assert len(chunks) == math.ceil((21**4 - 20**4) / optimizer._GRID_BLOCK)
     assert sum(chunks) == 21**4 - 20**4
     assert all(rows == optimizer._GRID_BLOCK for rows in chunks[:-1])
-    # one call per canonical block, carrying both tiers' budgets
-    assert all(budget == (toy_budgets.m_d, toy_budgets.m_s) for _, budget in seen)
+    # one call per canonical block, carrying both tiers' budgets for each row
+    pair = (toy_budgets.m_d, toy_budgets.m_s)
+    assert all(budget.shape == (rows.shape[0], 2) and (budget == pair).all()
+               for rows, budget in seen)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.02])
+def test_grid_oracle_builds_one_projector_per_block_size(toy_lib, geoms, radio,
+                                                         toy_budgets, step,
+                                                         monkeypatch):
+    # the full blocks share one projector and the short last block gets its
+    # own, built once the first is gone; none is alive while the hit terms
+    # are computed
+    projectors, alive, hit_term_ = [], [], optimizer.hit_term
+    seen, built = _recorded_blocks(monkeypatch)
+    recorded = optimizer._Projector
+
+    class Counted(recorded):
+        def __init__(self, sizes, budget):
+            alive.append(sum(ref() is not None for ref in projectors))
+            super().__init__(sizes, budget)
+            projectors.append(weakref.ref(self))
+
+    def counted_hit_term(*args):
+        alive.append(sum(ref() is not None for ref in projectors))
+        return hit_term_(*args)
+
+    monkeypatch.setattr(optimizer, "_Projector", Counted)
+    monkeypatch.setattr(optimizer, "hit_term", counted_hit_term)
+    grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=step)
+    canonical = round(1 / step + 1)**4 - round(1 / step)**4
+    assert [budget.shape[0] for budget in built] == [
+        optimizer._GRID_BLOCK, canonical % optimizer._GRID_BLOCK]
+    assert alive == [0, 0, 0, 0]
+    assert sum(rows.shape[0] for rows, _ in seen) == canonical
 
 
 @pytest.mark.parametrize("chunk", [1000, None], ids=["1000", "default"])
@@ -868,7 +1014,7 @@ def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk, geoms,
     got = values[np.column_stack(np.unravel_index(index, (21,) * n_cells))]
     assert got.shape == (21**n_cells - 20**n_cells, n_cells)
     assert np.array_equal(got, expected)
-    seen = _recorded_blocks(monkeypatch)
+    seen, _ = _recorded_blocks(monkeypatch)
     sizes = np.full(n_cells, 25e6)
     optimizer._grid_candidates(geoms, radio.sir_threshold, sizes,
                                CacheBudgets(m_d=20e6, m_s=30e6), 21,
