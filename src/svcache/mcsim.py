@@ -3,24 +3,27 @@
 Estimand: stated once, in ``SimConfig``'s docstring.
 
 Every estimator runs one SIR test, ``_served``, by conditional Monte Carlo
-(Rao-Blackwellisation): it samples interferers only inside a near window
-of two tier scales (the serving radius, or 3/sqrt(lambda*pi) for the macro
-tier), never beyond the region radius, and returns the trial's success
-probability given them instead of a 0/1 threshold crossing.  With
-s = theta * r0^alpha that is exp(-s * I_near), the serving link's
-unit-mean exponential fading gain averaged out, times the exact Laplace
-functional of the field from the near window to the region radius,
+(Rao-Blackwellisation): it samples interferer positions only inside a near
+window of two tier scales (the serving radius, or 3/sqrt(lambda*pi) for the
+macro tier), never beyond the region radius, and returns the trial's
+success probability given them instead of a 0/1 threshold crossing.  With
+s = theta * r0^alpha that is the product over the near interferers of
+r^alpha / (r^alpha + s), every unit-mean exponential fading gain (the
+serving link's and each interferer's) averaged out, times the exact
+Laplace functional of the field from the near window to the region radius,
 
     exp(-lambda*pi*c * [G(alpha, L/c) - G(alpha, R^2/c)]),  c = s^(2/alpha),
 
 with L the larger of the squared lower bound (r0^2 or 0) and the squared
 near radius, capped at R^2, and G the tail integral ``g_integral``
-(``_far_exponent``).  Association, the nearest-vs-farther choice and the
-serving distance stay sampled.  The trade-off: the far factor shares its
-G with the analytic formulas, so what the simulation checks on its own is
-the serving-distance law, the association, the serving cascade and the
-interference inside two tier scales; in exchange each trial costs about
-50 interferers instead of about 1 000 and its variance is lower.
+(``_far_exponent``).  Association, the nearest-vs-farther choice, the
+serving distance and the near interferers' positions stay sampled.  The
+trade-off: the fading average and the far factor are the identities the
+analytic formulas rest on, so what the simulation checks on its own is
+the interferers' positions inside two tier scales, the serving-distance
+law, the association and the serving cascade; in exchange each trial
+costs about 50 interferer positions instead of about 1 000 positions and
+gains, and its variance is lower.
 
 Cached tiers draw the serving distance from the truncated nearest-point
 law of the p-thinned field (``_nearest_r0_sq``), the macro tier from the
@@ -33,14 +36,13 @@ Reproducibility: trials are processed in fixed blocks of ``_BLOCK`` (1024)
 trials, each block drawing from its own counter-derived substream of the
 master seed (``numpy.random.SeedSequence(master_seed).spawn``), in block
 order on the calling thread, so results are bit-identical for a given
-master seed (see ``_over_blocks``).
-Within a block, interferers are drawn in sub-chunks of trials holding
-about ``_CHUNK`` interferers on average, so the temporaries stay
-cache-sized at any density; the fading gains come from a jump-ahead copy
-of the block stream (``PCG64.advance``), so the stream layout, and every
-output, is exactly what drawing the whole block at once gives; each
-trial's interference is one segment sum (``np.add.reduceat``, pairwise)
-of its contiguous interferers (see ``_interference``).
+master seed (see ``_over_blocks``).  Within a block, each interference
+call draws the Poisson counts of its trials, then one uniform per
+interferer, and nothing else; the interferers are formed in sub-chunks of
+trials holding about ``_CHUNK`` interferers on average, so the
+temporaries stay cache-sized at any density, and each trial's factor is
+one segment product (``np.multiply.reduceat``) of its contiguous
+interferers (see ``_interference``).
 """
 
 from __future__ import annotations
@@ -152,41 +154,31 @@ def sample_serving_distance(p, geom: TierGeometry, rng, size=None):
 # Vectorized SIR trial engine
 # ---------------------------------------------------------------------------
 
-def _pow_neg_half(r_sq, alpha, out=None):
-    """r^(-alpha) from r^2, into ``out`` when given; fast path for the
-    common quartic path loss."""
-    if alpha == 4.0:
-        out = np.multiply(r_sq, r_sq, out=out)
-        return np.divide(1.0, out, out=out)
-    return np.power(r_sq, -0.5 * alpha, out=out)
-
-
-def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
-    """Aggregate interference per trial from a full-density radial Poisson
+def _interference(rng, r0_sq, s, lo_is_server, density, alpha, radius, mask):
+    """Laplace factor of the interference per trial, its Rayleigh fading
+    averaged exactly: the product over the interferers of
+    E[exp(-s*g*r^-alpha)] = r^alpha / (r^alpha + s), g ~ Exp(1), with the
+    trial's own ``s``.  Interferers come from a full-density radial Poisson
     field on the annulus (r0, radius) when ``lo_is_server`` else on the
     whole disk (0, radius), for the trials of the boolean ``mask``; the
-    others get zero interference.
+    others, and trials without interferers, get the factor 1.
 
-    Stream invariant: ``rng`` (a PCG64 generator) ends in the state, and
-    every trial gets the bits, that drawing the whole call at once gives:
-    the Poisson counts of all trials, then one uniform per interferer, then
-    one exponential gain per interferer.  Interferers are formed in
-    sub-chunks of trials holding ``_CHUNK`` interferers at the call's mean
-    count, in buffers allocated once per call, sized to the largest
-    sub-chunk, so the working set stays cache-sized at any density.
-    ``Generator.random`` takes exactly one 64-bit output per float, so the
-    gains come from a copy of the stream jumped ahead by the interferer
-    count, and the caller's stream resumes where the gains end.  Each
-    sub-chunk finds its own segments, one contiguous run of interferers per
-    trial, and sums each pairwise by ``np.add.reduceat`` into the trial's
-    entry; trials without interferers start no segment and keep a zero sum.
+    Stream invariant: ``rng`` ends in the state, and every trial gets the
+    bits, that drawing the whole call at once gives: the Poisson counts of
+    all trials, then one uniform per interferer.  Interferers are formed
+    in sub-chunks of trials holding ``_CHUNK`` interferers at the call's
+    mean count, in buffers allocated once per call, sized to the largest
+    sub-chunk, so the working set stays cache-sized at any density.  Each
+    sub-chunk finds its own segments, one contiguous run of interferers
+    per trial, and multiplies each out by ``np.multiply.reduceat`` into
+    the trial's entry; trials without interferers start no segment.
     """
     n = r0_sq.shape[0]
-    out = np.zeros(n)
+    out = np.ones(n)
     idx_all = np.flatnonzero(mask)
     if idx_all.size == 0:
         return out
-    r0s = r0_sq[idx_all]
+    r0s, s_all = r0_sq[idx_all], s[idx_all]
     r_max_sq = radius * radius
     if lo_is_server:
         mu = density * math.pi * np.maximum(r_max_sq - r0s, 0.0)
@@ -196,33 +188,36 @@ def _interference(rng, r0_sq, lo_is_server, density, alpha, radius, mask):
     sub = min(idx_all.size, max(1, int(_CHUNK / max(float(mu.mean()), 1.0))))
     edges = list(range(0, idx_all.size, sub)) + [idx_all.size]
     totals = np.add.reduceat(counts, edges[:-1]).tolist()
-    gain_bits = np.random.PCG64(0)  # seed irrelevant: the state is replaced
-    gain_bits.state = rng.bit_generator.state
-    gain_bits.advance(sum(totals))
-    gain_rng = np.random.Generator(gain_bits)
     # one set of buffers per call, sized to the largest sub-chunk
-    u_buf, gain_buf, r_buf = (np.empty(max(totals)) for _ in range(3))
-    for s, e, total in zip(edges, edges[1:], totals):
-        c = counts[s:e]
+    u_buf, r_buf = np.empty(max(totals)), np.empty(max(totals))
+    for start, stop, total in zip(edges, edges[1:], totals):
+        c = counts[start:stop]
         u = rng.random(out=u_buf[:total])
-        gains = gain_rng.standard_exponential(out=gain_buf[:total])
         r = r_buf[:total]
         if lo_is_server:
-            lo = np.repeat(r0s[s:e], c)
+            lo = np.repeat(r0s[start:stop], c)
             np.subtract(r_max_sq, lo, out=r)
             np.multiply(u, r, out=r)
             np.add(lo, r, out=r)
         else:
             np.multiply(r_max_sq, u, out=r)
-        np.multiply(gains, _pow_neg_half(r, alpha, out=r), out=r)
+        den = np.repeat(s_all[start:stop], c)
+        if alpha == 4.0:  # fast path for the common quartic path loss
+            np.multiply(r, r, out=r)
+            np.add(r, den, out=den)
+            np.divide(r, den, out=r)
+        else:  # as 1 / (1 + s*r^-alpha), right where r^alpha would overflow:
+            # r^-alpha underflows to 0 (factor 1), s*r^-alpha overflows to
+            # inf (factor 0)
+            np.power(r, -0.5 * alpha, out=r)
+            with np.errstate(over="ignore"):
+                np.multiply(den, r, out=den)
+            np.add(den, 1.0, out=den)
+            np.divide(1.0, den, out=r)
         # each trial's first interferer within the sub-chunk; only trials that
         # hold one start a segment (an empty segment would cut its neighbour's)
         held = np.flatnonzero(c)
-        out[idx_all[s + held]] = np.add.reduceat(r, (np.cumsum(c) - c)[held])
-    # advance() clears the buffered 32-bit half; keep the caller's
-    state = rng.bit_generator.state
-    state["state"] = gain_bits.state["state"]
-    rng.bit_generator.state = state
+        out[idx_all[start + held]] = np.multiply.reduceat(r, (np.cumsum(c) - c)[held])
     return out
 
 
@@ -277,19 +272,21 @@ def _far_exponent(c, lower_sq, geom: TierGeometry, windows):
 
 
 def _served(rng, r0_sq, nearest, farther, geom: TierGeometry, windows, theta):
-    """The one SIR test, conditional on the near field: interference inside
-    the near window beyond the server for the ``nearest`` trials and over
-    the whole near disk for the ``farther`` trials (boolean masks; other
-    trials see none).  Returns each trial's success probability given it,
-    exp(-s * I_near) times the far factor exp(-``_far_exponent``), with
-    s = theta * r0^alpha and c = s^(2/alpha) = theta^(2/alpha) * r0^2."""
+    """The one SIR test, conditional on the near field's positions:
+    interferers inside the near window beyond the server for the
+    ``nearest`` trials and over the whole near disk for the ``farther``
+    trials (boolean masks; other trials see none).  Returns each trial's
+    success probability given them: the product of the two
+    ``_interference`` factors at s = theta * r0^alpha, every fading gain
+    averaged, times the far factor exp(-``_far_exponent``) at
+    c = s^(2/alpha) = theta^(2/alpha) * r0^2."""
     alpha, near = geom.pathloss, windows[0]
-    interf = _interference(rng, r0_sq, True, geom.density, alpha, near, nearest)
-    interf += _interference(rng, r0_sq, False, geom.density, alpha, near, farther)
     s = theta * r0_sq ** (0.5 * alpha)
+    success = _interference(rng, r0_sq, s, True, geom.density, alpha, near, nearest)
+    success *= _interference(rng, r0_sq, s, False, geom.density, alpha, near, farther)
     c = theta ** (2.0 / alpha) * r0_sq
     lower_sq = np.where(nearest, r0_sq, 0.0)
-    return np.exp(-(s * interf + _far_exponent(c, lower_sq, geom, windows)))
+    return success * np.exp(-_far_exponent(c, lower_sq, geom, windows))
 
 
 def _stp_trials(p, geom, theta, sim, nearest_serves=None):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -28,7 +29,7 @@ from svcache import (
 from svcache import mcsim
 from svcache.config import ConfigError
 from svcache.geometry import TierGeometry
-from svcache.mcsim import _interference, _over_blocks, _pow_neg_half
+from svcache.mcsim import _interference, _over_blocks
 from svcache.optimizer import OptimizerConfig
 
 
@@ -37,18 +38,78 @@ def _z(est, target):
 
 
 # ---------------------------------------------------------------------------
-# reference: the full-window 0/1 sampler the conditional estimators replace
+# references: the sampled-gain kernel the fading average replaced, the
+# full-window 0/1 sampler built on it, and the conditional SIR test with
+# sampled interferer gains
 # ---------------------------------------------------------------------------
+
+def _pow_neg_half(r_sq, alpha):
+    """r^(-alpha) from r^2, by the same operations as the sampled-gain
+    kernel used."""
+    if alpha == 4.0:
+        return 1.0 / (r_sq * r_sq)
+    return np.power(r_sq, -0.5 * alpha)
+
+
+def _interference_sampled(rng, r0_sq, lo_is_server, density, alpha, radius,
+                          mask):
+    """Reference kernel with sampled fading: aggregate interference per
+    trial, every interferer of the call drawn at once (the Poisson counts,
+    then one uniform per interferer, then one exponential gain per
+    interferer); masked trials get zero."""
+    n = r0_sq.shape[0]
+    out = np.zeros(n)
+    idx_all = np.flatnonzero(mask)
+    if idx_all.size == 0:
+        return out
+    r0s = r0_sq[idx_all]
+    r_max_sq = radius * radius
+    if lo_is_server:
+        mu = density * math.pi * np.maximum(r_max_sq - r0s, 0.0)
+    else:
+        mu = np.full(idx_all.size, density * math.pi * r_max_sq)
+    counts = rng.poisson(mu)
+    total = int(counts.sum())
+    u = rng.random(total)
+    gains = rng.standard_exponential(total)
+    pos = np.repeat(np.arange(idx_all.size), counts)
+    if lo_is_server:
+        r_sq = r0s[pos] + u * (r_max_sq - r0s[pos])
+    else:
+        r_sq = r_max_sq * u
+    contrib = gains * _pow_neg_half(r_sq, alpha)
+    held = np.flatnonzero(counts)
+    starts = np.cumsum(counts) - counts
+    out[idx_all[held]] = np.add.reduceat(contrib, starts[held])
+    return out
+
 
 def _served_01(rng, r0_sq, nearest, geom, radius, theta):
     """Reference SIR test: interferers over the whole window, beyond the
     server for the ``nearest`` trials and over the whole disk otherwise,
     then the serving link's fading gain; 0/1 threshold crossings."""
     alpha = geom.pathloss
-    interf = _interference(rng, r0_sq, True, geom.density, alpha, radius, nearest)
-    interf += _interference(rng, r0_sq, False, geom.density, alpha, radius, ~nearest)
+    interf = _interference_sampled(rng, r0_sq, True, geom.density, alpha,
+                                   radius, nearest)
+    interf += _interference_sampled(rng, r0_sq, False, geom.density, alpha,
+                                    radius, ~nearest)
     signal = rng.standard_exponential(r0_sq.size) * _pow_neg_half(r0_sq, alpha)
     return signal >= theta * interf
+
+
+def _served_sampled(rng, r0_sq, nearest, farther, geom, windows, theta):
+    """Reference conditional SIR test, ``mcsim._served`` with the near
+    interferers' gains sampled: only the serving gain and the far field
+    are averaged, exp(-s * I_near) times the far factor."""
+    alpha, near = geom.pathloss, windows[0]
+    interf = _interference_sampled(rng, r0_sq, True, geom.density, alpha,
+                                   near, nearest)
+    interf += _interference_sampled(rng, r0_sq, False, geom.density, alpha,
+                                    near, farther)
+    s = theta * r0_sq ** (0.5 * alpha)
+    c = theta ** (2.0 / alpha) * r0_sq
+    lower_sq = np.where(nearest, r0_sq, 0.0)
+    return np.exp(-(s * interf + mcsim._far_exponent(c, lower_sq, geom, windows)))
 
 
 def _reference_cached(p, geom, theta, sim, nearest_serves=None):
@@ -85,6 +146,15 @@ _REFERENCE = {"cached": lambda p, g, t, s: _reference_cached(p, g, t, s, True),
 _CONDITIONAL = {"cached": mc_stp_nearest_cached,
                 "uncached": mc_stp_nearest_uncached,
                 "tier": mc_stp_cache_tier}
+
+
+def _sampled_gains(estimator, *args):
+    """``estimator`` run with ``_served_sampled`` in place of
+    ``mcsim._served``: the same draws up to the near field, whose gains
+    it samples."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcsim, "_served", _served_sampled)
+        return estimator(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +296,7 @@ def test_seed_determinism(geom_d, theta):
 
 
 # Pinned bits of the full-window 0/1 reference at 4096-trial blocks, the
-# block size these were recorded at: the interference kernel, the block
+# block size these were recorded at: the sampled-gain kernel, the block
 # streams and the serving-distance formula the reference is built from
 # must keep every draw, so only the block partition may move them.
 # Never re-record these to pass.
@@ -253,8 +323,9 @@ _PINNED_R0 = ["0x1.40268d488489cp+3", "0x1.dcba091fd9340p+3",
               "0x1.8460ce0ebf845p+2"]
 
 
-# The conditional estimators at 1024-trial blocks, recorded once when
-# they replaced the 0/1 count.  Never re-record these to pass.
+# The conditional estimators with sampled near-field gains
+# (``_served_sampled``) at 1024-trial blocks, recorded once when they
+# replaced the 0/1 count.  Never re-record these to pass.
 _PINNED_CONDITIONAL = {
     ("cached", 0.3): (0.14085862551843717, 0.0038230716010185005),
     ("uncached", 0.3): (0.09773207678905342, 0.003488320232180974),
@@ -263,6 +334,18 @@ _PINNED_CONDITIONAL = {
     ("uncached", 0.7): (0.20062161005128795, 0.004689483349553892),
     ("tier", 0.7): (0.24973959460496317, 0.0047908183321730404),
     ("mbs", 3.0): (0.358471077057298, 0.005052760182528997),
+}
+# The shipped estimators, every fading gain averaged, at 1024-trial
+# blocks, recorded once when the fading average replaced the sampled
+# gains.  Never re-record these to pass.
+_PINNED_AVERAGED = {
+    ("cached", 0.3): (0.14066209338343733, 0.0036632454221944173),
+    ("uncached", 0.3): (0.098127375232642, 0.003379479850641846),
+    ("tier", 0.3): (0.10964301612952077, 0.00349009902452663),
+    ("cached", 0.7): (0.2737325429606229, 0.004599242294675205),
+    ("uncached", 0.7): (0.20159751477887752, 0.004535013855741901),
+    ("tier", 0.7): (0.24977606132769034, 0.00464837932641073),
+    ("mbs", 3.0): (0.35876448667744776, 0.0048131503206413585),
 }
 
 
@@ -296,13 +379,46 @@ def test_mbs_stream_pinned_at_1024():
     assert est == EstimatorResult(0.353, 0.006759240894323377, 5_000)
 
 
-def test_conditional_estimator_streams_pinned(geom_d, theta):
+def _conditional_estimates(run, geom_d, theta):
+    """The pinned conditional estimates, each through ``run(estimator,
+    *args)``."""
     sim = SimConfig(trials=5_000, master_seed=5)
-    got = {(family, p): _CONDITIONAL[family](p, geom_d, theta, sim)
+    got = {(family, p): run(_CONDITIONAL[family], p, geom_d, theta, sim)
            for family, p in _PINNED}
-    got["mbs", 3.0] = mc_stp_mbs(1e-5, 4.0, 3.0, sim)
+    got["mbs", 3.0] = run(mc_stp_mbs, 1e-5, 4.0, 3.0, sim)
+    return got
+
+
+def test_conditional_estimator_streams_pinned(geom_d, theta):
+    got = _conditional_estimates(_sampled_gains, geom_d, theta)
     assert got == {key: EstimatorResult(*value, trials_used=5_000)
                    for key, value in _PINNED_CONDITIONAL.items()}
+
+
+def test_averaged_estimator_streams_pinned(geom_d, theta):
+    got = _conditional_estimates(lambda f, *args: f(*args), geom_d, theta)
+    assert got == {key: EstimatorResult(*value, trials_used=5_000)
+                   for key, value in _PINNED_AVERAGED.items()}
+
+
+@pytest.mark.parametrize("family, alpha", [("cached", 4.0), ("uncached", 4.0),
+                                           ("tier", 4.0), ("mbs", 4.0),
+                                           ("tier", 3.5), ("mbs", 3.5)])
+def test_fading_average_agrees_with_sampled_gains(family, alpha, theta):
+    """Rao-Blackwell: averaging the near interferers' gains given their
+    positions keeps the estimand and cannot raise the variance, so the
+    shipped estimate lies within 3 joint standard errors of the
+    sampled-gain one, with a lower standard error."""
+    sim = SimConfig(trials=20_000, master_seed=2209)
+    if family == "mbs":
+        args = (mc_stp_mbs, 1e-5, alpha, theta, sim)
+    else:
+        geom = TierGeometry(density=0.01, serving_radius=20.0, pathloss=alpha)
+        args = (_CONDITIONAL[family], 0.5, geom, theta, sim)
+    ref = _sampled_gains(*args)
+    est = args[0](*args[1:])
+    assert abs(est.mean - ref.mean) <= 3.0 * math.hypot(est.stderr, ref.stderr)
+    assert est.stderr < ref.stderr
 
 
 @pytest.mark.parametrize("family", ["cached", "uncached", "tier", "mbs"])
@@ -412,21 +528,41 @@ def test_untruncated_window_meets_the_analytic_model(alpha, theta_db, p, radius,
     assert _z(mc_stp_mbs(geom.density, alpha, theta, sim), stp_mbs(alpha, theta)) < 3.0
 
 
-def test_interference_masked_trials_get_zero(geom_d):
+def _s(r0_sq, alpha):
+    """The trials' Laplace arguments s = theta * r0^alpha at 5 dB."""
+    return 10.0**0.5 * r0_sq ** (0.5 * alpha)
+
+
+def test_interference_masked_trials_get_one(geom_d):
     rng = np.random.default_rng(0)
     r0_sq = np.full(10, 25.0)
     mask = np.zeros(10, dtype=bool)
     mask[::2] = True
-    out = _interference(rng, r0_sq, True, geom_d.density, 4.0, 200.0, mask)
-    assert np.all(out[~mask] == 0.0)
-    assert np.all(out >= 0.0)
+    out = _interference(rng, r0_sq, _s(r0_sq, 4.0), True, geom_d.density, 4.0,
+                        200.0, mask)
+    assert np.all(out[~mask] == 1.0)
+    assert np.all((out[mask] > 0.0) & (out[mask] < 1.0))
 
 
-def _interference_whole_block(rng, r0_sq, lo_is_server, density, alpha,
+@pytest.mark.parametrize("lo_is_server", [True, False])
+def test_interference_factor_stays_finite_where_r_alpha_overflows(lo_is_server):
+    # at alpha = 110 a distance beyond 10^2.8 has r^alpha above the largest
+    # float, yet the trials' s stay finite: the factor must stay in [0, 1]
+    r0_sq = np.linspace(1.0, 300.0**2, 200)
+    s = _s(r0_sq, 110.0)
+    assert np.all(np.isfinite(s))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = _interference(np.random.default_rng(3), r0_sq, s, lo_is_server,
+                            1e-4, 110.0, 1_000.0, np.ones(200, dtype=bool))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+def _interference_whole_block(rng, r0_sq, s, lo_is_server, density, alpha,
                               radius, mask):
-    """Reference kernel: every interferer of the call drawn at once."""
+    """Reference kernel: every interferer of the call drawn at once, each
+    trial's factors multiplied out as one segment."""
     n = r0_sq.shape[0]
-    out = np.zeros(n)
+    out = np.ones(n)
     idx_all = np.flatnonzero(mask)
     if idx_all.size == 0:
         return out
@@ -437,18 +573,20 @@ def _interference_whole_block(rng, r0_sq, lo_is_server, density, alpha,
     else:
         mu = np.full(idx_all.size, density * math.pi * r_max_sq)
     counts = rng.poisson(mu)
-    total = int(counts.sum())
-    u = rng.random(total)
-    gains = rng.standard_exponential(total)
+    u = rng.random(int(counts.sum()))
     pos = np.repeat(np.arange(idx_all.size), counts)
     if lo_is_server:
         r_sq = r0s[pos] + u * (r_max_sq - r0s[pos])
     else:
         r_sq = r_max_sq * u
-    contrib = gains * _pow_neg_half(r_sq, alpha)
+    s_each = s[idx_all][pos]
+    if alpha == 4.0:
+        factors = r_sq * r_sq / (r_sq * r_sq + s_each)
+    else:
+        factors = 1.0 / (s_each * np.power(r_sq, -0.5 * alpha) + 1.0)
     held = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
-    out[idx_all[held]] = np.add.reduceat(contrib, starts[held])
+    out[idx_all[held]] = np.multiply.reduceat(factors, starts[held])
     return out
 
 
@@ -464,35 +602,50 @@ def test_interference_matches_whole_block_draw(n, alpha, mask_kind,
     # "none": no trial masked out
     mask = {"none": np.ones(n, dtype=bool), "alternate": np.arange(n) % 2 == 0,
             "all_false": np.zeros(n, dtype=bool)}[mask_kind]
+    s = _s(r0_sq, alpha)
     rng = np.random.default_rng(99)
     ref_rng = np.random.default_rng(99)
-    out = _interference(rng, r0_sq, lo_is_server, 0.01, alpha, radius, mask)
-    ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
+    out = _interference(rng, r0_sq, s, lo_is_server, 0.01, alpha, radius, mask)
+    ref = _interference_whole_block(ref_rng, r0_sq, s, lo_is_server, 0.01,
                                     alpha, radius, mask)
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("lo_is_server", [True, False])
-def test_interference_sums_within_pairwise_bound_of_fsum(lo_is_server):
-    # redraw the call's interferers and sum each trial's terms exactly
-    n, density, radius = 300, 0.05, 60.0  # 280 to 570 interferers a trial
+def test_interference_product_within_rounding_bound(lo_is_server):
+    """Each trial's factor against the product of r^4 / (r^4 + s) over its
+    redrawn interferers, from the same squared distances r^2, in 100-digit
+    decimals (each float converts exactly; the reference is good to
+    3m * 1e-99).  The kernel rounds three times a factor (r^4, the sum,
+    the quotient) and once a product step, so m interferers stay within
+    Higham's gamma_4m = 4m*u / (1 - 4m*u), u = 2^-53, about 2m*eps.  The
+    bound is relative, so the threshold (-20 dB) keeps every product a
+    normal float."""
+    n, density, radius = 100, 0.05, 60.0  # 280 to 570 interferers a trial
     r0_sq = np.random.default_rng(3).uniform(0.0, 0.5 * radius**2, n)
-    out = _interference(np.random.default_rng(12), r0_sq, lo_is_server,
+    s = 0.01 * r0_sq**2
+    out = _interference(np.random.default_rng(12), r0_sq, s, lo_is_server,
                         density, 4.0, radius, np.ones(n, dtype=bool))
     rng = np.random.default_rng(12)
     r_max_sq = radius**2
     lo = r0_sq if lo_is_server else np.zeros(n)
     counts = rng.poisson(density * math.pi * (r_max_sq - lo))
     u = rng.random(int(counts.sum()))
-    gains = rng.standard_exponential(u.size)
     lo_each = np.repeat(lo, counts)
-    terms = gains * _pow_neg_half(lo_each + u * (r_max_sq - lo_each), 4.0)
-    exact = np.array([math.fsum(t) for t in
-                      np.split(terms, np.cumsum(counts)[:-1])])
-    bound = 4.0 * np.log2(counts + 1.0) * np.finfo(float).eps
-    assert counts.min() > 128  # numpy's pairwise sum splits such runs
-    assert np.all(np.abs(out - exact) <= bound * exact)
+    r_sq = lo_each + u * (r_max_sq - lo_each)
+    assert counts.min() > 128 and out.min() > np.finfo(float).tiny
+    with decimal.localcontext() as context:
+        context.prec = 100
+        unit = decimal.Decimal(2) ** -53
+        for got, trial_s, m, trial_r_sq in zip(out.tolist(), s.tolist(), counts.tolist(),
+                                               np.split(r_sq, np.cumsum(counts)[:-1])):
+            trial_s, product = decimal.Decimal(trial_s), decimal.Decimal(1)
+            for x in trial_r_sq.tolist():
+                r4 = decimal.Decimal(x) ** 2
+                product *= r4 / (r4 + trial_s)
+            bound = 4 * m * unit / (1 - 4 * m * unit) + 3 * m * decimal.Decimal("1e-99")
+            assert abs(decimal.Decimal(got) - product) <= bound * product
 
 
 @pytest.mark.parametrize("empty", [[5], [28, 29, 30, 31], list(range(32, 48))],
@@ -505,14 +658,15 @@ def test_interference_empty_trials_match_whole_block_draw(empty, monkeypatch):
     r0_sq[empty] = radius**2 * np.linspace(1.0, 1.2, len(empty))
     mean = (0.01 * math.pi * np.maximum(radius**2 - r0_sq, 0.0)).mean()
     monkeypatch.setattr(mcsim, "_CHUNK", 16.5 * mean)  # 16-trial sub-chunks
+    s = _s(r0_sq, 4.0)
     rng = np.random.default_rng(6)
     ref_rng = np.random.default_rng(6)
     everyone = np.ones(64, dtype=bool)
-    out = _interference(rng, r0_sq, True, 0.01, 4.0, radius, everyone)
-    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, radius,
+    out = _interference(rng, r0_sq, s, True, 0.01, 4.0, radius, everyone)
+    ref = _interference_whole_block(ref_rng, r0_sq, s, True, 0.01, 4.0, radius,
                                     everyone)
-    assert np.all(out[empty] == 0.0)
-    assert np.all(np.delete(out, empty) > 0.0)
+    assert np.all(out[empty] == 1.0)
+    assert np.all(np.delete(out, empty) < 1.0)
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -524,29 +678,17 @@ def test_interference_any_sub_chunk_matches_whole_block_draw(chunk,
     monkeypatch.setattr(mcsim, "_CHUNK", chunk)
     radius = 60.0
     r0_sq = np.random.default_rng(8).uniform(0.0, 1.1 * radius**2, 700)
+    s = _s(r0_sq, 4.0)
     everyone = np.ones(700, dtype=bool)
     for lo_is_server in (True, False):
         rng = np.random.default_rng(13)
         ref_rng = np.random.default_rng(13)
-        out = _interference(rng, r0_sq, lo_is_server, 0.01, 4.0, radius, everyone)
-        ref = _interference_whole_block(ref_rng, r0_sq, lo_is_server, 0.01,
+        out = _interference(rng, r0_sq, s, lo_is_server, 0.01, 4.0, radius,
+                            everyone)
+        ref = _interference_whole_block(ref_rng, r0_sq, s, lo_is_server, 0.01,
                                         4.0, radius, everyone)
         assert np.array_equal(out, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_interference_keeps_buffered_32_bit_half():
-    rng = np.random.default_rng(5)
-    rng.integers(0, 10, dtype=np.int32)  # leaves half a 64-bit word buffered
-    ref_rng = np.random.default_rng(5)
-    ref_rng.integers(0, 10, dtype=np.int32)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    r0_sq = np.full(200, 100.0)
-    everyone = np.ones(200, dtype=bool)
-    out = _interference(rng, r0_sq, True, 0.01, 4.0, 60.0, everyone)
-    ref = _interference_whole_block(ref_rng, r0_sq, True, 0.01, 4.0, 60.0, everyone)
-    assert np.array_equal(out, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_interference_memory_stays_cache_sized():
