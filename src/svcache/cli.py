@@ -97,8 +97,8 @@ def main(argv=None) -> int:
             _emit(experiments.render_csv(experiments.VALIDATE_FIELDS, rows, cfg), out)
             if not ok:
                 print("validation gate FAILED: an analytic value misses its "
-                      "Monte-Carlo estimate by more than 3 standard errors",
-                      file=sys.stderr)
+                      "Monte-Carlo estimate by more than 3 standard errors, "
+                      "or the estimate is not finite (z = nan)", file=sys.stderr)
                 for row, z in experiments.gate_failures(rows):
                     value = experiments._fmt(row["value"])
                     print(f"  {row['sweep_var']} = {value}: z = {z:+.2f}",

@@ -82,7 +82,8 @@ def run_probability_validation(cfg: ExperimentConfig):
     ``delay_end_to_end``, the placement's name as ``value``).
 
     Returns (rows, ok): ok is False when any point misses its estimate by
-    more than three standard errors (``gate_failures``).  Zero caching
+    more than three standard errors, or has a non-finite estimate
+    (``gate_failures``).  Zero caching
     probability has no conditional Monte-Carlo law, so those rows carry
     the analytic zero and not-applicable MC columns.  The gate needs a
     standard error, so fewer than two trials raise ``ConfigError``.
@@ -140,10 +141,16 @@ def gate_failures(rows):
     """The validation gate: the rows whose analytic value misses its
     Monte-Carlo estimate by more than three standard errors (and by more
     than 1e-12), each paired with its z-score (analytic - mc_mean) /
-    mc_stderr, infinite at zero stderr.  Rows without an estimate pass."""
+    mc_stderr, infinite at zero stderr.  A row whose ``mc_mean`` or
+    ``mc_stderr`` is not finite fails too, with z = nan: no comparison
+    with NaN is true, so it would otherwise pass.  Rows without an
+    estimate pass."""
     failed = []
     for row in rows:
         if row["mc_mean"] == _NA:
+            continue
+        if not (math.isfinite(row["mc_mean"]) and math.isfinite(row["mc_stderr"])):
+            failed.append((row, math.nan))
             continue
         diff = row["analytic"] - row["mc_mean"]
         if abs(diff) > 3.0 * row["mc_stderr"] and abs(diff) > 1e-12:

@@ -26,8 +26,9 @@ sorts each block's breakpoints and accumulates its usage once, and only
 the crossing search and the interpolation run once per budget.  The
 solver builds one per solve for its two stacked tiers (one budget
 each), ``project_budget`` one per call (the ICP baseline at one budget)
-and the grid oracle one per block size of a call (both tiers' budgets
-on every row).  A batch of more blocks than breakpoints (the oracle's
+and the grid oracle one per block size of a call (each distinct tier
+budget on every row: one at equal budgets, both tiers' otherwise).  A
+batch of more blocks than breakpoints (the oracle's
 4 096-row grid blocks) is worked breakpoint-major, so each pass over
 the breakpoints is one contiguous ufunc across the blocks; a narrower
 one (the solver's two tiers) stays row-major, each pass running along
@@ -37,9 +38,11 @@ A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
 to budget equality; only grid rows with a zero entry are projected, as
 every other row is a uniform shift of one.  Those canonical rows are
-enumerated once per call, straight from their index set, and each block
-of them is projected for both tiers in one call, written in place into
-the candidates.  One projector serves every full block and one the short
+enumerated once per call, straight from their index set (built digit by
+digit, with no mask of the whole grid), and each block of them is
+projected in one call at each distinct tier budget, written in place
+into the candidates; at equal budgets the two tiers share one
+projection.  One projector serves every full block and one the short
 last block, built once the first is dropped.  It evaluates the cross
 product through an exact bilinear split of the objective, scoring every
 d2d row against one sbs Pareto-frontier point at a time.  The frontier's
@@ -517,11 +520,18 @@ _GRID_BLOCK = 4096
 
 def _grid_index(n_cells, n_values):
     """Flat grid-order indices of the rows of {0, ..., 1}^n_cells with a zero
-    entry, n^k - (n-1)^k of the n^k: the grid's index cube with its
-    all-nonzero subcube [1:, ..., 1:] cleared."""
-    canonical = np.ones((n_values,) * n_cells, dtype=bool)
-    canonical[(slice(1, None),) * n_cells] = False
-    return np.flatnonzero(canonical)
+    entry, n^k - (n-1)^k of the n^k, built cell by cell with no grid-sized
+    mask: of the k-cell rows, those with first digit 0 are the whole block
+    arange(n^(k-1)), and those with first digit d >= 1 are d*n^(k-1) plus
+    the (k-1)-cell index set."""
+    index = np.empty(0, dtype=np.intp)
+    for cells in range(1, n_cells + 1):
+        stride = n_values ** (cells - 1)
+        rest, index = index, np.empty(stride + (n_values - 1) * index.size, dtype=np.intp)
+        index[:stride] = np.arange(stride)
+        np.add(np.arange(stride, n_values * stride, stride)[:, None], rest,
+               out=index[stride:].reshape(n_values - 1, rest.size))
+    return index
 
 
 def _grid_candidates(geoms, theta, sizes_flat, budgets, n_values, useful):
@@ -535,29 +545,43 @@ def _grid_candidates(geoms, theta, sizes_flat, budgets, n_values, useful):
     canonical one, and u absorbs the shift, P(r + c*1) = P(r), so its
     projection is already here.  Rows that project to the same matrix are
     all kept: the sbs Pareto scan keeps one of equal points, and the
-    oracle's argmin keeps the first minimum in grid order.  Each block of
-    ``_GRID_BLOCK`` rows, unravelled from the index set, is projected in
-    one call at both budgets straight into its slice of ``rows``.  One
-    ``_Projector`` serves every full block; the short last block gets its
-    own, built once the first is dropped, so one projector's buffers are
-    alive at a time, and none while the hit terms are computed.
+    oracle's argmin keeps the first minimum in grid order.
+
+    Each distinct tier budget is projected once: at equal budgets both
+    tiers' projections are the same bits, so the rows are projected at the
+    one budget and ``rows`` is a read-only (2, N, n) view whose two tiers
+    share that memory, and the useful columns are gathered once for both
+    hit terms; otherwise each tier has its own rows and its gather is made
+    only for its own hit term.  Each block of ``_GRID_BLOCK`` rows,
+    unravelled from the index set, is projected in one call at those
+    budgets straight into its slice of the rows.  One ``_Projector`` serves
+    every full block; the short last block gets its own, built once the
+    first is dropped, so one projector's buffers are alive at a time, and
+    none while the hit terms are computed.
     """
     index = _grid_index(sizes_flat.size, n_values)
     values = np.linspace(0.0, 1.0, n_values)
     shape = (n_values,) * sizes_flat.size
-    levels = (budgets.m_d, budgets.m_s)
-    rows = np.empty((2, index.size, sizes_flat.size))
+    levels = (budgets.m_d,) if budgets.m_d == budgets.m_s else (budgets.m_d, budgets.m_s)
+    rows = np.empty((len(levels), index.size, sizes_flat.size))
+    # one budget's projector writes (block, n) rows, two budgets' a stack
+    written = rows[0] if len(levels) == 1 else rows
     project = None
     for start in range(0, index.size, _GRID_BLOCK):
         block = index[start:start + _GRID_BLOCK]
         if project is None or block.size < _GRID_BLOCK:  # a short block is the last
             project = None  # one projector's buffers alive at a time
-            project = _Projector(sizes_flat, np.full((block.size, 2), levels))
+            project = _Projector(sizes_flat, np.full((block.size, len(levels)), levels))
         project(values[np.column_stack(np.unravel_index(block, shape))],
-                out=rows[:, start:start + block.size])
+                out=written[..., start:start + block.size, :])
     del project  # and none while the hit terms are computed
-    return rows, [hit_term(tier[:, useful], geom, theta)
-                  for tier, geom in zip(rows, (geoms.d2d, geoms.sbs))]
+    tiers = (geoms.d2d, geoms.sbs)
+    if len(levels) == 1:
+        gathered = rows[0][:, useful]
+        return (np.broadcast_to(rows, (2, *rows.shape[1:])),
+                [hit_term(gathered, geom, theta) for geom in tiers])
+    # a temporary gather per tier: one alive at a time
+    return rows, [hit_term(tier[:, useful], geom, theta) for tier, geom in zip(rows, tiers)]
 
 
 def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,

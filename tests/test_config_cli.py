@@ -367,6 +367,17 @@ def test_validation_gate_fails_on_a_far_off_estimate(monkeypatch):
     assert not ok
 
 
+@pytest.mark.parametrize("mean,stderr", [(math.nan, 0.01), (0.5, math.nan), (0.5, math.inf)],
+                         ids=["nan-mean", "nan-stderr", "inf-stderr"])
+def test_validation_gate_fails_a_non_finite_estimate(mean, stderr):
+    # no comparison with NaN is true, and no miss exceeds 3 * inf: such a
+    # row is flagged by its non-finite estimate, with z = nan
+    row = {"sweep_var": "theta_db_mbs", "value": 5.0, "analytic": 0.5,
+           "mc_mean": mean, "mc_stderr": stderr, "trials": 100}
+    ((flagged, z),) = experiments.gate_failures([row])
+    assert flagged is row and math.isnan(z)
+
+
 def test_delay_surface_corner_and_monotonicity():
     cfg = default_config(**FAST_OVERRIDES)
     rows = experiments.run_delay_surface(cfg, grid_points=5)
@@ -480,6 +491,21 @@ def test_cli_validate_gate_failure(monkeypatch, tmp_path, capsys):
     expected = experiments.render_csv(experiments.VALIDATE_FIELDS, rows,
                                       default_config())
     assert out.read_text() == expected
+
+
+def test_cli_validate_gate_fails_on_a_nan_estimate(monkeypatch, tmp_path, capsys):
+    # a NaN estimate fails the gate (exit 3) and each of its rows is named
+    def nan_estimate(density, pathloss, theta, sim):
+        return EstimatorResult(mean=math.nan, stderr=math.nan, trials_used=sim.trials)
+
+    monkeypatch.setattr(experiments, "mc_stp_mbs", nan_estimate)
+    out = tmp_path / "validate.csv"
+    code = cli.main(["validate", "--trials", "4000", "--seed", "20260809",
+                     "--out", str(out)])
+    assert code == 3
+    named = re.findall(r"^  (\S+) = (\S+): z = (\S+)$", capsys.readouterr().err, re.M)
+    assert named == [("theta_db_mbs", value, "+nan") for value in ("1", "3", "5", "7", "9")]
+    assert out.exists()
 
 
 @pytest.mark.parametrize("window,code", [(None, 3), ("inf", 0)], ids=["default", "inf"])

@@ -843,17 +843,23 @@ def _whole_grid(n_cells, n_values):
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8)],
                          ids=["criterion-6", "toy-0.3-0.8"])
 def test_tier_candidates_are_the_projected_canonical_grid_rows(toy_lib, geoms,
-                                                               radio, fractions):
+                                                               radio, fractions,
+                                                               monkeypatch):
     # every grid row with a zero entry, projected at each tier's budget in
     # one shared pass, in grid order: rows that project to the same matrix
-    # are all kept
+    # are all kept.  Equal budgets are projected once, at one budget column,
+    # and both tiers' candidates are views of that memory
     useful, sizes = _useful_and_sizes(toy_lib)
     grid = _whole_grid(sizes.size, 21)
     canonical = grid[grid.min(axis=1) == 0.0]
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
+    _, built = _recorded_blocks(monkeypatch)
     rows, hits = _grid_candidates(geoms, radio.sir_threshold, sizes, budgets, 21,
                                   useful)
+    equal = fractions[0] == fractions[1]
+    assert built and all(budget.shape[1] == (1 if equal else 2) for budget in built)
+    assert np.shares_memory(rows[0], rows[1]) == equal
     assert rows.shape == (2, 21**4 - 20**4, 4)
     for tier, hit, geom, budget in zip(rows, hits, (geoms.d2d, geoms.sbs),
                                        (budgets.m_d, budgets.m_s)):
@@ -899,19 +905,36 @@ def test_projected_canonical_rows_are_pinned(toy_lib, geoms, radio, case):
 
 
 # tracemalloc peak of one step-0.05 oracle call on the criterion-6 instance
-# with each tier enumerated and projected on its own (numpy 2.4.6)
+# with each tier enumerated and projected on its own (numpy 2.4.6); it
+# still bounds a call at unequal budgets, where both tiers are projected
 _TWO_PASS_ORACLE_PEAK = 7_271_859
+# the same call with the one shared budget projected once for both tiers:
+# 4 692 968 to 4 693 304 B (numpy 2.4.6, Python 3.11, alone and in the
+# suite), rounded up for the few hundred bytes of interpreter state that
+# vary with what ran before; 5 796 464 B with both tiers projected at the
+# same budget
+_ONE_BUDGET_ORACLE_PEAK = 4_700_000
+
+
+def _oracle_traced_peak(lib, geoms, radio, budgets):
+    """tracemalloc peak of a step-0.05 oracle call after a warm-up call."""
+    grid_oracle(lib, geoms, radio, budgets, grid_step=0.05)
+    tracemalloc.start()
+    try:
+        grid_oracle(lib, geoms, radio, budgets, grid_step=0.05)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_grid_oracle_traced_peak_memory(toy_lib, geoms, radio, toy_budgets):
-    grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-    tracemalloc.start()
-    try:
-        grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _TWO_PASS_ORACLE_PEAK
+    assert _oracle_traced_peak(toy_lib, geoms, radio, toy_budgets) <= _ONE_BUDGET_ORACLE_PEAK
+
+
+def test_grid_oracle_traced_peak_memory_at_unequal_budgets(toy_lib, geoms, radio):
+    total = total_catalog_bits(toy_lib)
+    budgets = CacheBudgets(m_d=0.5 * total, m_s=0.2 * total)
+    assert _oracle_traced_peak(toy_lib, geoms, radio, budgets) <= _TWO_PASS_ORACLE_PEAK
 
 
 def _recorded_blocks(monkeypatch):
@@ -955,17 +978,23 @@ def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
 
 
 def test_grid_oracle_projects_each_grid_chunk_through_one_projector(
-        toy_lib, geoms, radio, toy_budgets, monkeypatch):
+        toy_lib, geoms, radio, monkeypatch):
+    total = total_catalog_bits(toy_lib)
     seen, _ = _recorded_blocks(monkeypatch)
-    grid_oracle(toy_lib, geoms, radio, toy_budgets, grid_step=0.05)
-    chunks = [rows.shape[0] for rows, _ in seen]
-    assert len(chunks) == math.ceil((21**4 - 20**4) / optimizer._GRID_BLOCK)
-    assert sum(chunks) == 21**4 - 20**4
-    assert all(rows == optimizer._GRID_BLOCK for rows in chunks[:-1])
-    # one call per canonical block, carrying both tiers' budgets for each row
-    pair = (toy_budgets.m_d, toy_budgets.m_s)
-    assert all(budget.shape == (rows.shape[0], 2) and (budget == pair).all()
-               for rows, budget in seen)
+    # criterion 6 at equal budgets, then the toy 0.3/0.8 instance
+    for fraction_d, fraction_s, levels in ((0.5, 0.5, [0.5]), (0.3, 0.8, [0.3, 0.8])):
+        budgets = CacheBudgets(m_d=fraction_d * total, m_s=fraction_s * total)
+        seen.clear()
+        grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
+        chunks = [rows.shape[0] for rows, _ in seen]
+        assert len(chunks) == math.ceil((21**4 - 20**4) / optimizer._GRID_BLOCK)
+        assert sum(chunks) == 21**4 - 20**4
+        assert all(rows == optimizer._GRID_BLOCK for rows in chunks[:-1])
+        # one call per canonical block, carrying each distinct tier budget
+        # once for each row: one column at equal budgets, both tiers' otherwise
+        assert all(budget.shape == (rows.shape[0], len(levels))
+                   and (budget == [level * total for level in levels]).all()
+                   for rows, budget in seen)
 
 
 @pytest.mark.parametrize("step", [0.05, 0.02])
@@ -997,6 +1026,22 @@ def test_grid_oracle_builds_one_projector_per_block_size(toy_lib, geoms, radio,
         optimizer._GRID_BLOCK, canonical % optimizer._GRID_BLOCK]
     assert alive == [0, 0, 0, 0]
     assert sum(rows.shape[0] for rows, _ in seen) == canonical
+
+
+def _grid_index_reference(n_cells, n_values):
+    """The canonical index set through a mask of the whole grid."""
+    canonical = np.ones((n_values,) * n_cells, dtype=bool)
+    canonical[(slice(1, None),) * n_cells] = False
+    return np.flatnonzero(canonical)
+
+
+@pytest.mark.parametrize("n_values", [21, 51])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+def test_grid_index_equals_the_full_grid_mask(n_cells, n_values):
+    got = optimizer._grid_index(n_cells, n_values)
+    expected = _grid_index_reference(n_cells, n_values)
+    assert got.dtype == expected.dtype == np.intp
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("chunk", [1000, None], ids=["1000", "default"])
