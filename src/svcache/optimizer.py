@@ -38,16 +38,21 @@ A brute-force ``grid_oracle`` provides ground truth on the 2x2 catalog
 only, by minimizing over all pairs of per-tier grid matrices projected
 to budget equality; only grid rows with a zero entry are projected, as
 every other row is a uniform shift of one.  Those canonical rows are
-enumerated once per call, straight from their index set (built digit by
-digit, with no mask of the whole grid), and each block of them is
-projected in one call at each distinct tier budget, written in place
-into the candidates; at equal budgets the two tiers share one
-projection.  One projector serves every full block and one the short
-last block, built once the first is dropped.  It evaluates the cross
-product through an exact bilinear split of the objective, scoring every
-d2d row against one sbs Pareto-frontier point at a time.  The frontier's
-sort-scan runs only on the sbs rows in the box of its two extreme rows,
-which on a short frontier is a handful of the candidates.
+enumerated once per call as uint8 digit rows (built digit by digit, with
+no mask of the whole grid), and each block of them is mapped to its grid
+values by one take and projected in one call at each distinct tier
+budget, written in place into the candidates; at equal budgets the two
+tiers share one projection.  One projector serves every full block and
+one the short last block, built once the first is dropped.  It evaluates
+the cross product through an exact bilinear split of the objective,
+scoring the d2d candidates against one sbs Pareto-frontier point at a
+time.  ``hit_term`` is strictly increasing in the caching probability,
+so each frontier is found on the projected rows and hit terms are
+computed only on the rows that are scored: the sbs frontier, and the
+d2d frontier that the sign of dD/dhit_d selects (every d2d row when the
+sign is not the same for every hit vector).  The frontier's sort-scan
+runs only on the rows in the box of its two extreme rows, which on a
+short frontier is a handful of the candidates.
 """
 
 from __future__ import annotations
@@ -514,74 +519,82 @@ def optimize(lib: ContentLibrary, geoms: NetworkGeometry, radio: RadioConfig,
 
 _GRID_STEPS = (0.05, 0.02)
 # canonical rows per projection call: bounds the projector's work buffers
-# (2 048 to 8 192 read the same oracle time; one 34 481-row block took twice as long)
 _GRID_BLOCK = 4096
 
 
-def _grid_index(n_cells, n_values):
-    """Flat grid-order indices of the rows of {0, ..., 1}^n_cells with a zero
-    entry, n^k - (n-1)^k of the n^k, built cell by cell with no grid-sized
-    mask: of the k-cell rows, those with first digit 0 are the whole block
-    arange(n^(k-1)), and those with first digit d >= 1 are d*n^(k-1) plus
-    the (k-1)-cell index set."""
-    index = np.empty(0, dtype=np.intp)
+def _grid_digits(n_cells, n_values):
+    """The rows of {0, ..., n_values - 1}^n_cells with a zero digit, in grid
+    order, as uint8 digit rows (n_values <= 256): n^k - (n-1)^k of the n^k.
+    They are built cell by cell with no grid-sized mask: of the k-cell
+    rows, those with first digit 0 are the whole (k-1)-cell grid, and those
+    with first digit d >= 1 are d followed by the (k-1)-cell set."""
+    grid = np.empty((1, 0), dtype=np.uint8)  # the one 0-cell row
+    rows = np.empty((0, 0), dtype=np.uint8)  # none of which has a zero
     for cells in range(1, n_cells + 1):
-        stride = n_values ** (cells - 1)
-        rest, index = index, np.empty(stride + (n_values - 1) * index.size, dtype=np.intp)
-        index[:stride] = np.arange(stride)
-        np.add(np.arange(stride, n_values * stride, stride)[:, None], rest,
-               out=index[stride:].reshape(n_values - 1, rest.size))
-    return index
+        stride, rest = grid.shape[0], rows
+        rows = np.empty((stride + (n_values - 1) * rest.shape[0], cells), dtype=np.uint8)
+        rows[:stride, 0] = 0
+        rows[:stride, 1:] = grid
+        tail = rows[stride:].reshape(n_values - 1, rest.shape[0], cells)
+        tail[..., 0] = np.arange(1, n_values)[:, None]
+        tail[..., 1:] = rest
+        if cells < n_cells:  # the whole grid of this many cells, for the next
+            grid, rest = np.empty((n_values, stride, cells), dtype=np.uint8), grid
+            grid[..., 0] = np.arange(n_values)[:, None]
+            grid[..., 1:] = rest
+            grid = grid.reshape(-1, cells)
+    return rows
 
 
-def _grid_candidates(geoms, theta, sizes_flat, budgets, n_values, useful):
+def _grid_candidates(sizes_flat, budgets, n_values):
     """Enumerate the grid of the 2x2 catalog once and project it for both tiers.
 
-    Returns (rows, hits): ``rows[t]`` is every canonical grid row (one with
-    a zero entry, ``_grid_index``) projected to tier t's budget equality
-    (t = 0 for d2d, 1 for sbs), in grid order, and ``hits[t]`` its
-    hit-term values on the useful cells (the zero-popularity cells cannot
-    change the delay).  Every other grid row is a uniform shift c of a
-    canonical one, and u absorbs the shift, P(r + c*1) = P(r), so its
-    projection is already here.  Rows that project to the same matrix are
-    all kept: the sbs Pareto scan keeps one of equal points, and the
-    oracle's argmin keeps the first minimum in grid order.
+    Returns ``rows``: ``rows[t]`` is every canonical grid row (one with a
+    zero entry, ``_grid_digits``) projected to tier t's budget equality
+    (t = 0 for d2d, 1 for sbs), in grid order.  Every other grid row is a
+    uniform shift c of a canonical one, and u absorbs the shift,
+    P(r + c*1) = P(r), so its projection is already here.  Rows that
+    project to the same matrix are all kept: the Pareto scans keep the
+    first of equal points in grid order, as the oracle's argmin does.
 
     Each distinct tier budget is projected once: at equal budgets both
     tiers' projections are the same bits, so the rows are projected at the
     one budget and ``rows`` is a read-only (2, N, n) view whose two tiers
-    share that memory, and the useful columns are gathered once for both
-    hit terms; otherwise each tier has its own rows and its gather is made
-    only for its own hit term.  Each block of ``_GRID_BLOCK`` rows,
-    unravelled from the index set, is projected in one call at those
-    budgets straight into its slice of the rows.  One ``_Projector`` serves
-    every full block; the short last block gets its own, built once the
-    first is dropped, so one projector's buffers are alive at a time, and
-    none while the hit terms are computed.
+    share that memory; otherwise each tier has its own rows.  Each block of
+    ``_GRID_BLOCK`` digit rows is mapped to its grid values by one take and
+    projected in one call at those budgets straight into its slice of the
+    rows.  One ``_Projector`` serves every full block; the short last block
+    gets its own, built once the first is dropped, so one projector's
+    buffers are alive at a time, and none once this returns.
     """
-    index = _grid_index(sizes_flat.size, n_values)
+    digits = _grid_digits(sizes_flat.size, n_values)
     values = np.linspace(0.0, 1.0, n_values)
-    shape = (n_values,) * sizes_flat.size
     levels = (budgets.m_d,) if budgets.m_d == budgets.m_s else (budgets.m_d, budgets.m_s)
-    rows = np.empty((len(levels), index.size, sizes_flat.size))
+    rows = np.empty((len(levels), *digits.shape))
     # one budget's projector writes (block, n) rows, two budgets' a stack
     written = rows[0] if len(levels) == 1 else rows
     project = None
-    for start in range(0, index.size, _GRID_BLOCK):
-        block = index[start:start + _GRID_BLOCK]
-        if project is None or block.size < _GRID_BLOCK:  # a short block is the last
+    for start in range(0, digits.shape[0], _GRID_BLOCK):
+        block = digits[start:start + _GRID_BLOCK]
+        if project is None or block.shape[0] < _GRID_BLOCK:  # a short block is the last
             project = None  # one projector's buffers alive at a time
-            project = _Projector(sizes_flat, np.full((block.size, len(levels)), levels))
-        project(values[np.column_stack(np.unravel_index(block, shape))],
-                out=written[..., start:start + block.size, :])
-    del project  # and none while the hit terms are computed
-    tiers = (geoms.d2d, geoms.sbs)
-    if len(levels) == 1:
-        gathered = rows[0][:, useful]
-        return (np.broadcast_to(rows, (2, *rows.shape[1:])),
-                [hit_term(gathered, geom, theta) for geom in tiers])
-    # a temporary gather per tier: one alive at a time
-    return rows, [hit_term(tier[:, useful], geom, theta) for tier, geom in zip(rows, tiers)]
+            project = _Projector(sizes_flat, np.full((block.shape[0], len(levels)), levels))
+        project(values.take(block), out=written[..., start:start + block.shape[0], :])
+    return np.broadcast_to(rows, (2, *rows.shape[1:])) if len(levels) == 1 else rows
+
+
+def _d2d_direction(a, b, c_m):
+    """Which d2d hit vectors can attain the pair minimum, from the sign of
+    dD/dhit_d = w*(a - e) with e = hit_s*b + (1 - hit_s)*c_m between b and
+    c_m: True (the maximal frontier) if a <= min(b, c_m) in every useful
+    cell, False (the minimal one) if a >= max(b, c_m), else None (every
+    row).  Each cost is a tier-wide factor times the super-layer size, so
+    the rule holds in every cell or in none."""
+    if (a <= np.minimum(b, c_m)).all():
+        return True
+    if (a >= np.maximum(b, c_m)).all():
+        return False
+    return None
 
 
 def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
@@ -592,13 +605,24 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     Enumerates every per-tier matrix on the grid {0, step, ..., 1},
     projects each to budget equality, and minimizes the overall delay
     over all cross-tier pairs.  The pair minimum is computed exactly via
-    the split D = u(p_d) + V(p_d) . hit_s(p_s): only the Pareto frontier
-    of the sbs hit vectors can attain the inner minimum (all components of
-    V share one sign, fixed by whether the small-cell transmission beats
-    the backhaul-plus-macro path), and each frontier point scores every
-    d2d row in one product.  Ties go to the first frontier point in
-    ``_pareto_indices`` order, then the first d2d row in grid order.  Only
-    the 2x2 catalog is served: any other shape raises ``ValueError`` at once.
+    the split D = u(p_d) + V(p_d) . hit_s(p_s), with V = w*(b - c_m)*(1 -
+    hit_d) of one sign in every cell, so only the Pareto frontier of the
+    sbs hit vectors can attain the inner minimum (maximal when b < c_m),
+    and each frontier point scores the d2d candidates in one product.
+
+    ``hit_term`` is strictly increasing in the caching probability and is
+    one function of it across a tier's cells, so a hit vector is dominated
+    exactly when its projected useful-cell values are: each frontier is
+    found by ``_pareto_indices`` on the projected rows, and hit terms are
+    computed only on the rows that are scored.  The sbs frontier is found
+    first.  The d2d candidates follow the sign rule of ``_d2d_direction``:
+    the maximal or minimal frontier of the d2d rows when a <= min(b, c_m)
+    or a >= max(b, c_m) (the defaults have a = b < c_m), and every d2d row
+    otherwise.  At equal budgets in the same direction the sbs frontier
+    serves both tiers.  Ties go to the first sbs frontier point in
+    ``_pareto_indices`` order, then the first d2d candidate in grid order.
+    Only the 2x2 catalog is served: any other shape raises ``ValueError``
+    at once.
     """
     if lib.shape != (2, 2):
         raise ValueError(f"grid_oracle serves only the 2x2 catalog, got {lib.shape}")
@@ -614,19 +638,32 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
     useful = np.flatnonzero(weights.ravel() > 0)
     w, a, b, c_m = (term.ravel()[useful] for term in (weights, *costs))
 
-    (rows_d, rows_s), (hit_d, hit_s) = _grid_candidates(geoms, theta, sizes, budgets,
-                                                        n_values, useful)
+    rows_d, rows_s = _grid_candidates(sizes, budgets, n_values)
+    maximize_s = bool((b - c_m)[0] < 0)
+    frontier_s = _pareto_indices(rows_s[:, useful], maximize_s)
+    direction_d = _d2d_direction(a, b, c_m)
+    if direction_d is None:
+        candidates, hit_rows = None, rows_d[:, useful]
+    else:
+        candidates = (frontier_s if budgets.m_d == budgets.m_s and direction_d == maximize_s
+                      else _pareto_indices(rows_d[:, useful], direction_d))
+        candidates = np.sort(candidates)  # grid order
+        hit_rows = rows_d[np.ix_(candidates, useful)]
+    hit_d = hit_term(hit_rows, geoms.d2d, theta)
+    hit_s = hit_term(rows_s[np.ix_(frontier_s, useful)], geoms.sbs, theta)
 
     # D(i, j) = base_i + V_i . H_j with V_i = w*(1-hit_d_i)*(b-c_m) <= or >= 0
     base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)
     v_mat = w * (b - c_m) * (1.0 - hit_d)
 
     best_val, best_i, best_j = np.inf, 0, 0
-    for j in _pareto_indices(hit_s, maximize=(b - c_m)[0] < 0):
-        scores = v_mat @ hit_s[j] + base
+    for j, hit in zip(frontier_s, hit_s):
+        scores = v_mat @ hit + base
         i = scores.argmin()
         if scores[i] < best_val:
             best_val, best_i, best_j = scores[i], i, j
+    if candidates is not None:
+        best_i = candidates[best_i]
 
     policy = CachingPolicy(p_d=rows_d[best_i].reshape(lib.shape),
                            p_s=rows_s[best_j].reshape(lib.shape))
@@ -635,14 +672,18 @@ def grid_oracle(lib: ContentLibrary, geoms: NetworkGeometry,
 
 
 def _pareto_indices(points, maximize):
-    """Indices of the Pareto-optimal rows of the 2x2 catalog's hit vectors.
+    """Indices of the Pareto-optimal rows of one tier's projected rows on the
+    2x2 catalog's requested cells, maximal or minimal.
 
-    For the inner minimization only non-dominated hit vectors can attain
-    the optimum: dominated rows are removable because every weight vector
-    they are scored against has one uniform sign.  The columns are the two
-    requested cells; one sort-scan keeps each row whose last column beats
-    every row ahead of it in descending first-column order.  With one column
-    (the other cell's popularity underflowed) that is the first maximum.
+    Only non-dominated rows can attain the pair minimum: the score is
+    monotone in each hit term with one sign in every cell (``grid_oracle``
+    states the sign rules), and ``hit_term`` is strictly increasing in the
+    caching probability, so a row's hit vector is dominated exactly when
+    its caching probabilities are.  The columns are the two requested
+    cells; one sort-scan keeps each row whose last column beats every row
+    ahead of it in descending first-column order, and of equal rows the
+    first in grid order.  With one column (the other cell's popularity
+    underflowed) that is the first maximum.
 
     Only the rows in the box of the two extreme rows go through the sort:
     first column at least the floor (the largest first column among rows
@@ -654,8 +695,8 @@ def _pareto_indices(points, maximize):
     order, so the indices are the same, ties included.  A box that holds
     every row (a long frontier: all of them at an sbs budget of 0.1
     catalogs) is sorted as it stands, with no gathers.  The mask reads each
-    column contiguously: the oracle's hit arrays are column-major already,
-    and a row-major one is copied a column at a time.
+    column contiguously: the oracle's gathered columns are column-major
+    already, and a row-major array is copied a column at a time.
     """
     x, y = (np.ascontiguousarray(points[:, c] if maximize else -points[:, c])
             for c in (0, -1))

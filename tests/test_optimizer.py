@@ -33,7 +33,7 @@ from svcache import (
     total_catalog_bits,
 )
 from svcache import optimizer
-from svcache.delay import cell_delay_matrix
+from svcache.delay import _weights_and_costs, cell_delay_matrix
 from svcache.optimizer import OptimizerConfig, _grid_candidates
 
 
@@ -757,20 +757,122 @@ def test_grid_oracle_pinned_on_a_multi_point_frontier(toy_lib, geoms, radio,
                                                       monkeypatch):
     # the criterion-6 instance has a one-point sbs frontier; a smaller sbs
     # budget spreads it, so the pair minimum scores many frontier points
-    frontiers, pareto = [], optimizer._pareto_indices
-
-    def recorded(points, maximize):
-        frontiers.append(pareto(points, maximize))
-        return frontiers[-1]
-
-    monkeypatch.setattr(optimizer, "_pareto_indices", recorded)
+    calls = _recorded_frontiers(monkeypatch)
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=0.5 * total, m_s=0.2 * total)
     policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
-    assert len(frontiers) == 1 and frontiers[0].size >= 20
+    _, _, frontier = _sbs_call(calls, toy_lib, budgets, 0.05)
+    assert frontier.size >= 20
     assert value == pytest.approx(5.040945928885067, rel=1e-12)
     assert policy.p_d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert policy.p_s.tolist() == [[0.0, 0.6000000000000001], [0.0, 0.0]]
+
+
+def _oracle_reference(lib, geoms, radio, budgets, step):
+    """The pair minimum as scored before the frontiers moved to the
+    projected rows: hit terms on every row, the sbs frontier found in hit
+    space and every d2d row scored."""
+    weights, costs = _weights_and_costs(lib, geoms, radio)
+    useful = np.flatnonzero(weights.ravel() > 0)
+    w, a, b, c_m = (term.ravel()[useful] for term in (weights, *costs))
+    rows_d, rows_s = _grid_candidates(lib.super_layer_sizes.ravel(), budgets,
+                                      round(1.0 / step) + 1)
+    theta = radio.sir_threshold
+    hit_d = hit_term(rows_d[:, useful], geoms.d2d, theta)
+    hit_s = hit_term(rows_s[:, useful], geoms.sbs, theta)
+    base = hit_d @ (w * a) + (1.0 - hit_d) @ (w * c_m)
+    v_mat = w * (b - c_m) * (1.0 - hit_d)
+    best_val, best_i, best_j = np.inf, 0, 0
+    for j in _pareto_reference(hit_s, maximize=(b - c_m)[0] < 0):
+        scores = v_mat @ hit_s[j] + base
+        i = scores.argmin()
+        if scores[i] < best_val:
+            best_val, best_i, best_j = scores[i], i, j
+    policy = CachingPolicy(p_d=rows_d[best_i].reshape(lib.shape),
+                           p_s=rows_s[best_j].reshape(lib.shape))
+    return overall_delay(policy, lib, geoms, radio).total
+
+
+# (d2d, sbs) bandwidths in Hz for each regime of the d2d sign rule, the
+# first pair with b < c_m and the second with b > c_m (c_m = 5.4 s per 25
+# Mbit, and a or b = 0.61 s at 20 MHz, 2.4 at 5, 12.2 at 1 and 24.3 at 0.5):
+# a <= min(b, c_m) takes the maximal d2d frontier, a >= max(b, c_m) the
+# minimal one, and a strictly between b and c_m every d2d row
+_D2D_REGIMES = {"maximal": ((20e6, 20e6), (20e6, 1e6)),
+                "every-row": ((5e6, 20e6), (1e6, 0.5e6)),
+                "minimal": ((0.5e6, 20e6), (0.5e6, 1e6))}
+
+
+@pytest.mark.parametrize("regime", sorted(_D2D_REGIMES))
+def test_grid_oracle_equals_the_hit_space_scoring(regime, toy_lib, geoms, radio,
+                                                  monkeypatch):
+    # the frontiers found on the projected rows lose no winning pair: the
+    # value agrees with scoring every d2d row against the sbs frontier of
+    # the hit vectors to 2 ulps (near-ties may pick another policy); seeded
+    # budgets, equal ones among them (one frontier for both tiers when the
+    # directions agree), at both signs of b - c_m
+    rng = np.random.default_rng(36)
+    total = total_catalog_bits(toy_lib)
+    useful, sizes = _useful_and_sizes(toy_lib)
+    seen = []
+
+    def recorded(p, geom, theta):
+        seen.append((geom, p))
+        return hit_term(p, geom, theta)
+
+    monkeypatch.setattr(optimizer, "hit_term", recorded)
+    for case in range(6):
+        fractions = rng.uniform(0.05, 1.1, 2)
+        if case % 3 == 0:
+            fractions[1] = fractions[0]
+        budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
+        bandwidth_d2d, bandwidth_sbs = _D2D_REGIMES[regime][case % 2]
+        case_radio = replace(radio, bandwidth_d2d=bandwidth_d2d, bandwidth_sbs=bandwidth_sbs)
+        seen.clear()
+        _, value = grid_oracle(toy_lib, geoms, case_radio, budgets, grid_step=0.05)
+        expected = _oracle_reference(toy_lib, geoms, case_radio, budgets, 0.05)
+        assert abs(value - expected) <= 2 * np.spacing(expected), (case, fractions)
+        # the d2d rows that reach hit_term are the regime's candidates
+        rows_d = _grid_candidates(sizes, budgets, 21)[0][:, useful]
+        if regime != "every-row":
+            rows_d = rows_d[np.sort(_pareto_reference(rows_d, regime == "maximal"))]
+        (hit_rows,) = [p for geom, p in seen if geom is geoms.d2d]
+        assert np.array_equal(hit_rows, rows_d)
+
+
+@pytest.mark.parametrize("theta_db", [-5.0, 5.0, 10.0])
+@pytest.mark.parametrize("pathloss", [2.5, 3.0, 4.0, 6.0])
+def test_hit_term_is_strictly_increasing(pathloss, theta_db, geoms):
+    # the oracle's frontiers on the projected rows rest on this: a tier's
+    # hit vector is dominated exactly when its caching probabilities are
+    p = np.linspace(0.0, 1.0, 1_000_001)
+    theta = 10.0 ** (theta_db / 10.0)
+    for geom in (geoms.d2d, geoms.sbs):
+        hit = hit_term(p, replace(geom, pathloss=pathloss), theta)
+        assert (np.diff(hit) > 0).all()
+
+
+def _recorded_frontiers(monkeypatch):
+    """Record each ``optimizer._pareto_indices`` call as (points, maximize,
+    frontier)."""
+    calls, pareto = [], optimizer._pareto_indices
+
+    def recorded(points, maximize):
+        calls.append((points, maximize, pareto(points, maximize)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(optimizer, "_pareto_indices", recorded)
+    return calls
+
+
+def _sbs_call(calls, lib, budgets, step):
+    """The recorded call made on the projected sbs rows' useful cells: the
+    first one, as the oracle finds the sbs frontier first."""
+    useful, sizes = _useful_and_sizes(lib)
+    rows_s = _grid_candidates(sizes, budgets, round(1.0 / step) + 1)[1][:, useful]
+    sbs = [call for call in calls if np.array_equal(call[0], rows_s)]
+    assert sbs and calls[0] is sbs[0]
+    return sbs[0]
 
 
 def _pareto_reference(points, maximize):
@@ -812,17 +914,11 @@ def test_pareto_indices_on_a_whole_box_frontier(toy_lib, geoms, radio, monkeypat
     # at an sbs budget of 0.1 catalogs every sbs row lies in the box of the
     # two extreme rows, so the scan runs on the hit array as given: its
     # indices are the whole-set sort-scan's
-    calls, pareto = [], optimizer._pareto_indices
-
-    def recorded(points, maximize):
-        calls.append((points, maximize, pareto(points, maximize)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(optimizer, "_pareto_indices", recorded)
+    calls = _recorded_frontiers(monkeypatch)
     total = total_catalog_bits(toy_lib)
-    grid_oracle(toy_lib, geoms, radio, CacheBudgets(m_d=0.5 * total, m_s=0.1 * total),
-                grid_step=0.05)
-    ((points, maximize, got),) = calls
+    budgets = CacheBudgets(m_d=0.5 * total, m_s=0.1 * total)
+    grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
+    points, maximize, got = _sbs_call(calls, toy_lib, budgets, 0.05)
     x, y = (points[:, c] if maximize else -points[:, c] for c in (0, -1))
     assert (x >= x[y == y.max()].max()).all() and (y >= y[x == x.max()].max()).all()
     assert got.size > 1
@@ -840,33 +936,34 @@ def _whole_grid(n_cells, n_values):
     return np.array(list(itertools.product(values, repeat=n_cells)))
 
 
+def _whole_grid_digits(n_cells, n_values):
+    """Every digit row of {0, ..., n_values - 1}^n_cells in grid order."""
+    return np.ascontiguousarray(
+        np.indices((n_values,) * n_cells, dtype=np.uint8).reshape(n_cells, -1).T)
+
+
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.3, 0.8)],
                          ids=["criterion-6", "toy-0.3-0.8"])
-def test_tier_candidates_are_the_projected_canonical_grid_rows(toy_lib, geoms,
-                                                               radio, fractions,
+def test_tier_candidates_are_the_projected_canonical_grid_rows(toy_lib, fractions,
                                                                monkeypatch):
     # every grid row with a zero entry, projected at each tier's budget in
     # one shared pass, in grid order: rows that project to the same matrix
     # are all kept.  Equal budgets are projected once, at one budget column,
     # and both tiers' candidates are views of that memory
-    useful, sizes = _useful_and_sizes(toy_lib)
+    _, sizes = _useful_and_sizes(toy_lib)
     grid = _whole_grid(sizes.size, 21)
     canonical = grid[grid.min(axis=1) == 0.0]
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
     _, built = _recorded_blocks(monkeypatch)
-    rows, hits = _grid_candidates(geoms, radio.sir_threshold, sizes, budgets, 21,
-                                  useful)
+    rows = _grid_candidates(sizes, budgets, 21)
     equal = fractions[0] == fractions[1]
     assert built and all(budget.shape[1] == (1 if equal else 2) for budget in built)
     assert np.shares_memory(rows[0], rows[1]) == equal
     assert rows.shape == (2, 21**4 - 20**4, 4)
-    for tier, hit, geom, budget in zip(rows, hits, (geoms.d2d, geoms.sbs),
-                                       (budgets.m_d, budgets.m_s)):
+    for tier, budget in zip(rows, (budgets.m_d, budgets.m_s)):
         expected = project_budget(canonical, sizes, budget)
         assert tier.tobytes() == expected.tobytes()
-        assert np.array_equal(hit, hit_term(tier[:, useful], geom,
-                                            radio.sir_threshold))
 
 
 # sha256 of the d2d and sbs projected canonical rows, recorded with the
@@ -892,36 +989,38 @@ _CANONICAL_ROWS_SHA256 = {  # step, m_d and m_s in catalogs, d2d and sbs sha256
 
 
 @pytest.mark.parametrize("case", sorted(_CANONICAL_ROWS_SHA256))
-def test_projected_canonical_rows_are_pinned(toy_lib, geoms, radio, case):
+def test_projected_canonical_rows_are_pinned(toy_lib, case):
     # d2d-full: m_d is 1.5 catalogs, so every d2d row is exact ones while
     # the sbs rows are solved, in the same projection calls
     step, fraction_d, fraction_s, *pins = _CANONICAL_ROWS_SHA256[case]
-    useful, sizes = _useful_and_sizes(toy_lib)
+    _, sizes = _useful_and_sizes(toy_lib)
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=fraction_d * total, m_s=fraction_s * total)
-    rows, _ = _grid_candidates(geoms, radio.sir_threshold, sizes, budgets,
-                               round(1.0 / step) + 1, useful)
+    rows = _grid_candidates(sizes, budgets, round(1.0 / step) + 1)
     assert [hashlib.sha256(tier.tobytes()).hexdigest() for tier in rows] == pins
 
 
-# tracemalloc peak of one step-0.05 oracle call on the criterion-6 instance
-# with each tier enumerated and projected on its own (numpy 2.4.6); it
-# still bounds a call at unequal budgets, where both tiers are projected
-_TWO_PASS_ORACLE_PEAK = 7_271_859
-# the same call with the one shared budget projected once for both tiers:
-# 4 692 968 to 4 693 304 B (numpy 2.4.6, Python 3.11, alone and in the
-# suite), rounded up for the few hundred bytes of interpreter state that
-# vary with what ran before; 5 796 464 B with both tiers projected at the
-# same budget
-_ONE_BUDGET_ORACLE_PEAK = 4_700_000
+# tracemalloc peaks of one oracle call after a warm-up call (numpy 2.4.6,
+# Python 3.11), each bound the measured peak plus about 1% for the
+# interpreter state that varies with what ran before.  Criterion 6 at step
+# 0.05, the one shared budget projected once for both tiers: 3 117 604 B
+# (4 692 968 B with hit terms on every row, 5 796 464 B with both tiers
+# projected at the same budget)
+_ONE_BUDGET_ORACLE_PEAK = 3_150_000
+# m_s = 0.2 catalogs at step 0.05, both tiers projected: 4 254 100 B
+# (5 796 408 B with hit terms on every row)
+_TWO_PASS_ORACLE_PEAK = 4_300_000
+# criterion 6 at step 0.02: 25 859 346 B (70 071 128 B with hit terms on every
+# row and the intp index set unravelled block by block)
+_FINE_STEP_ORACLE_PEAK = 26_100_000
 
 
-def _oracle_traced_peak(lib, geoms, radio, budgets):
-    """tracemalloc peak of a step-0.05 oracle call after a warm-up call."""
-    grid_oracle(lib, geoms, radio, budgets, grid_step=0.05)
+def _oracle_traced_peak(lib, geoms, radio, budgets, step=0.05):
+    """tracemalloc peak of an oracle call after a warm-up call."""
+    grid_oracle(lib, geoms, radio, budgets, grid_step=step)
     tracemalloc.start()
     try:
-        grid_oracle(lib, geoms, radio, budgets, grid_step=0.05)
+        grid_oracle(lib, geoms, radio, budgets, grid_step=step)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -935,6 +1034,12 @@ def test_grid_oracle_traced_peak_memory_at_unequal_budgets(toy_lib, geoms, radio
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=0.5 * total, m_s=0.2 * total)
     assert _oracle_traced_peak(toy_lib, geoms, radio, budgets) <= _TWO_PASS_ORACLE_PEAK
+
+
+def test_grid_oracle_traced_peak_memory_at_the_fine_step(toy_lib, geoms, radio,
+                                                         toy_budgets):
+    assert (_oracle_traced_peak(toy_lib, geoms, radio, toy_budgets, step=0.02)
+            <= _FINE_STEP_ORACLE_PEAK)
 
 
 def _recorded_blocks(monkeypatch):
@@ -961,13 +1066,12 @@ def _recorded_blocks(monkeypatch):
                          ids=["criterion-6", "toy-0.3-0.8", "toy-0.15-0.6"])
 def test_grid_oracle_equals_oracle_over_every_grid_row(toy_lib, geoms, radio,
                                                        fractions, monkeypatch):
-    # projecting the canonical rows only loses no candidate: the index set
-    # of every grid row feeds the same blocks and the same projection
+    # projecting the canonical rows only loses no candidate: the digit rows
+    # of every grid row feed the same blocks and the same projection
     total = total_catalog_bits(toy_lib)
     budgets = CacheBudgets(m_d=fractions[0] * total, m_s=fractions[1] * total)
     policy, value = grid_oracle(toy_lib, geoms, radio, budgets, grid_step=0.05)
-    monkeypatch.setattr(optimizer, "_grid_index",
-                        lambda n_cells, n_values: np.arange(n_values**n_cells))
+    monkeypatch.setattr(optimizer, "_grid_digits", _whole_grid_digits)
     seen, _ = _recorded_blocks(monkeypatch)
     full_policy, full_value = grid_oracle(toy_lib, geoms, radio, budgets,
                                           grid_step=0.05)
@@ -1035,35 +1139,39 @@ def _grid_index_reference(n_cells, n_values):
     return np.flatnonzero(canonical)
 
 
+def _grid_digits_reference(n_cells, n_values):
+    """The canonical digit rows, unravelled from the mask's index set."""
+    index = _grid_index_reference(n_cells, n_values)
+    return np.column_stack(np.unravel_index(index, (n_values,) * n_cells))
+
+
 @pytest.mark.parametrize("n_values", [21, 51])
 @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
 def test_grid_index_equals_the_full_grid_mask(n_cells, n_values):
-    got = optimizer._grid_index(n_cells, n_values)
-    expected = _grid_index_reference(n_cells, n_values)
-    assert got.dtype == expected.dtype == np.intp
-    assert np.array_equal(got, expected)
+    got = optimizer._grid_digits(n_cells, n_values)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got.shape == (n_values**n_cells - (n_values - 1)**n_cells, n_cells)
+    assert np.array_equal(got, _grid_digits_reference(n_cells, n_values))
 
 
 @pytest.mark.parametrize("chunk", [1000, None], ids=["1000", "default"])
 @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
-def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk, geoms,
-                                                          radio, monkeypatch):
-    # the index set selects the rows with a zero entry in grid order, and the
-    # oracle's candidates unravel it in blocks of at most _GRID_BLOCK rows
+def test_grid_chunks_yield_rows_with_a_zero_in_grid_order(n_cells, chunk, monkeypatch):
+    # the digit rows select the rows with a zero entry in grid order, and
+    # the oracle's candidates take their values in blocks of at most
+    # _GRID_BLOCK rows
     if chunk is not None:
         monkeypatch.setattr(optimizer, "_GRID_BLOCK", chunk)
     values = np.linspace(0.0, 1.0, 21)
     full = np.array(list(itertools.product(values, repeat=n_cells)))
     expected = full[full.min(axis=1) == 0.0]
-    index = optimizer._grid_index(n_cells, 21)
-    got = values[np.column_stack(np.unravel_index(index, (21,) * n_cells))]
+    got = values.take(optimizer._grid_digits(n_cells, 21))
     assert got.shape == (21**n_cells - 20**n_cells, n_cells)
     assert np.array_equal(got, expected)
+    assert np.array_equal(got, values[_grid_digits_reference(n_cells, 21)])
     seen, _ = _recorded_blocks(monkeypatch)
     sizes = np.full(n_cells, 25e6)
-    optimizer._grid_candidates(geoms, radio.sir_threshold, sizes,
-                               CacheBudgets(m_d=20e6, m_s=30e6), 21,
-                               np.arange(n_cells))
+    optimizer._grid_candidates(sizes, CacheBudgets(m_d=20e6, m_s=30e6), 21)
     assert all(rows.shape[0] <= optimizer._GRID_BLOCK for rows, _ in seen)
     assert np.array_equal(np.concatenate([rows for rows, _ in seen]), expected)
 
